@@ -19,11 +19,17 @@ import sys
 import time
 
 from .clonecalc import normalize_point
-from .cnf import count_sat, count_x3sat, parse_dimacs, reduce_to_x3sat, x3sat_to_graph
+from .cnf import count_sat, count_x3sat, parse_dimacs, reduce_to_graph, reduce_to_x3sat, x3sat_to_graph
 from .errors import CapacityError, DomainError, OracleError
 from .graphs import CloneSpec, graph_to_json_dict, graph_to_text, parse_graph, s_clone
-from .interpolate import InternalOracle, build_clone_family, external_oracle, interpolate_coeffs
-from .isp import count_is_of_size, isp_coeffs, isp_eval
+from .interpolate import (
+    InternalOracle,
+    build_clone_family,
+    external_oracle,
+    interpolate_coeffs,
+    interpolate_family,
+)
+from .isp import isp_coeffs, isp_eval
 from .quadfield import format_rational, parse_rational
 from .verify import DEFAULT_SEED, SUITES, run_suites
 
@@ -157,22 +163,9 @@ def _cmd_reduce_graph(args) -> int:
 
 def _cmd_count_via_is(args) -> int:
     started = time.perf_counter()
-    f = _load_formula(args.file)
-    reduced = reduce_to_x3sat(f)
-    graph, target, multiplier = x3sat_to_graph(reduced)
-    count = multiplier * count_is_of_size(graph, target)
-    record = {
-        "command": "count-via-is",
-        "file": args.file,
-        "count": count,
-        "clauses_in": len(f.clauses),
-        "clauses_out": len(reduced.clauses),
-        "vars_in": f.variable_count,
-        "vars_out": reduced.variable_count,
-        "vertices": graph.n,
-        "target_size": target,
-        "multiplier": multiplier,
-    }
+    reduction = reduce_to_graph(_load_formula(args.file))
+    record = {"command": "count-via-is", "file": args.file, "count": reduction.count()}
+    record.update(reduction.report())
     _emit(_timed(record, started))
     return EXIT_OK
 
@@ -268,8 +261,11 @@ def _cmd_interpolate(args) -> int:
     x = parse_rational(args.at)
     mode = _MODES[args.mode]
     oracle = external_oracle(args.oracle) if args.oracle else InternalOracle()
-    poly = interpolate_coeffs(g, x, oracle=oracle, mode=mode)
-    family = build_clone_family(x, g.n, mode) if g.n > 0 else None
+    if g.n == 0:
+        poly, family = interpolate_coeffs(g, x, oracle=oracle, mode=mode), None
+    else:
+        family = build_clone_family(x, g.n, mode)
+        poly = interpolate_family(g, family, oracle)
     _emit(
         _timed(
             {

@@ -8,7 +8,7 @@ exact rationals (B_k, C_k) via the transfer recurrence
 
 i.e. repeated application of the matrix [[0, x], [1, 1]].  The recurrence
 is the primary computation path (exact over Q for every rational x); the
-eigenvalue closed forms exist as a cross-check and for the exact searches
+eigenvalue closed forms exist as a cross-check and for the spacing bound
 of the interpolation module.
 
 An S-clone shifts the evaluation point x to the rational x(S) defined by
@@ -89,19 +89,6 @@ def path_weights_closed_form(x, k: int) -> tuple:
     return b, c
 
 
-def is_compatible(x, spec) -> bool:
-    """Whether t1^(s+2) != t2^(s+2) for every s in the multiset, decided
-    exactly in Q(sqrt(1+4x)).  Always true for real nondegenerate x; kept
-    as an explicit check rather than an assumption."""
-    if not isinstance(spec, CloneSpec):
-        spec = CloneSpec(spec)
-    t1, t2 = transfer_eigenvalues(x)
-    for s in set(spec.entries):
-        if t1 ** (s + 2) == t2 ** (s + 2):
-            return False
-    return True
-
-
 def clone_shifted_point(x, spec) -> Fraction:
     """The rational x(S) that an S-clone shifts the evaluation point to:
     1 + x(S) = prod over s in S of (1 + B_s/C_s)."""
@@ -109,8 +96,6 @@ def clone_shifted_point(x, spec) -> Fraction:
     _require_nondegenerate(x)
     if not isinstance(spec, CloneSpec):
         spec = CloneSpec(spec)
-    if not is_compatible(x, spec):
-        raise IncompatibleCloneError(f"multiset {spec!r} incompatible with x = {x}")
     product = Fraction(1)
     for s in spec.entries:
         w = path_weights(x, s)

@@ -13,6 +13,8 @@ refuses to run beyond ``max_variables``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import CapacityError, FormulaError
@@ -305,24 +307,48 @@ def x3sat_to_graph(f: CnfFormula):
     return Graph(total, edges, labels), len(f.clauses), multiplier
 
 
+@dataclass(frozen=True)
+class GraphReduction:
+    """The composed reduction 3-CNF -> X3SAT -> independent sets: the
+    formula has multiplier times as many satisfying assignments as
+    ``graph`` has independent sets of size ``target``."""
+
+    formula: CnfFormula
+    reduced: CnfFormula
+    graph: Graph
+    target: int
+    multiplier: int
+
+    def count(self) -> int:
+        """Satisfying assignments of the formula, counted on the graph."""
+        return self.multiplier * count_is_of_size(self.graph, self.target)
+
+    def report(self) -> dict:
+        """Sizes of every stage, as the fields of a CLI record."""
+        return {
+            "clauses_in": len(self.formula.clauses),
+            "clauses_out": len(self.reduced.clauses),
+            "vars_in": self.formula.variable_count,
+            "vars_out": self.reduced.variable_count,
+            "vertices": self.graph.n,
+            "target_size": self.target,
+            "multiplier": self.multiplier,
+        }
+
+
+def reduce_to_graph(f: CnfFormula) -> GraphReduction:
+    """Run both reductions on a 3-CNF formula."""
+    reduced = reduce_to_x3sat(f)
+    graph, target, multiplier = x3sat_to_graph(reduced)
+    return GraphReduction(f, reduced, graph, target, multiplier)
+
+
 def count_sat_via_independent_sets(f: CnfFormula) -> int:
     """Count satisfying assignments of a 3-CNF through the composed
     reduction: 3-CNF -> X3SAT -> independent sets of a fixed size."""
-    reduced = reduce_to_x3sat(f)
-    graph, target, multiplier = x3sat_to_graph(reduced)
-    return multiplier * count_is_of_size(graph, target)
+    return reduce_to_graph(f).count()
 
 
 def reduction_report(f: CnfFormula) -> dict:
-    """Size/record view of the composed reduction, for the CLI."""
-    reduced = reduce_to_x3sat(f)
-    graph, target, multiplier = x3sat_to_graph(reduced)
-    return {
-        "clauses_in": len(f.clauses),
-        "clauses_out": len(reduced.clauses),
-        "vars_in": f.variable_count,
-        "vars_out": reduced.variable_count,
-        "vertices": graph.n,
-        "target_size": target,
-        "multiplier": multiplier,
-    }
+    """Size/record view of the composed reduction."""
+    return reduce_to_graph(f).report()

@@ -2,12 +2,17 @@
 
 Evaluating a graph polynomial of degree <= n at n+1 pairwise distinct
 points determines it.  The clone family built here supplies those points:
-member i is the multiset S_i = {offset + spacing*(2j + bit_j(i))} over the
+member i is the multiset S_i = {1 + spacing*(2j + bit_j(i))} over the
 bit positions j of i, so distinct indices differ in at least one element
 and the shifted points x(S_i) separate.  Each S-clone of the input graph
 is evaluated at the single fixed point x by an oracle, the clone
 correction factor is divided out to recover I(G; x(S_i)), and exact
 Lagrange interpolation returns the coefficient vector.
+
+The offset 1 needs no search.  A path length s is unusable only if C_s
+or B_s + C_s = C_(s+1) vanishes, i.e. if (t1/t2)^s equals (t2/t1)^2 or
+(t2/t1)^3.  For nondegenerate x those targets are below 1 in magnitude,
+while |t1/t2|^s > 1 for every s >= 1.
 
 Two spacing modes exist.  ``verified_minimal`` (the default) starts at
 spacing 1 and doubles until the n+1 points are exactly pairwise distinct;
@@ -27,53 +32,15 @@ import subprocess
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clonecalc import (
-    clone_correction_factor,
-    clone_shifted_point,
-    is_compatible,
-    transfer_eigenvalues,
-)
-from .errors import CapacityError, DomainError, IncompatibleCloneError, OracleError
+from .clonecalc import clone_correction_factor, clone_shifted_point, transfer_eigenvalues
+from .errors import CapacityError, DomainError, OracleError
 from .graphs import CloneSpec, Graph, graph_to_json_dict, s_clone
 from .isp import Polynomial, isp_eval
-from .quadfield import QuadExt, abs_gt, as_rational, format_rational, quad_abs, quad_max, quad_min
+from .quadfield import QuadExt, as_rational, format_rational, quad_abs, quad_max, quad_min
 
 _SPACING_MARGIN = 1e-9
 _MAX_DOUBLINGS = 64
-
-
-def minimum_path_offset(x) -> int:
-    """Smallest offset s0 >= 1 such that for every s >= s0 the ratio
-    (t1/t2)^s avoids both (t2/t1)^2 and t2*(x+t2) / (t1*(x+t1)).
-
-    Decided exactly in Q(sqrt(1+4x)): |t1/t2| > 1 makes |ratio^s| grow
-    monotonically, so once it exceeds both targets' magnitudes every
-    larger s is safe; any violations can only sit below that threshold
-    and are checked by exact equality."""
-    x = as_rational(x)
-    t1, t2 = transfer_eigenvalues(x)
-    ratio = t1 / t2
-    one = QuadExt(1, 0, ratio.d)
-    if not abs_gt(ratio, one):
-        raise AssertionError("eigenvalue ratio must exceed 1 in magnitude")
-    targets = (
-        (t2 / t1) ** 2,
-        (t2 * (x + t2)) / (t1 * (x + t1)),
-    )
-    s = 1
-    power = ratio
-    while not all(abs_gt(power, t) for t in targets):
-        s += 1
-        power = power * ratio
-        if s > 10000:
-            raise AssertionError("offset search failed to terminate")
-    threshold = s
-    violations = [
-        s
-        for s in range(1, threshold)
-        if any(ratio ** s == t for t in targets)
-    ]
-    return max(violations) + 1 if violations else 1
+_FAMILY_OFFSET = 1
 
 
 def family_spacing(x, n: int, mode: str = "verified_minimal") -> int:
@@ -137,11 +104,11 @@ class CloneFamily:
         ]
 
 
-def _family_sets(n: int, offset: int, spacing: int) -> tuple:
+def _family_sets(n: int, spacing: int) -> tuple:
     bits = n.bit_length() - 1  # floor(log2 n) for n >= 1
     sets = []
     for i in range(n + 1):
-        entries = [offset + spacing * (2 * j + ((i >> j) & 1)) for j in range(bits + 1)]
+        entries = [_FAMILY_OFFSET + spacing * (2 * j + ((i >> j) & 1)) for j in range(bits + 1)]
         sets.append(CloneSpec(entries))
     return tuple(sets)
 
@@ -154,19 +121,12 @@ def build_clone_family(x, n: int, mode: str = "verified_minimal") -> CloneFamily
     x = as_rational(x)
     if n < 1:
         raise DomainError(f"family size needs n >= 1, got {n}")
-    offset = minimum_path_offset(x)
     spacing = family_spacing(x, n, mode)
     for _ in range(_MAX_DOUBLINGS):
-        sets = _family_sets(n, offset, spacing)
-        points = []
-        for spec in sets:
-            if not is_compatible(x, spec):
-                raise IncompatibleCloneError(
-                    f"family multiset {spec!r} incompatible with x = {x}"
-                )
-            points.append(clone_shifted_point(x, spec))
+        sets = _family_sets(n, spacing)
+        points = tuple(clone_shifted_point(x, spec) for spec in sets)
         if len(set(points)) == n + 1:
-            return CloneFamily(x, n, offset, spacing, sets, tuple(points))
+            return CloneFamily(x, n, _FAMILY_OFFSET, spacing, sets, points)
         if mode == "paper_formula":
             raise AssertionError(
                 f"paper_formula spacing {spacing} produced colliding points"
@@ -233,7 +193,7 @@ class ExternalOracle:
     """Evaluation oracle behind a one-request-per-process line protocol.
 
     Per query the command is spawned, one request line is written to its
-    stdin and one response line is read back:
+    stdin and exactly one non-empty response line is read back:
 
         request:  {"graph": {"n": ..., "edges": [[u, v], ...]}, "point": "p/q"}
         response: {"value": "p/q"}
@@ -266,9 +226,12 @@ class ExternalOracle:
             raise OracleError(
                 f"oracle exited with status {proc.returncode}: {proc.stderr.strip()!r}"
             )
-        line = next((ln for ln in proc.stdout.splitlines() if ln.strip()), "")
-        if not line:
+        lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
+        if not lines:
             raise OracleError("oracle produced no response line")
+        if len(lines) > 1:
+            raise OracleError(f"oracle produced {len(lines)} response lines, expected one")
+        line = lines[0]
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -290,27 +253,32 @@ def interpolate_coeffs(
     g: Graph, x, oracle=None, mode: str = "verified_minimal"
 ) -> Polynomial:
     """All coefficients of I(G; X) from oracle evaluations at the single
-    point x: build the clone family for n = |V(G)|, evaluate each S-clone
-    at x, divide out the clone correction factor, and interpolate.
+    point x: build the clone family for n = |V(G)| and run
+    interpolate_family on it.
 
-    Requires nondegenerate x (compose with normalize_point otherwise).
-    Oracle failures and capacity errors are re-raised with the failing
-    clone index."""
+    Requires nondegenerate x (compose with normalize_point otherwise)."""
     x = as_rational(x)
     transfer_eigenvalues(x)  # enforce nondegeneracy up front
     if oracle is None:
         oracle = InternalOracle()
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return Polynomial([1])
-    family = build_clone_family(x, n, mode)
+    return interpolate_family(g, build_clone_family(x, g.n, mode), oracle)
+
+
+def interpolate_family(g: Graph, family: CloneFamily, oracle) -> Polynomial:
+    """All coefficients of I(G; X) from a clone family built for
+    n = |V(G)|: evaluate each S-clone at family.x with the oracle, divide
+    out the clone correction factor, and interpolate at the shifted
+    points.  Oracle failures and capacity errors are re-raised with the
+    failing clone index."""
+    if family.n != g.n:
+        raise DomainError(f"clone family for n = {family.n} used on a {g.n}-vertex graph")
     samples = []
     for i, spec in enumerate(family.sets):
-        cloned = s_clone(g, spec)
         try:
-            raw = oracle.evaluate(cloned, x)
+            raw = oracle.evaluate(s_clone(g, spec), family.x)
         except (OracleError, CapacityError) as exc:
             raise type(exc)(f"clone {i} (S = {list(spec.entries)}): {exc}") from exc
-        value = raw / clone_correction_factor(x, spec, n)
-        samples.append((family.points[i], value))
+        samples.append((family.points[i], raw / clone_correction_factor(family.x, spec, g.n)))
     return lagrange_interpolate(samples)

@@ -1,12 +1,16 @@
 """Definitional evaluators for the independent set polynomial.
 
 Every function here computes straight from the definition: a sum of
-x^|A| over independent sets A.  Two routes are implemented and tested
-against each other:
+x^|A| over independent sets A.  Two independent routes are implemented
+and tested against each other:
 
-* a branching recursion I(G) = I(G - v) + X * I(G - N[v]) with
+* one branching recursion I(G) = I(G - v) + X * I(G - N[v]) with
   connected-component factorization and per-call memoization on the
-  induced vertex subset (as a bitmask of the fixed host graph), and
+  induced vertex subset (as a bitmask of the fixed host graph), run at a
+  rational point by ``isp_eval``.  ``isp_coeffs`` and ``count_is_of_size``
+  read all coefficients off one evaluation at X = 2^(n+1) (Kronecker
+  substitution: every coefficient is a non-negative integer below
+  2^(n+1), so the value's base-2^(n+1) digits are the coefficients), and
 * plain enumeration of subsets, bounded by ``max_vertices``.
 
 The branching route has no hard vertex bound (cost is exponential only
@@ -19,6 +23,7 @@ can be tested against these evaluators without circularity.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
@@ -102,10 +107,16 @@ class Polynomial:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
 
 
-def _ensure_recursion_depth(n: int):
-    needed = 4 * n + 200
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
+@contextmanager
+def _recursion_depth(n: int):
+    """Raise the interpreter's recursion limit for an n-vertex recursion,
+    restoring the previous limit on exit."""
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(previous, 4 * n + 200))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(previous)
 
 
 def _components_of(mask: int, masks) -> list:
@@ -146,14 +157,10 @@ def _branch_vertex(comp: int, masks) -> int:
 
 
 def isp_eval(g: Graph, x) -> Fraction:
-    """Evaluate the independent set polynomial of g at a rational point.
-
-    Equals isp_coeffs(g) evaluated at x; computed directly by the scalar
-    branching recursion (homogenized to pure integer arithmetic).
-    """
+    """Evaluate the independent set polynomial of g at a rational point
+    by the branching recursion (homogenized to pure integer arithmetic)."""
     x = as_rational(x)
     p, q = x.numerator, x.denominator
-    _ensure_recursion_depth(g.n)
     masks = g.neighbor_masks()
     memo = {}
 
@@ -179,60 +186,18 @@ def isp_eval(g: Graph, x) -> Fraction:
         return result
 
     full = (1 << g.n) - 1
-    return Fraction(subgraph_value(full), q ** g.n)
+    with _recursion_depth(g.n):
+        return Fraction(subgraph_value(full), q ** g.n)
 
 
-def isp_coeffs(g: Graph, *, max_degree: int | None = None) -> Polynomial:
+def isp_coeffs(g: Graph) -> Polynomial:
     """All coefficients of I(G; X): coefficient k counts the independent
-    sets of size k.  Computed by the branching recursion over integer
-    coefficient vectors; ``max_degree`` truncates the result (sound for
-    the surviving coefficients, used by count_is_of_size)."""
-    _ensure_recursion_depth(g.n)
-    masks = g.neighbor_masks()
-    cap = g.n if max_degree is None else min(max_degree, g.n)
-    memo = {}
-
-    def poly_mul(a, b):
-        out = [0] * min(len(a) + len(b) - 1, cap + 1)
-        for i, c in enumerate(a):
-            if c == 0:
-                continue
-            top = min(len(b), len(out) - i)
-            for j in range(top):
-                out[i + j] += c * b[j]
-        return out
-
-    def component_value(comp):
-        val = memo.get(comp)
-        if val is not None:
-            return val
-        v = _branch_vertex(comp, masks)
-        vbit = 1 << v
-        without = comp ^ vbit
-        closed = masks[v] & comp
-        left = subgraph_value(without)
-        right = subgraph_value(without & ~closed)
-        val = list(left)
-        # add X * right
-        if cap >= 1:
-            need = min(len(right) + 1, cap + 1)
-            while len(val) < need:
-                val.append(0)
-            for j in range(need - 1):
-                val[j + 1] += right[j]
-        memo[comp] = val
-        return val
-
-    def subgraph_value(mask):
-        if mask == 0:
-            return [1]
-        result = [1]
-        for comp in _components_of(mask, masks):
-            result = poly_mul(result, component_value(comp))
-        return result
-
-    full = (1 << g.n) - 1
-    return Polynomial([Fraction(c) for c in subgraph_value(full)])
+    sets of size k.  Each is a non-negative integer below 2^(n+1), so they
+    are the base-2^(n+1) digits of the integer I(G; 2^(n+1))."""
+    width = g.n + 1
+    packed = isp_eval(g, 1 << width).numerator
+    digit = (1 << width) - 1
+    return Polynomial([(packed >> (width * k)) & digit for k in range(width)])
 
 
 def isp_coeffs_by_enumeration(
@@ -297,9 +262,7 @@ def count_is_of_size(g: Graph, k: int) -> int:
         raise DomainError(f"negative set size {k}")
     if k > g.n:
         return 0
-    c = isp_coeffs(g, max_degree=k).coefficient(k)
-    assert c.denominator == 1
-    return c.numerator
+    return isp_coeffs(g).coefficient(k).numerator
 
 
 def count_is_of_size_by_enumeration(

@@ -191,11 +191,6 @@ class QuadExt:
         return f"QuadExt({self.a}, {self.b}, d={self.d})"
 
 
-def abs_gt(lhs: QuadExt, rhs: QuadExt) -> bool:
-    """Exact |lhs| > |rhs| via comparison of squares."""
-    return (lhs * lhs - rhs * rhs).sign() > 0
-
-
 def quad_min(values):
     """Exact minimum of an iterable of same-field QuadExt values."""
     it = iter(values)

@@ -10,7 +10,6 @@ from indpoly import (
     clone_correction_factor,
     clone_shifted_point,
     complete_graph,
-    is_compatible,
     is_nondegenerate,
     isp_eval,
     normalize_point,
@@ -71,25 +70,16 @@ class TestNondegeneracy:
         assert not is_nondegenerate(-3)
 
 
-class TestCompatibility:
-    def test_examples(self):
-        assert is_compatible(2, CloneSpec([0, 1, 5]))
-        assert is_compatible(Fraction(1, 2), CloneSpec([3]))
-        assert is_compatible(Fraction(-1, 5), CloneSpec([0]))
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegeneratePointError):
-            is_compatible(0, CloneSpec([1]))
-
-    def test_always_holds_for_real_points(self):
+class TestShiftedPoint:
+    def test_defined_for_real_points(self):
+        # t1 + t2 = 1 rules out |t1| = |t2|, so C_s and 1 + B_s/C_s never
+        # vanish at a nondegenerate point
         rng = random.Random(31)
         for _ in range(40):
-            x = Fraction(rng.randint(1, 30), rng.randint(1, 7))
+            x = Fraction(rng.choice([k for k in range(-9, 31) if k]), rng.randint(40, 47))
             spec = CloneSpec([rng.randint(0, 6) for _ in range(rng.randint(1, 3))])
-            assert is_compatible(x, spec)
+            assert isinstance(clone_shifted_point(x, spec), Fraction)
 
-
-class TestShiftedPoint:
     def test_zero_multiset_is_identity(self):
         assert clone_shifted_point(2, CloneSpec([0])) == 2
 
@@ -126,6 +116,10 @@ class TestShiftedPoint:
     def test_degenerate_rejected(self):
         with pytest.raises(DegeneratePointError):
             clone_shifted_point(Fraction(-1, 2), CloneSpec([1]))
+
+    def test_zero_rejected(self):
+        with pytest.raises(DegeneratePointError):
+            clone_shifted_point(0, CloneSpec([1]))
 
 
 class TestCorrectionFactor:

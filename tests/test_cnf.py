@@ -11,6 +11,7 @@ from indpoly import (
     count_sat_via_independent_sets,
     count_x3sat,
     parse_dimacs,
+    reduce_to_graph,
     reduce_to_x3sat,
     reduction_report,
     x3sat_to_graph,
@@ -295,6 +296,16 @@ class TestEndToEnd:
             "target_size": 5,
             "multiplier": 1,
         }
+
+    def test_reduction_parts(self):
+        f = parse_dimacs("p cnf 4 1\n1 2 3 0\n")
+        reduction = reduce_to_graph(f)
+        assert reduction.formula is f
+        assert reduction.report() == reduction_report(f)
+        graph, target, multiplier = x3sat_to_graph(reduce_to_x3sat(f))
+        assert reduction.graph == graph
+        assert (reduction.target, reduction.multiplier) == (target, multiplier) == (5, 2)
+        assert reduction.count() == count_sat(f) == 14
 
     def test_random_formulas(self):
         rng = random.Random(25)

@@ -19,28 +19,15 @@ from indpoly import (
     external_oracle,
     family_spacing,
     interpolate_coeffs,
+    interpolate_family,
     isp_coeffs,
+    isp_coeffs_by_enumeration,
     isp_eval,
     lagrange_interpolate,
-    minimum_path_offset,
     path_graph,
     s_clone,
 )
 from indpoly.verify import random_graph
-
-
-class TestMinimumPathOffset:
-    def test_integer_eigenvalue_points(self):
-        assert minimum_path_offset(2) == 1
-        assert minimum_path_offset(6) == 1
-
-    def test_fractional_point(self):
-        offset = minimum_path_offset(Fraction(1, 2))
-        assert isinstance(offset, int) and offset >= 1
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegeneratePointError):
-            minimum_path_offset(0)
 
 
 class TestFamilySpacing:
@@ -105,6 +92,21 @@ class TestBuildCloneFamily:
         with pytest.raises(DomainError):
             build_clone_family(2, 0)
 
+    def test_offset_is_one_at_integer_eigenvalue_points(self):
+        for x in (Fraction(2), Fraction(6)):
+            for mode in ("verified_minimal", "paper_formula"):
+                assert build_clone_family(x, 3, mode).offset == 1
+
+    def test_offset_is_one_at_fractional_point(self):
+        for x in (Fraction(1, 2), Fraction(-1, 5)):
+            for mode in ("verified_minimal", "paper_formula"):
+                assert build_clone_family(x, 3, mode).offset == 1
+
+    def test_degenerate_rejected(self):
+        for n in (1, 4):
+            with pytest.raises(DegeneratePointError):
+                build_clone_family(0, n)
+
 
 class TestLagrange:
     def test_collinear(self):
@@ -161,6 +163,15 @@ class TestInterpolatePipeline:
     def test_degenerate_point_rejected(self):
         with pytest.raises(DegeneratePointError):
             interpolate_coeffs(complete_graph(2), Fraction(-1, 2))
+
+    def test_family_route_matches(self):
+        g = path_graph(5)
+        family = build_clone_family(Fraction(1, 2), g.n)
+        assert interpolate_family(g, family, InternalOracle()) == isp_coeffs_by_enumeration(g)
+
+    def test_family_size_must_match_graph(self):
+        with pytest.raises(DomainError):
+            interpolate_family(path_graph(4), build_clone_family(2, 3), InternalOracle())
 
     def test_oracle_capacity_reported_per_clone(self):
         oracle = InternalOracle(max_vertices=3)
@@ -224,6 +235,12 @@ class TestExternalOracle:
     def test_non_json_response(self, tmp_path):
         oracle = external_oracle(_write_oracle_script(tmp_path, "print('garbage')"))
         with pytest.raises(OracleError, match="garbage"):
+            oracle.evaluate(complete_graph(2), 2)
+
+    def test_extra_response_line_rejected(self, tmp_path):
+        body = CONSTANT_ORACLE + "print('{\"value\": \"1/1\"}')\n"
+        oracle = external_oracle(_write_oracle_script(tmp_path, body))
+        with pytest.raises(OracleError, match="2 response lines"):
             oracle.evaluate(complete_graph(2), 2)
 
     def test_empty_response(self, tmp_path):

@@ -1,8 +1,13 @@
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import indpoly.isp
 from indpoly import (
     CapacityError,
     DomainError,
@@ -88,13 +93,10 @@ class TestIspCoeffs:
             for c in poly.coeffs:
                 assert c.denominator == 1 and c >= 0
 
-    def test_max_degree_truncation(self):
-        g = path_graph(6)
-        full = isp_coeffs(g)
-        capped = isp_coeffs(g, max_degree=1)
-        assert capped.coefficient(0) == full.coefficient(0)
-        assert capped.coefficient(1) == full.coefficient(1)
-        assert capped.degree <= 1
+    def test_large_graph_digits_do_not_carry(self):
+        # 64 isolated vertices: coefficients C(64, k), the largest ~2^60
+        expected = Polynomial([math.comb(64, k) for k in range(65)])
+        assert isp_coeffs(edgeless_graph(64)) == expected
 
     def test_enumeration_capacity_error(self):
         with pytest.raises(CapacityError):
@@ -118,15 +120,33 @@ class TestIspEval:
         points = [Fraction(2), Fraction(1, 2), Fraction(-1, 5), Fraction(-3), Fraction(7, 3)]
         for _ in range(25):
             g = random_graph(rng, rng.randint(0, 7))
-            poly = isp_coeffs(g)
+            poly = isp_coeffs_by_enumeration(g)
             for x in points:
                 assert isp_eval(g, x) == poly.evaluate(x)
 
     def test_handles_large_pendant_structure(self):
-        # 120 vertices, tiny 2-core: must stay fast and exact
-        g = path_graph(120)
-        value = isp_eval(g, Fraction(1, 3))
-        assert value == isp_coeffs(g).evaluate(Fraction(1, 3))
+        # 120 vertices, tiny 2-core: must stay fast and exact.  Reference:
+        # I(P_n) = I(P_{n-1}) + x * I(P_{n-2}), I(P_0) = 1, I(P_1) = 1 + x.
+        x = Fraction(1, 3)
+        prev, cur = Fraction(1), 1 + x
+        for _ in range(119):
+            prev, cur = cur, cur + x * prev
+        assert isp_eval(path_graph(120), x) == cur
+
+    def test_restores_recursion_limit(self):
+        before = sys.getrecursionlimit()
+        isp_eval(path_graph(400), 2)
+        assert sys.getrecursionlimit() == before
+
+    def test_restores_recursion_limit_on_error(self, monkeypatch):
+        def fail(comp, masks):
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(indpoly.isp, "_branch_vertex", fail)
+        before = sys.getrecursionlimit()
+        with pytest.raises(RuntimeError):
+            isp_eval(path_graph(400), 2)
+        assert sys.getrecursionlimit() == before
 
 
 class TestIspMultivariate:
@@ -195,3 +215,20 @@ class TestDefinitionalIdentitySmoke:
 
     def test_c4_known_polynomial(self):
         assert isp_coeffs(cycle_graph(4)) == Polynomial([1, 4, 2])
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, keep in zip(pairs, chosen) if keep])
+
+
+class TestBranchingAgainstEnumeration:
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs())
+    def test_coefficients_and_counts(self, g):
+        assert isp_coeffs(g) == isp_coeffs_by_enumeration(g)
+        for k in range(g.n + 2):
+            assert count_is_of_size(g, k) == count_is_of_size_by_enumeration(g, k)

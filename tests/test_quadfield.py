@@ -13,7 +13,7 @@ from indpoly import (
     rational_sqrt,
     transfer_eigenvalues,
 )
-from indpoly.quadfield import abs_gt, quad_abs, quad_max, quad_min
+from indpoly.quadfield import quad_abs, quad_max, quad_min
 
 
 class TestRationalFormat:
@@ -172,7 +172,6 @@ class TestQuadExtSign:
             assert (values[j] - values[i]).sign() >= 0
 
     def test_abs_helpers(self):
-        assert abs_gt(QuadExt(0, 2, 2), QuadExt(0, -1, 2))
         assert quad_abs(QuadExt(1, -1, 2)) == QuadExt(-1, 1, 2)
         vals = [QuadExt(1, 0, 2), QuadExt(0, 1, 2), QuadExt(2, 0, 2)]
         assert quad_min(vals) == vals[0]
