@@ -2,8 +2,10 @@
 
 Every subcommand reads files in the formats owned by the library modules
 (DIMACS CNF, graph text or structured JSON) and streams one line-delimited
-JSON record per result to stdout.  No arithmetic or graph logic lives
-here.
+JSON record per result to stdout.  Each handler returns its record;
+``main`` times the handler, adds the command name and ``timing_ms``,
+emits the record and maps errors to exit codes.  No arithmetic or graph
+logic lives here.
 
 Exit codes: 0 success, 1 domain errors (degenerate point, invalid
 formula or graph), 2 capacity errors, 3 I/O or oracle protocol errors,
@@ -61,9 +63,11 @@ def _emit(record: dict):
     print(json.dumps(record, sort_keys=True))
 
 
-def _timed(record: dict, started: float) -> dict:
-    record["timing_ms"] = int((time.perf_counter() - started) * 1000)
-    return record
+def _write_out(path, text: str):
+    """Also write ``text`` to the ``--out`` path, when one was given."""
+    if path:
+        with open(path, "w") as handle:
+            handle.write(text)
 
 
 def _load_formula(path: str):
@@ -74,138 +78,62 @@ def _load_graph(path: str):
     return parse_graph(_read_file(path))
 
 
-def _cmd_count_sat(args) -> int:
-    started = time.perf_counter()
+def _cmd_count(args) -> dict:
     f = _load_formula(args.file)
-    count = count_sat(f, max_variables=args.max_vars)
-    _emit(
-        _timed(
-            {
-                "command": "count-sat",
-                "file": args.file,
-                "n": f.variable_count,
-                "m": len(f.clauses),
-                "count": count,
-            },
-            started,
-        )
-    )
-    return EXIT_OK
+    count = args.counter(f, max_variables=args.max_vars)
+    return {"file": args.file, "n": f.variable_count, "m": len(f.clauses), "count": count}
 
 
-def _cmd_count_x3sat(args) -> int:
-    started = time.perf_counter()
-    f = _load_formula(args.file)
-    count = count_x3sat(f, max_variables=args.max_vars)
-    _emit(
-        _timed(
-            {
-                "command": "count-x3sat",
-                "file": args.file,
-                "n": f.variable_count,
-                "m": len(f.clauses),
-                "count": count,
-            },
-            started,
-        )
-    )
-    return EXIT_OK
-
-
-def _cmd_reduce_x3sat(args) -> int:
-    started = time.perf_counter()
+def _cmd_reduce_x3sat(args) -> dict:
     f = _load_formula(args.file)
     reduced = reduce_to_x3sat(f)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(reduced.to_dimacs())
-    _emit(
-        _timed(
-            {
-                "command": "reduce-x3sat",
-                "file": args.file,
-                "clauses_in": len(f.clauses),
-                "clauses_out": len(reduced.clauses),
-                "vars_in": f.variable_count,
-                "vars_out": reduced.variable_count,
-                "dimacs": reduced.to_dimacs(),
-            },
-            started,
-        )
-    )
-    return EXIT_OK
+    _write_out(args.out, reduced.to_dimacs())
+    return {
+        "file": args.file,
+        "clauses_in": len(f.clauses),
+        "clauses_out": len(reduced.clauses),
+        "vars_in": f.variable_count,
+        "vars_out": reduced.variable_count,
+        "dimacs": reduced.to_dimacs(),
+    }
 
 
-def _cmd_reduce_graph(args) -> int:
-    started = time.perf_counter()
+def _cmd_reduce_graph(args) -> dict:
     f = _load_formula(args.file)
     graph, target, multiplier = x3sat_to_graph(f)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(graph_to_text(graph))
-    _emit(
-        _timed(
-            {
-                "command": "reduce-graph",
-                "file": args.file,
-                "clauses_in": len(f.clauses),
-                "vertices": graph.n,
-                "target_size": target,
-                "multiplier": multiplier,
-                "graph": graph_to_json_dict(graph),
-                "labels": [graph.labels[v] for v in range(graph.n)],
-            },
-            started,
-        )
-    )
-    return EXIT_OK
+    _write_out(args.out, graph_to_text(graph))
+    return {
+        "file": args.file,
+        "clauses_in": len(f.clauses),
+        "vertices": graph.n,
+        "target_size": target,
+        "multiplier": multiplier,
+        "graph": graph_to_json_dict(graph),
+        "labels": [graph.labels[v] for v in range(graph.n)],
+    }
 
 
-def _cmd_count_via_is(args) -> int:
-    started = time.perf_counter()
+def _cmd_count_via_is(args) -> dict:
     reduction = reduce_to_graph(_load_formula(args.file))
-    record = {"command": "count-via-is", "file": args.file, "count": reduction.count()}
-    record.update(reduction.report())
-    _emit(_timed(record, started))
-    return EXIT_OK
+    return {"file": args.file, "count": reduction.count(), **reduction.report()}
 
 
-def _cmd_isp_eval(args) -> int:
-    started = time.perf_counter()
+def _cmd_isp_eval(args) -> dict:
     g = _load_graph(args.graph)
     x = parse_rational(args.at)
     value = isp_eval(g, x)
-    _emit(
-        _timed(
-            {
-                "command": "isp-eval",
-                "graph": args.graph,
-                "vertices": g.n,
-                "at": format_rational(x),
-                "value": format_rational(value),
-            },
-            started,
-        )
-    )
-    return EXIT_OK
+    return {
+        "graph": args.graph,
+        "vertices": g.n,
+        "at": format_rational(x),
+        "value": format_rational(value),
+    }
 
 
-def _cmd_isp_coeffs(args) -> int:
-    started = time.perf_counter()
+def _cmd_isp_coeffs(args) -> dict:
     g = _load_graph(args.graph)
     poly = isp_coeffs(g)
-    _emit(
-        _timed(
-            {
-                "command": "isp-coeffs",
-                "graph": args.graph,
-                "vertices": g.n,
-                "coeffs": poly.to_json_dict()["coeffs"],
-            },
-            started,
-        )
-    )
-    return EXIT_OK
+    return {"graph": args.graph, "vertices": g.n, "coeffs": poly.to_json_dict()["coeffs"]}
 
 
 def _parse_clone_multiset(text: str) -> CloneSpec:
@@ -218,45 +146,28 @@ def _parse_clone_multiset(text: str) -> CloneSpec:
     return CloneSpec(entries)
 
 
-def _cmd_clone(args) -> int:
-    started = time.perf_counter()
+def _cmd_clone(args) -> dict:
     g = _load_graph(args.graph)
     spec = _parse_clone_multiset(args.s)
     cloned = s_clone(g, spec)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(graph_to_text(cloned))
-    _emit(
-        _timed(
-            {
-                "command": "clone",
-                "graph": args.graph,
-                "s_set": list(spec.entries),
-                "vertices_in": g.n,
-                "vertices_out": cloned.n,
-                "result": graph_to_json_dict(cloned),
-            },
-            started,
-        )
-    )
-    return EXIT_OK
+    _write_out(args.out, graph_to_text(cloned))
+    return {
+        "graph": args.graph,
+        "s_set": list(spec.entries),
+        "vertices_in": g.n,
+        "vertices_out": cloned.n,
+        "result": graph_to_json_dict(cloned),
+    }
 
 
-def _cmd_normalize_point(args) -> int:
-    started = time.perf_counter()
-    x = parse_rational(args.at)
-    plan = normalize_point(x)
-    record = {"command": "normalize-point"}
-    record.update(plan.to_json_dict())
-    _emit(_timed(record, started))
-    return EXIT_OK
+def _cmd_normalize_point(args) -> dict:
+    return normalize_point(parse_rational(args.at)).to_json_dict()
 
 
 _MODES = {"verified": "verified_minimal", "paper": "paper_formula"}
 
 
-def _cmd_interpolate(args) -> int:
-    started = time.perf_counter()
+def _cmd_interpolate(args) -> dict:
     g = _load_graph(args.graph)
     x = parse_rational(args.at)
     mode = _MODES[args.mode]
@@ -266,26 +177,19 @@ def _cmd_interpolate(args) -> int:
     else:
         family = build_clone_family(x, g.n, mode)
         poly = interpolate_family(g, family, oracle)
-    _emit(
-        _timed(
-            {
-                "command": "interpolate",
-                "graph": args.graph,
-                "vertices": g.n,
-                "at": format_rational(x),
-                "mode": mode,
-                "oracle": oracle.kind,
-                "coeffs": poly.to_json_dict()["coeffs"],
-                "family": family.dump_records() if family else [],
-            },
-            started,
-        )
-    )
-    return EXIT_OK
+    return {
+        "graph": args.graph,
+        "vertices": g.n,
+        "at": format_rational(x),
+        "mode": mode,
+        "oracle": oracle.kind,
+        "coeffs": poly.to_json_dict()["coeffs"],
+        "family": family.dump_records() if family else [],
+    }
 
 
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
+def _cmd_verify(args) -> dict:
+    """Stream one record per case; the summary is the returned record."""
     names = list(SUITES) if args.suite == "all" else [args.suite]
     passed = 0
     failed = 0
@@ -299,20 +203,13 @@ def _cmd_verify(args) -> int:
         _emit(record)
 
     ok = run_suites(names, args.seed, emit, dump_dir=args.dump_dir)
-    _emit(
-        _timed(
-            {
-                "command": "verify",
-                "suites": names,
-                "seed": args.seed,
-                "passed": passed,
-                "failed": failed,
-                "status": "pass" if ok else "fail",
-            },
-            started,
-        )
-    )
-    return EXIT_OK if ok else EXIT_DOMAIN
+    return {
+        "suites": names,
+        "seed": args.seed,
+        "passed": passed,
+        "failed": failed,
+        "status": "pass" if ok else "fail",
+    }
 
 
 def _build_parser() -> _Parser:
@@ -322,12 +219,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("count-sat", help="count satisfying assignments of a DIMACS CNF")
     p.add_argument("file")
     p.add_argument("--max-vars", type=int, default=24)
-    p.set_defaults(handler=_cmd_count_sat)
+    p.set_defaults(handler=_cmd_count, counter=count_sat)
 
     p = sub.add_parser("count-x3sat", help="count exactly-one-true assignments")
     p.add_argument("file")
     p.add_argument("--max-vars", type=int, default=24)
-    p.set_defaults(handler=_cmd_count_x3sat)
+    p.set_defaults(handler=_cmd_count, counter=count_x3sat)
 
     p = sub.add_parser("reduce-x3sat", help="parsimonious 3-CNF to X3SAT reduction")
     p.add_argument("file")
@@ -381,8 +278,12 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.handler(args)
+        record = args.handler(args)
+        record["command"] = args.subcommand
+        record["timing_ms"] = int((time.perf_counter() - started) * 1000)
+        _emit(record)
     except CapacityError as exc:
         print(f"indpoly: capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
@@ -395,6 +296,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"indpoly: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_DOMAIN if record.get("status") == "fail" else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -150,32 +150,34 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(n, clauses)
 
 
-def _check_assignment_capacity(f: CnfFormula, max_variables: int):
+def _count_assignments(f: CnfFormula, clause_holds, max_variables: int) -> int:
+    """Number of the 2^n assignments under which every clause holds,
+    enumerated over numpy blocks.  ``clause_holds`` maps, per assignment,
+    the number of true literals of a clause to whether the clause holds."""
     if f.variable_count > max_variables:
         raise CapacityError(
             f"exhaustive enumeration over {f.variable_count} variables exceeds "
             f"the bound {max_variables}"
         )
-
-
-def count_sat(f: CnfFormula, *, max_variables: int = DEFAULT_ASSIGNMENT_BOUND) -> int:
-    """Exact number of satisfying assignments, over all 2^n assignments."""
-    _check_assignment_capacity(f, max_variables)
-    n = f.variable_count
     total = 0
-    limit = 1 << n
+    limit = 1 << f.variable_count
     for base in range(0, limit, _BLOCK):
         hi = min(base + _BLOCK, limit)
         assigns = np.arange(base, hi, dtype=np.int64)
         ok = np.ones(hi - base, dtype=bool)
         for clause in f.clauses:
-            sat = np.zeros(hi - base, dtype=bool)
+            true_count = np.zeros(hi - base, dtype=np.uint8)
             for lit in clause:
-                bit = (assigns >> (abs(lit) - 1)) & 1
-                sat |= bit.astype(bool) if lit > 0 else ~bit.astype(bool)
-            ok &= sat
+                bit = ((assigns >> (abs(lit) - 1)) & 1).astype(np.uint8)
+                true_count += bit if lit > 0 else 1 - bit
+            ok &= clause_holds(true_count)
         total += int(np.count_nonzero(ok))
     return total
+
+
+def count_sat(f: CnfFormula, *, max_variables: int = DEFAULT_ASSIGNMENT_BOUND) -> int:
+    """Exact number of satisfying assignments, over all 2^n assignments."""
+    return _count_assignments(f, lambda true_count: true_count >= 1, max_variables)
 
 
 def count_x3sat(f: CnfFormula, *, max_variables: int = DEFAULT_ASSIGNMENT_BOUND) -> int:
@@ -186,22 +188,7 @@ def count_x3sat(f: CnfFormula, *, max_variables: int = DEFAULT_ASSIGNMENT_BOUND)
             raise FormulaError(
                 f"clause {idx} has width {len(clause)}; X3SAT needs width 2 or 3"
             )
-    _check_assignment_capacity(f, max_variables)
-    n = f.variable_count
-    total = 0
-    limit = 1 << n
-    for base in range(0, limit, _BLOCK):
-        hi = min(base + _BLOCK, limit)
-        assigns = np.arange(base, hi, dtype=np.int64)
-        ok = np.ones(hi - base, dtype=bool)
-        for clause in f.clauses:
-            true_count = np.zeros(hi - base, dtype=np.uint8)
-            for lit in clause:
-                bit = ((assigns >> (abs(lit) - 1)) & 1).astype(np.uint8)
-                true_count += bit if lit > 0 else 1 - bit
-            ok &= true_count == 1
-        total += int(np.count_nonzero(ok))
-    return total
+    return _count_assignments(f, lambda true_count: true_count == 1, max_variables)
 
 
 def reduce_to_x3sat(f: CnfFormula) -> CnfFormula:

@@ -67,31 +67,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, c in enumerate(self.coeffs):
-                if c == 0:
-                    continue
-                for j, d in enumerate(other.coeffs):
-                    out[i + j] += c * d
-            return Polynomial(out)
-        scalar = as_rational(other)
-        return Polynomial([scalar * c for c in self.coeffs])
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -200,26 +175,39 @@ def isp_coeffs(g: Graph) -> Polynomial:
     return Polynomial([(packed >> (width * k)) & digit for k in range(width)])
 
 
-def isp_coeffs_by_enumeration(
-    g: Graph, *, max_vertices: int = DEFAULT_ENUMERATION_BOUND
-) -> Polynomial:
-    """Coefficient vector by enumeration of all vertex subsets."""
+def _check_enumeration_bound(g: Graph, max_vertices: int):
     if g.n > max_vertices:
         raise CapacityError(
             f"enumeration over {g.n} vertices exceeds the bound {max_vertices}"
         )
+
+
+def _independent_subsets(g: Graph):
+    """Every independent vertex subset of g as a bitmask, the empty set
+    first, from one scan over all 2^n subsets: a subset is independent
+    when it is its lowest vertex plus an independent rest that avoids the
+    vertex's neighbours."""
     masks = g.neighbor_masks()
     independent = bytearray(1 << g.n)
     independent[0] = 1
-    counts = [0] * (g.n + 1)
-    counts[0] = 1
+    yield 0
     for sub in range(1, 1 << g.n):
         low = sub & -sub
         rest = sub ^ low
         if independent[rest] and not masks[low.bit_length() - 1] & rest:
             independent[sub] = 1
-            counts[sub.bit_count()] += 1
-    return Polynomial([Fraction(c) for c in counts])
+            yield sub
+
+
+def isp_coeffs_by_enumeration(
+    g: Graph, *, max_vertices: int = DEFAULT_ENUMERATION_BOUND
+) -> Polynomial:
+    """Coefficient vector by enumeration of all vertex subsets."""
+    _check_enumeration_bound(g, max_vertices)
+    counts = [0] * (g.n + 1)
+    for sub in _independent_subsets(g):
+        counts[sub.bit_count()] += 1
+    return Polynomial(counts)
 
 
 def isp_multivariate(
@@ -227,32 +215,21 @@ def isp_multivariate(
 ) -> Fraction:
     """Sum over independent sets A of the product of per-vertex weights,
     by direct enumeration.  ``weights`` must cover every vertex."""
-    if g.n > max_vertices:
-        raise CapacityError(
-            f"enumeration over {g.n} vertices exceeds the bound {max_vertices}"
-        )
+    _check_enumeration_bound(g, max_vertices)
     w = {}
     for v in range(g.n):
         if v not in weights:
             raise DomainError(f"missing weight for vertex {v}")
         w[v] = as_rational(weights[v])
-    masks = g.neighbor_masks()
     total = Fraction(0)
-    independent = bytearray(1 << g.n)
-    independent[0] = 1
-    total += 1
-    for sub in range(1, 1 << g.n):
-        low = sub & -sub
-        rest = sub ^ low
-        if independent[rest] and not masks[low.bit_length() - 1] & rest:
-            independent[sub] = 1
-            prod = Fraction(1)
-            m = sub
-            while m:
-                b = m & -m
-                m ^= b
-                prod *= w[b.bit_length() - 1]
-            total += prod
+    for sub in _independent_subsets(g):
+        prod = Fraction(1)
+        m = sub
+        while m:
+            b = m & -m
+            m ^= b
+            prod *= w[b.bit_length() - 1]
+        total += prod
     return total
 
 
@@ -272,10 +249,7 @@ def count_is_of_size_by_enumeration(
     over k-subsets.  Must agree with count_is_of_size."""
     if k < 0:
         raise DomainError(f"negative set size {k}")
-    if g.n > max_vertices:
-        raise CapacityError(
-            f"enumeration over {g.n} vertices exceeds the bound {max_vertices}"
-        )
+    _check_enumeration_bound(g, max_vertices)
     if k > g.n:
         return 0
     masks = g.neighbor_masks()

@@ -1,10 +1,20 @@
 """Seeded property suites behind the ``verify`` CLI subcommand.
 
 Each suite checks one family of exact identities or reduction properties
-and yields one record per case (exhaustive sweeps are aggregated into a
-single record carrying the number of instances checked).  A failing
-record carries a self-contained counterexample: the inputs as DIMACS or
-graph-format file contents, re-runnable without this module.
+and yields one record per case.  A sweep over many instances is one
+``_sweep`` record carrying the number of instances checked; it stops at
+the first failure.  A failing record carries a self-contained
+counterexample: the inputs as DIMACS or graph-format file contents,
+re-runnable without this module.
+
+The transform identities are public predicates, each checking one
+instance against the definitional evaluators (``isp_eval``,
+``isp_multivariate``): ``leaf_identity_holds``, ``twin_identity_holds``,
+``master_identity_holds``, ``k_clone_identity_holds``,
+``comb_identity_holds``, ``path_identity_holds`` and
+``plan_identity_holds``.  The suites here and the acceptance gate in
+``tests/test_acceptance.py`` both import them, so each identity is
+written once.
 
 All randomness flows from the explicit seed; two runs with the same seed
 produce identical records.
@@ -188,6 +198,86 @@ def gadget_extension_count(a: bool, b: bool, c: bool) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Identity predicates (shared with the acceptance gate)
+# ---------------------------------------------------------------------------
+
+def _contracted_value(g: Graph, weights, removed: int, kept: int, kept_weight) -> Fraction:
+    """Weighted I(G - removed), with ``kept`` carrying ``kept_weight``."""
+    reduced_weights = {
+        (v if v < removed else v - 1): weights[v] for v in range(g.n) if v != removed
+    }
+    reduced_weights[kept if kept < removed else kept - 1] = kept_weight
+    return isp_multivariate(delete_vertex(g, removed), reduced_weights)
+
+
+def leaf_identity_holds(g: Graph, rng: random.Random):
+    """Leaf contraction at the first leaf under random weights drawn from
+    ``rng``: I(G; w) == (1 + w_leaf) * I(G - leaf; w') with the neighbour's
+    weight divided by 1 + w_leaf.  None when g has no leaf (and then no
+    weights are drawn)."""
+    masks = g.neighbor_masks()
+    leaf = next((v for v in range(g.n) if masks[v].bit_count() == 1), None)
+    if leaf is None:
+        return None
+    neighbor = masks[leaf].bit_length() - 1
+    weights = {v: random_weight(rng) for v in range(g.n)}
+    rhs = (1 + weights[leaf]) * _contracted_value(
+        g, weights, leaf, neighbor, weights[neighbor] / (1 + weights[leaf])
+    )
+    return isp_multivariate(g, weights) == rhs
+
+
+def twin_identity_holds(g: Graph, rng: random.Random):
+    """Same-neighbourhood contraction of the first pair (a, b) with equal
+    neighbourhoods under random weights drawn from ``rng``: deleting b and
+    giving a the weight (1 + w_a)(1 + w_b) - 1 keeps I(G; w).  None when g
+    has no such pair (and then no weights are drawn)."""
+    masks = g.neighbor_masks()
+    pair = next(
+        ((u, v) for u in range(g.n) for v in range(u + 1, g.n) if masks[u] == masks[v]),
+        None,
+    )
+    if pair is None:
+        return None
+    a, b = pair
+    weights = {v: random_weight(rng) for v in range(g.n)}
+    rhs = _contracted_value(g, weights, b, a, (1 + weights[a]) * (1 + weights[b]) - 1)
+    return isp_multivariate(g, weights) == rhs
+
+
+def master_identity_holds(g: Graph, spec: CloneSpec, x) -> bool:
+    """I(G_S; x) == correction(x, S, n) * I(G; shifted(x, S))."""
+    rhs = clone_correction_factor(x, spec, g.n) * isp_eval(g, clone_shifted_point(x, spec))
+    return isp_eval(s_clone(g, spec), x) == rhs
+
+
+def k_clone_identity_holds(g: Graph, k: int, x) -> bool:
+    """I(clone_k(G); x) == I(G; (1 + x)^k - 1)."""
+    return isp_eval(k_clone(g, k), x) == isp_eval(g, (1 + x) ** k - 1)
+
+
+def comb_identity_holds(g: Graph, k: int, x) -> bool:
+    """I(comb_k(G); x) == (1 + x)^(k n) * I(G; x / (1 + x)^k)."""
+    return isp_eval(comb(g, k), x) == (1 + x) ** (k * g.n) * isp_eval(g, x / (1 + x) ** k)
+
+
+def path_identity_holds(g: Graph, v: int, k: int, x) -> bool:
+    """A k-vertex pendant path at v contracts to the weight b/c on v: the
+    value at x is c times the weighted I(G) at uniform weight x."""
+    w = path_weights(x, k)
+    weights = {u: x for u in range(g.n)}
+    weights[v] = Fraction(w.b, w.c)
+    return isp_eval(attach_path(g, v, k), x) == w.c * isp_multivariate(g, weights)
+
+
+def plan_identity_holds(plan, g: Graph) -> bool:
+    """A transform plan recovers I(G; target) from the transformed graph
+    evaluated at the original point."""
+    recovered = isp_eval(plan.apply(g), plan.original_point) / plan.factor(g.n)
+    return recovered == isp_eval(g, plan.target_point)
+
+
+# ---------------------------------------------------------------------------
 # Counterexample payloads
 # ---------------------------------------------------------------------------
 
@@ -195,8 +285,25 @@ def _cnf_dump(f: CnfFormula) -> dict:
     return {"formula.cnf": f.to_dimacs()}
 
 
-def _graph_dump(g: Graph, name: str = "graph.txt") -> dict:
-    return {name: graph_to_text(g)}
+def _graph_dump(g: Graph) -> dict:
+    return {"graph.txt": graph_to_text(g)}
+
+
+def _sweep(case: str, trials) -> dict:
+    """One record for a sweep.  ``trials`` yields (ok, counterexample) per
+    instance; the sweep stops at the first failure, which counts as
+    checked and supplies the record's counterexample."""
+    checked = 0
+    for ok, counterexample in trials:
+        checked += 1
+        if not ok:
+            return {
+                "case": case,
+                "checked": checked,
+                "status": "fail",
+                "counterexample": counterexample,
+            }
+    return {"case": case, "checked": checked, "status": "pass"}
 
 
 # ---------------------------------------------------------------------------
@@ -204,30 +311,20 @@ def _graph_dump(g: Graph, name: str = "graph.txt") -> dict:
 # ---------------------------------------------------------------------------
 
 def suite_gadget(seed: int):
-    corners = [(a, b, c) for a in (False, True) for b in (False, True) for c in (False, True)]
-    for a, b, c in corners:
+    bits = (False, True)
+    cases = [
+        (f"corner a={int(a)} b={int(b)} c={int(c)}", a, b, c)
+        for a in bits
+        for b in bits
+        for c in bits
+    ]
+    cases += [(f"plug c:=b a={int(a)} b={int(b)}", a, b, b) for a in bits for b in bits]
+    cases += [(f"plug c:=b:=a a={int(a)}", a, a, a) for a in bits]
+    for case, a, b, c in cases:
         expected = 1 if (a or b or c) else 0
         got = gadget_extension_count(a, b, c)
         yield {
-            "case": f"corner a={int(a)} b={int(b)} c={int(c)}",
-            "expected": expected,
-            "got": got,
-            "status": "pass" if got == expected else "fail",
-        }
-    for a, b in [(x, y) for x in (False, True) for y in (False, True)]:
-        expected = 1 if (a or b) else 0
-        got = gadget_extension_count(a, b, b)
-        yield {
-            "case": f"plug c:=b a={int(a)} b={int(b)}",
-            "expected": expected,
-            "got": got,
-            "status": "pass" if got == expected else "fail",
-        }
-    for a in (False, True):
-        expected = 1 if a else 0
-        got = gadget_extension_count(a, a, a)
-        yield {
-            "case": f"plug c:=b:=a a={int(a)}",
+            "case": case,
             "expected": expected,
             "got": got,
             "status": "pass" if got == expected else "fail",
@@ -255,308 +352,139 @@ def suite_reduction(seed: int):
             "counterexample": None if ok else _cnf_dump(f),
         }
 
-    checked = 0
-    failure = None
-    for _ in range(30):
-        f = random_3cnf(rng, rng.randint(1, 4), rng.randint(0, 2))
-        lhs = count_sat(f)
-        rhs = count_x3sat(reduce_to_x3sat(f))
-        via = count_sat_via_independent_sets(f)
-        checked += 1
-        if not lhs == rhs == via:
-            failure = (f, lhs, rhs, via)
-            break
-    yield {
-        "case": "parsimony count_sat == count_x3sat(reduced) == via_is",
-        "checked": checked,
-        "status": "pass" if failure is None else "fail",
-        "counterexample": None if failure is None else _cnf_dump(failure[0]),
-    }
+    def parsimony():
+        for _ in range(30):
+            f = random_3cnf(rng, rng.randint(1, 4), rng.randint(0, 2))
+            lhs = count_sat(f)
+            rhs = count_x3sat(reduce_to_x3sat(f))
+            yield lhs == rhs == count_sat_via_independent_sets(f), _cnf_dump(f)
 
-    checked = 0
-    failure = None
-    for _ in range(30):
-        f = random_x3sat(rng, max_total_width=12)
-        graph, size, multiplier = x3sat_to_graph(f)
-        if not count_x3sat(f) == multiplier * count_is_of_size(graph, size):
-            failure = f
-            break
-        checked += 1
-    yield {
-        "case": "bijection count_x3sat == multiplier * count_is_of_size",
-        "checked": checked,
-        "status": "pass" if failure is None else "fail",
-        "counterexample": None if failure is None else _cnf_dump(failure),
-    }
+    yield _sweep("parsimony count_sat == count_x3sat(reduced) == via_is", parsimony())
 
-    checked = 0
-    failure = None
-    for _ in range(20):
-        f = random_3cnf(rng, rng.randint(1, 4), rng.randint(0, 2))
-        reduced = reduce_to_x3sat(f)
-        graph, size, _ = x3sat_to_graph(reduced)
-        ok = (
-            len(reduced.clauses) == 5 * len(f.clauses)
-            and reduced.variable_count == f.variable_count + 6 * len(f.clauses)
-            and graph.n == sum(len(c) for c in reduced.clauses)
-            and size == len(reduced.clauses)
-        )
-        checked += 1
-        if not ok:
-            failure = f
-            break
-    yield {
-        "case": "size laws 5m clauses, n+6m variables, sum-of-widths vertices",
-        "checked": checked,
-        "status": "pass" if failure is None else "fail",
-        "counterexample": None if failure is None else _cnf_dump(failure),
-    }
+    def bijection():
+        for _ in range(30):
+            f = random_x3sat(rng, max_total_width=12)
+            graph, size, multiplier = x3sat_to_graph(f)
+            yield count_x3sat(f) == multiplier * count_is_of_size(graph, size), _cnf_dump(f)
 
-    checked = 0
-    failure = None
-    for _ in range(20):
-        g = random_graph(rng, rng.randint(0, 6))
-        spec = random_clone_spec(rng)
-        cloned = s_clone(g, spec)
-        checked += 1
-        if cloned.n != g.n * (spec.total + spec.size):
-            failure = (g, spec)
-            break
-    yield {
-        "case": "s_clone size law |V| * (sum(S) + |S|)",
-        "checked": checked,
-        "status": "pass" if failure is None else "fail",
-        "counterexample": None if failure is None else _graph_dump(failure[0]),
-    }
+    yield _sweep("bijection count_x3sat == multiplier * count_is_of_size", bijection())
+
+    def size_laws():
+        for _ in range(20):
+            f = random_3cnf(rng, rng.randint(1, 4), rng.randint(0, 2))
+            reduced = reduce_to_x3sat(f)
+            graph, size, _ = x3sat_to_graph(reduced)
+            ok = (
+                len(reduced.clauses) == 5 * len(f.clauses)
+                and reduced.variable_count == f.variable_count + 6 * len(f.clauses)
+                and graph.n == sum(len(c) for c in reduced.clauses)
+                and size == len(reduced.clauses)
+            )
+            yield ok, _cnf_dump(f)
+
+    yield _sweep("size laws 5m clauses, n+6m variables, sum-of-widths vertices", size_laws())
+
+    def clone_sizes():
+        for _ in range(20):
+            g = random_graph(rng, rng.randint(0, 6))
+            spec = random_clone_spec(rng)
+            yield s_clone(g, spec).n == g.n * (spec.total + spec.size), _graph_dump(g)
+
+    yield _sweep("s_clone size law |V| * (sum(S) + |S|)", clone_sizes())
 
 
 def suite_clone_identity(seed: int):
     rng = random.Random(seed)
 
-    k2 = complete_graph(2)
-    lhs = isp_eval(s_clone(k2, CloneSpec([1])), 2)
-    rhs = clone_correction_factor(2, CloneSpec([1]), 2) * isp_eval(k2, clone_shifted_point(2, CloneSpec([1])))
+    k2, spec = complete_graph(2), CloneSpec([1])
+    lhs = isp_eval(s_clone(k2, spec), 2)
     yield {
         "case": "worked master identity K2, S={1}, x=2",
         "expected": "21/1",
         "got": format_rational(lhs),
-        "status": "pass" if lhs == rhs == 21 else "fail",
+        "status": "pass" if lhs == 21 and master_identity_holds(k2, spec, 2) else "fail",
     }
 
-    checked = 0
-    failure = None
-    for _ in range(18):
-        g = random_graph(rng, rng.randint(1, 5))
-        spec = random_clone_spec(rng)
-        for x in STANDARD_WEIGHTS:
-            lhs = isp_eval(s_clone(g, spec), x)
-            rhs = clone_correction_factor(x, spec, g.n) * isp_eval(g, clone_shifted_point(x, spec))
-            checked += 1
-            if lhs != rhs:
-                failure = (g, spec, x)
-                break
-        if failure:
-            break
-    yield {
-        "case": "master identity on sampled (g, S, x)",
-        "checked": checked,
-        "status": "pass" if failure is None else "fail",
-        "counterexample": None
-        if failure is None
-        else {
-            **_graph_dump(failure[0]),
-            "params.json": f'{{"s_set": {list(failure[1].entries)}, "x": "{format_rational(failure[2])}"}}\n',
-        },
-    }
-
-    checked = 0
-    failure = None
-    for _ in range(10):
-        g = random_graph(rng, rng.randint(1, 5))
-        for k in (1, 2, 3):
+    def master():
+        for _ in range(18):
+            g = random_graph(rng, rng.randint(1, 5))
+            spec = random_clone_spec(rng)
             for x in STANDARD_WEIGHTS:
-                if isp_eval(k_clone(g, k), x) != isp_eval(g, (1 + x) ** k - 1):
-                    failure = (g, k, x)
-                    break
-                checked += 1
-    yield {
-        "case": "k-clone identity I(clone_k(G); x) == I(G; (1+x)^k - 1)",
-        "checked": checked,
-        "status": "pass" if failure is None else "fail",
-        "counterexample": None if failure is None else _graph_dump(failure[0]),
-    }
+                params = f'{{"s_set": {list(spec.entries)}, "x": "{format_rational(x)}"}}\n'
+                yield master_identity_holds(g, spec, x), {**_graph_dump(g), "params.json": params}
+
+    yield _sweep("master identity on sampled (g, S, x)", master())
+
+    def k_clones():
+        for _ in range(10):
+            g = random_graph(rng, rng.randint(1, 5))
+            for k in (1, 2, 3):
+                for x in STANDARD_WEIGHTS:
+                    yield k_clone_identity_holds(g, k, x), _graph_dump(g)
+
+    yield _sweep("k-clone identity I(clone_k(G); x) == I(G; (1+x)^k - 1)", k_clones())
+
+
+def _structured_trials(holds, rng: random.Random):
+    """Run ``holds(g, rng)`` on every labeled graph on 2..4 vertices,
+    skipping those without the structure it needs."""
+    for n in range(2, 5):
+        for g in all_graphs(n):
+            ok = holds(g, rng)
+            if ok is not None:
+                yield ok, _graph_dump(g)
 
 
 def suite_path_identity(seed: int):
     rng = random.Random(seed)
+    yield _sweep(
+        "leaf contraction identity, exhaustive n <= 4",
+        _structured_trials(leaf_identity_holds, rng),
+    )
+    yield _sweep(
+        "same-neighborhood contraction identity, exhaustive n <= 4",
+        _structured_trials(twin_identity_holds, rng),
+    )
 
-    # Leaf contraction, exhaustive over all labeled graphs on <= 4 vertices
-    # with a leaf, random weights.
-    checked = 0
-    failure = None
-    for n in range(2, 5):
-        for g in all_graphs(n):
-            masks = g.neighbor_masks()
-            leaf = next((v for v in range(n) if masks[v].bit_count() == 1), None)
-            if leaf is None:
-                continue
-            neighbor = masks[leaf].bit_length() - 1
-            weights = {v: random_weight(rng) for v in range(n)}
-            lhs = isp_multivariate(g, weights)
-            reduced = delete_vertex(g, leaf)
-            reduced_weights = {}
-            for v in range(n):
-                if v == leaf:
-                    continue
-                idx = v if v < leaf else v - 1
-                reduced_weights[idx] = weights[v]
-            a_idx = neighbor if neighbor < leaf else neighbor - 1
-            reduced_weights[a_idx] = weights[neighbor] / (1 + weights[leaf])
-            rhs = (1 + weights[leaf]) * isp_multivariate(reduced, reduced_weights)
-            checked += 1
-            if lhs != rhs:
-                failure = g
-                break
-        if failure:
-            break
-    yield {
-        "case": "leaf contraction identity, exhaustive n <= 4",
-        "checked": checked,
-        "status": "pass" if failure is None else "fail",
-        "counterexample": None if failure is None else _graph_dump(failure),
-    }
+    def pendant_paths():
+        for _ in range(20):
+            g = random_graph(rng, rng.randint(1, 5))
+            v = rng.randrange(g.n)
+            k = rng.randint(1, 4)
+            for x in STANDARD_WEIGHTS:
+                yield path_identity_holds(g, v, k, x), _graph_dump(g)
 
-    # Twin contraction, exhaustive over all labeled graphs on <= 4 vertices
-    # containing two vertices with identical neighborhoods.
-    checked = 0
-    failure = None
-    for n in range(2, 5):
-        for g in all_graphs(n):
-            masks = g.neighbor_masks()
-            twins = next(
-                (
-                    (u, v)
-                    for u in range(n)
-                    for v in range(u + 1, n)
-                    if masks[u] == masks[v]
-                ),
-                None,
-            )
-            if twins is None:
-                continue
-            a, b = twins
-            weights = {v: random_weight(rng) for v in range(n)}
-            lhs = isp_multivariate(g, weights)
-            reduced = delete_vertex(g, b)
-            reduced_weights = {}
-            for v in range(n):
-                if v == b:
-                    continue
-                idx = v if v < b else v - 1
-                reduced_weights[idx] = weights[v]
-            a_idx = a if a < b else a - 1
-            reduced_weights[a_idx] = (1 + weights[a]) * (1 + weights[b]) - 1
-            rhs = isp_multivariate(reduced, reduced_weights)
-            checked += 1
-            if lhs != rhs:
-                failure = g
-                break
-        if failure:
-            break
-    yield {
-        "case": "same-neighborhood contraction identity, exhaustive n <= 4",
-        "checked": checked,
-        "status": "pass" if failure is None else "fail",
-        "counterexample": None if failure is None else _graph_dump(failure),
-    }
+    yield _sweep("pendant path identity on sampled (g, v, k, x)", pendant_paths())
 
-    # Pendant path identity at uniform weight, sampled.
-    checked = 0
-    failure = None
-    for _ in range(20):
-        g = random_graph(rng, rng.randint(1, 5))
-        v = rng.randrange(g.n)
-        k = rng.randint(1, 4)
+    def closed_forms():
         for x in STANDARD_WEIGHTS:
-            w = path_weights(x, k)
-            lhs = isp_eval(attach_path(g, v, k), x)
-            weights = {u: x for u in range(g.n)}
-            weights[v] = Fraction(w.b, w.c)
-            rhs = w.c * isp_multivariate(g, weights)
-            checked += 1
-            if lhs != rhs:
-                failure = (g, v, k, x)
-                break
-        if failure:
-            break
-    yield {
-        "case": "pendant path identity on sampled (g, v, k, x)",
-        "checked": checked,
-        "status": "pass" if failure is None else "fail",
-        "counterexample": None if failure is None else _graph_dump(failure[0]),
-    }
+            for k in range(0, 21):
+                w = path_weights(x, k)
+                yield path_weights_closed_form(x, k) == (w.b, w.c), None
 
-    # Closed forms agree with the recurrence.
-    checked = 0
-    failure = None
-    for x in STANDARD_WEIGHTS:
-        for k in range(0, 21):
-            w = path_weights(x, k)
-            b, c = path_weights_closed_form(x, k)
-            checked += 1
-            if b != w.b or c != w.c:
-                failure = (x, k)
-                break
-        if failure:
-            break
-    yield {
-        "case": "closed-form path weights equal the recurrence, k <= 20",
-        "checked": checked,
-        "status": "pass" if failure is None else "fail",
-    }
+    yield _sweep("closed-form path weights equal the recurrence, k <= 20", closed_forms())
 
 
 def suite_comb_identity(seed: int):
     rng = random.Random(seed)
-    checked = 0
-    failure = None
-    for n in range(1, 4):
-        for g in all_graphs(n):
-            for k in (1, 2):
-                for x in STANDARD_WEIGHTS:
-                    lhs = isp_eval(comb(g, k), x)
-                    rhs = (1 + x) ** (k * g.n) * isp_eval(g, x / (1 + x) ** k)
-                    checked += 1
-                    if lhs != rhs:
-                        failure = (g, k, x)
-                        break
-    yield {
-        "case": "comb identity, exhaustive n <= 3, k <= 2",
-        "checked": checked,
-        "status": "pass" if failure is None else "fail",
-        "counterexample": None if failure is None else _graph_dump(failure[0]),
-    }
 
-    checked = 0
-    failure = None
-    for _ in range(16):
-        g = random_graph(rng, rng.randint(1, 5))
-        k = rng.randint(1, 3)
-        for x in STANDARD_WEIGHTS:
-            lhs = isp_eval(comb(g, k), x)
-            rhs = (1 + x) ** (k * g.n) * isp_eval(g, x / (1 + x) ** k)
-            checked += 1
-            if lhs != rhs:
-                failure = (g, k, x)
-                break
-        if failure:
-            break
-    yield {
-        "case": "comb identity on sampled (g, k, x)",
-        "checked": checked,
-        "status": "pass" if failure is None else "fail",
-        "counterexample": None if failure is None else _graph_dump(failure[0]),
-    }
+    def exhaustive():
+        for n in range(1, 4):
+            for g in all_graphs(n):
+                for k in (1, 2):
+                    for x in STANDARD_WEIGHTS:
+                        yield comb_identity_holds(g, k, x), _graph_dump(g)
+
+    yield _sweep("comb identity, exhaustive n <= 3, k <= 2", exhaustive())
+
+    def sampled():
+        for _ in range(16):
+            g = random_graph(rng, rng.randint(1, 5))
+            k = rng.randint(1, 3)
+            for x in STANDARD_WEIGHTS:
+                yield comb_identity_holds(g, k, x), _graph_dump(g)
+
+    yield _sweep("comb identity on sampled (g, k, x)", sampled())
 
 
 def suite_pipeline(seed: int):
@@ -575,21 +503,14 @@ def suite_pipeline(seed: int):
                 "status": "pass" if ok else "fail",
                 "counterexample": None if ok else _graph_dump(g),
             }
+
     # Cross-check the definitional evaluators against each other.
-    checked = 0
-    failure = None
-    for _ in range(10):
-        g = random_graph(rng, rng.randint(0, 6))
-        checked += 1
-        if isp_coeffs(g) != isp_coeffs_by_enumeration(g):
-            failure = g
-            break
-    yield {
-        "case": "branching coefficients equal enumeration",
-        "checked": checked,
-        "status": "pass" if failure is None else "fail",
-        "counterexample": None if failure is None else _graph_dump(failure),
-    }
+    def evaluators():
+        for _ in range(10):
+            g = random_graph(rng, rng.randint(0, 6))
+            yield isp_coeffs(g) == isp_coeffs_by_enumeration(g), _graph_dump(g)
+
+    yield _sweep("branching coefficients equal enumeration", evaluators())
 
 
 def suite_normalizer(seed: int):
@@ -608,27 +529,15 @@ def suite_normalizer(seed: int):
             "got": format_rational(plan.target_point),
             "status": "pass" if ok else "fail",
         }
-    checked = 0
-    failure = None
-    for x in expectations:
-        plan = normalize_point(x)
-        for _ in range(5):
-            g = random_graph(rng, rng.randint(1, 4))
-            transformed = plan.apply(g)
-            lhs = isp_eval(transformed, x) / plan.factor(g.n)
-            rhs = isp_eval(g, plan.target_point)
-            checked += 1
-            if lhs != rhs:
-                failure = (g, x)
-                break
-        if failure:
-            break
-    yield {
-        "case": "plan soundness on sampled graphs",
-        "checked": checked,
-        "status": "pass" if failure is None else "fail",
-        "counterexample": None if failure is None else _graph_dump(failure[0]),
-    }
+
+    def plans():
+        for x in expectations:
+            plan = normalize_point(x)
+            for _ in range(5):
+                g = random_graph(rng, rng.randint(1, 4))
+                yield plan_identity_holds(plan, g), _graph_dump(g)
+
+    yield _sweep("plan soundness on sampled graphs", plans())
 
 
 SUITES = {

@@ -17,22 +17,17 @@ from fractions import Fraction
 
 from indpoly import (
     CloneSpec,
-    attach_path,
     build_clone_family,
     clone_correction_factor,
     clone_shifted_point,
-    comb,
     complete_graph,
     count_is_of_size,
     count_sat,
     count_sat_via_independent_sets,
     count_x3sat,
-    delete_vertex,
     interpolate_coeffs,
     isp_coeffs,
     isp_eval,
-    isp_multivariate,
-    k_clone,
     normalize_point,
     parse_dimacs,
     path_weights,
@@ -45,12 +40,18 @@ from indpoly.verify import (
     STANDARD_WEIGHTS,
     all_graphs,
     canonical_3cnf_formulas,
+    comb_identity_holds,
     gadget_extension_count,
+    k_clone_identity_holds,
+    leaf_identity_holds,
+    master_identity_holds,
+    path_identity_holds,
+    plan_identity_holds,
     random_3cnf,
     random_clone_spec,
     random_graph,
-    random_weight,
     random_x3sat,
+    twin_identity_holds,
 )
 
 
@@ -146,79 +147,8 @@ def test_criterion_5_master_clone_identity():
             for _ in range(2):
                 spec = random_clone_spec(rng, max_size=3, max_element=4)
                 for x in STANDARD_WEIGHTS:
-                    lhs = isp_eval(s_clone(g, spec), x)
-                    rhs = clone_correction_factor(x, spec, g.n) * isp_eval(
-                        g, clone_shifted_point(x, spec)
-                    )
-                    assert lhs == rhs
+                    assert master_identity_holds(g, spec, x)
     _report(5, "master-clone-identity", started, 300.0)
-
-
-def _leaf_identity_holds(g, rng) -> bool:
-    masks = g.neighbor_masks()
-    leaf = next((v for v in range(g.n) if masks[v].bit_count() == 1), None)
-    if leaf is None:
-        return True
-    neighbor = masks[leaf].bit_length() - 1
-    weights = {v: random_weight(rng) for v in range(g.n)}
-    lhs = isp_multivariate(g, weights)
-    reduced = delete_vertex(g, leaf)
-    reduced_weights = {
-        (v if v < leaf else v - 1): weights[v] for v in range(g.n) if v != leaf
-    }
-    a_idx = neighbor if neighbor < leaf else neighbor - 1
-    reduced_weights[a_idx] = weights[neighbor] / (1 + weights[leaf])
-    return lhs == (1 + weights[leaf]) * isp_multivariate(reduced, reduced_weights)
-
-
-def _twin_identity_holds(g, rng) -> bool:
-    masks = g.neighbor_masks()
-    pair = next(
-        (
-            (u, v)
-            for u in range(g.n)
-            for v in range(u + 1, g.n)
-            if masks[u] == masks[v]
-        ),
-        None,
-    )
-    if pair is None:
-        return True
-    a, b = pair
-    weights = {v: random_weight(rng) for v in range(g.n)}
-    lhs = isp_multivariate(g, weights)
-    reduced = delete_vertex(g, b)
-    reduced_weights = {
-        (v if v < b else v - 1): weights[v] for v in range(g.n) if v != b
-    }
-    a_idx = a if a < b else a - 1
-    reduced_weights[a_idx] = (1 + weights[a]) * (1 + weights[b]) - 1
-    return lhs == isp_multivariate(reduced, reduced_weights)
-
-
-def _k_clone_identity_holds(g) -> bool:
-    for k in (1, 2, 3):
-        for x in STANDARD_WEIGHTS:
-            if isp_eval(k_clone(g, k), x) != isp_eval(g, (1 + x) ** k - 1):
-                return False
-    return True
-
-
-def _comb_identity_holds(g) -> bool:
-    for k in (1, 2, 3):
-        for x in STANDARD_WEIGHTS:
-            lhs = isp_eval(comb(g, k), x)
-            rhs = (1 + x) ** (k * g.n) * isp_eval(g, x / (1 + x) ** k)
-            if lhs != rhs:
-                return False
-    return True
-
-
-def _path_identity_holds(g, v, k, x) -> bool:
-    w = path_weights(x, k)
-    weights = {u: x for u in range(g.n)}
-    weights[v] = Fraction(w.b, w.c)
-    return isp_eval(attach_path(g, v, k), x) == w.c * isp_multivariate(g, weights)
 
 
 def test_criterion_6_transform_identities():
@@ -226,23 +156,22 @@ def test_criterion_6_transform_identities():
     rng = random.Random(2029)
 
     # Leaf and same-neighborhood contraction: exhaustive over all labeled
-    # graphs up to 6 vertices carrying the relevant structure.
+    # graphs up to 6 vertices carrying the relevant structure (the
+    # predicates return None on graphs without it).
     for n in range(2, 7):
         for g in all_graphs(n):
-            assert _leaf_identity_holds(g, rng)
-            assert _twin_identity_holds(g, rng)
+            assert leaf_identity_holds(g, rng) is not False
+            assert twin_identity_holds(g, rng) is not False
 
     # k-clone and comb identities: exhaustive up to 5 vertices, seeded
     # samples on 6 and 7 vertices.
-    for n in range(1, 6):
-        for g in all_graphs(n):
-            assert _k_clone_identity_holds(g)
-            assert _comb_identity_holds(g)
-    for n in (6, 7):
-        for _ in range(12):
-            g = random_graph(rng, n)
-            assert _k_clone_identity_holds(g)
-            assert _comb_identity_holds(g)
+    graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+    graphs += [random_graph(rng, n) for n in (6, 7) for _ in range(12)]
+    for g in graphs:
+        for k in (1, 2, 3):
+            for x in STANDARD_WEIGHTS:
+                assert k_clone_identity_holds(g, k, x)
+                assert comb_identity_holds(g, k, x)
 
     # Pendant path identity: path lengths 1..4 at every vertex, exhaustive
     # up to 4 vertices, seeded samples on 5 and 6 vertices.
@@ -251,14 +180,14 @@ def test_criterion_6_transform_identities():
             for v in range(n):
                 for k in (1, 2, 3, 4):
                     for x in STANDARD_WEIGHTS:
-                        assert _path_identity_holds(g, v, k, x)
+                        assert path_identity_holds(g, v, k, x)
     for n in (5, 6):
         for _ in range(20):
             g = random_graph(rng, n)
             v = rng.randrange(n)
             k = rng.randint(1, 4)
             for x in STANDARD_WEIGHTS:
-                assert _path_identity_holds(g, v, k, x)
+                assert path_identity_holds(g, v, k, x)
     _report(6, "transform-identities", started, 300.0)
 
 
@@ -305,9 +234,7 @@ def test_criterion_9_point_normalizer():
         plan = normalize_point(x)
         for _ in range(6):
             g = random_graph(rng, rng.randint(1, 5))
-            transformed = plan.apply(g)
-            recovered = isp_eval(transformed, x) / plan.factor(g.n)
-            assert recovered == isp_eval(g, plan.target_point)
+            assert plan_identity_holds(plan, g)
     _report(9, "point-normalizer", started, 300.0)
 
 

@@ -5,6 +5,9 @@ import sys
 
 import pytest
 
+from indpoly.cli import main
+from indpoly.verify import SUITES
+
 CLI = [sys.executable, "-m", "indpoly"]
 
 
@@ -197,6 +200,18 @@ class TestVerifyCommand:
             return "\n".join(out)
 
         assert strip_timing(first.stdout) == strip_timing(second.stdout)
+
+    def test_failed_suite_exits_with_domain_code(self, monkeypatch, tmp_path, capsys):
+        def failing_suite(seed):
+            yield {"case": "fabricated failure", "status": "fail"}
+
+        monkeypatch.setitem(SUITES, "_fabricated", failing_suite)
+        code = main(["verify", "--suite", "_fabricated", "--dump-dir", str(tmp_path)])
+        assert code == 1
+        case, summary = records_of(capsys.readouterr().out)
+        assert case["status"] == "fail"
+        assert summary["command"] == "verify"
+        assert summary["status"] == "fail" and summary["failed"] == 1
 
     def test_seed_changes_sampled_cases(self):
         a = run_cli("verify", "--suite", "clone-identity", "--seed", "1")

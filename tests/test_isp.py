@@ -46,13 +46,6 @@ class TestPolynomial:
         assert p.evaluate(2) == 21
         assert p.evaluate(Fraction(-1, 2)) == Fraction(-1, 4)
 
-    def test_arithmetic(self):
-        p = Polynomial([1, 1])
-        q = Polynomial([2, 0, 1])
-        assert p + q == Polynomial([3, 1, 1])
-        assert p * q == Polynomial([2, 2, 1, 1])
-        assert 3 * p == Polynomial([3, 3])
-
     def test_json_shape(self):
         assert Polynomial([1, 3]).to_json_dict() == {"coeffs": ["1/1", "3/1"]}
 
@@ -174,6 +167,9 @@ class TestIspMultivariate:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             isp_multivariate(edgeless_graph(21), {v: 1 for v in range(21)}, max_vertices=20)
+        # The bound is checked before the weights.
+        with pytest.raises(CapacityError):
+            isp_multivariate(edgeless_graph(21), {}, max_vertices=20)
 
 
 class TestCountIsOfSize:

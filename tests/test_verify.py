@@ -1,9 +1,11 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from indpoly import DomainError
+import indpoly.verify
+from indpoly import DomainError, graph_to_text
 from indpoly.verify import (
     SUITES,
     all_graphs,
@@ -12,7 +14,10 @@ from indpoly.verify import (
     random_graph,
     random_x3sat,
     run_suites,
+    suite_clone_identity,
 )
+
+GOLDEN_SEED7 = Path(__file__).parent / "data" / "verify_seed7.jsonl"
 
 
 class TestGenerators:
@@ -57,6 +62,9 @@ class TestRunSuites:
         assert ok
         assert all(r["status"] == "pass" for r in records)
         assert {r["suite"] for r in records} == set(SUITES)
+        # The seed-7 report is pinned: refactors must keep it byte-identical.
+        expected = GOLDEN_SEED7.read_text().splitlines()
+        assert [json.dumps(r, sort_keys=True) for r in records] == expected
 
     def test_records_are_json_serializable_and_deterministic(self):
         first, second = [], []
@@ -90,3 +98,22 @@ class TestRunSuites:
                 assert handle.read() == "p cnf 1 1\n1 0\n"
         finally:
             del SUITES["_fabricated"]
+
+
+class TestSweep:
+    def test_stops_at_first_failure_and_counts_it(self, monkeypatch):
+        calls = []
+        real = indpoly.verify.k_clone_identity_holds
+
+        def fails_on_fifth(g, k, x):
+            calls.append((g, k, x))
+            return len(calls) != 5 and real(g, k, x)
+
+        monkeypatch.setattr(indpoly.verify, "k_clone_identity_holds", fails_on_fifth)
+        records = list(suite_clone_identity(7))
+        (record,) = [r for r in records if r["case"].startswith("k-clone identity")]
+        assert record["status"] == "fail"
+        assert record["checked"] == 5
+        failing_graph = calls[-1][0]
+        assert record["counterexample"]["graph.txt"] == graph_to_text(failing_graph)
+        assert len(calls) == 5
