@@ -38,6 +38,10 @@ from .graphs import CloneSpec, Graph, graph_to_json_dict, s_clone
 from .isp import Polynomial, isp_eval
 from .quadfield import QuadExt, as_rational, format_rational, quad_abs, quad_max, quad_min
 
+# Wall-clock limit on one external oracle query; a query that runs longer
+# is killed and reported as an OracleError.
+ORACLE_TIMEOUT_S = 600.0
+
 _SPACING_MARGIN = 1e-9
 _MAX_DOUBLINGS = 64
 _FAMILY_OFFSET = 1
@@ -199,6 +203,8 @@ class ExternalOracle:
         response: {"value": "p/q"}
 
     Anything that is not a conforming response is an error, never coerced.
+    A query that has not exited after ``ORACLE_TIMEOUT_S`` seconds is killed
+    and raises ``OracleError``.
     """
 
     kind = "external_command"
@@ -219,7 +225,12 @@ class ExternalOracle:
                 input=request + "\n",
                 capture_output=True,
                 text=True,
+                timeout=ORACLE_TIMEOUT_S,
             )
+        except subprocess.TimeoutExpired as exc:
+            raise OracleError(
+                f"oracle {self.command!r} did not answer within {ORACLE_TIMEOUT_S} s"
+            ) from exc
         except OSError as exc:
             raise OracleError(f"failed to spawn oracle {self.command!r}: {exc}") from exc
         if proc.returncode != 0:

@@ -7,10 +7,16 @@ and tested against each other:
 * one branching recursion I(G) = I(G - v) + X * I(G - N[v]) with
   connected-component factorization and per-call memoization on the
   induced vertex subset (as a bitmask of the fixed host graph), run at a
-  rational point by ``isp_eval``.  ``isp_coeffs`` and ``count_is_of_size``
-  read all coefficients off one evaluation at X = 2^(n+1) (Kronecker
-  substitution: every coefficient is a non-negative integer below
-  2^(n+1), so the value's base-2^(n+1) digits are the coefficients), and
+  rational point by ``isp_eval``.  Isolated vertices are counted, not
+  branched on: k of them contribute the factor (1 + X)^k.  The branch
+  vertex of a larger component has maximum induced degree, ties going to
+  the smallest id; it is found by scanning the host graph's
+  static-degree classes from the top, which may stop early because a
+  vertex's induced degree never exceeds its static degree.
+  ``isp_coeffs`` and ``count_is_of_size`` read all coefficients off one
+  evaluation at X = 2^(n+1) (Kronecker substitution: every coefficient
+  is a non-negative integer below 2^(n+1), so the value's base-2^(n+1)
+  digits are the coefficients), and
 * plain enumeration of subsets, bounded by ``max_vertices``.
 
 The branching route has no hard vertex bound (cost is exponential only
@@ -94,13 +100,20 @@ def _recursion_depth(n: int):
         sys.setrecursionlimit(previous)
 
 
-def _components_of(mask: int, masks) -> list:
-    """Connected components of the induced subgraph, as bitmasks."""
+def _components_of(mask: int, masks) -> tuple:
+    """Split the induced subgraph into its connected components with two or
+    more vertices, as bitmasks, and the number of its isolated vertices."""
     comps = []
+    isolated = 0
     rest = mask
     while rest:
-        comp = 0
-        frontier = rest & -rest
+        low = rest & -rest
+        frontier = masks[low.bit_length() - 1] & mask
+        if not frontier:
+            isolated += 1
+            rest ^= low
+            continue
+        comp = low
         while frontier:
             comp |= frontier
             nxt = 0
@@ -112,22 +125,39 @@ def _components_of(mask: int, masks) -> list:
             frontier = nxt & mask & ~comp
         comps.append(comp)
         rest &= ~comp
-    return comps
+    return comps, isolated
 
 
-def _branch_vertex(comp: int, masks) -> int:
-    """Maximum induced degree, ties broken by smallest vertex id."""
+def _degree_classes(masks) -> list:
+    """The host graph's vertices grouped by degree, as (degree, vertex mask)
+    pairs in descending order of degree."""
+    classes = {}
+    for v, nbrs in enumerate(masks):
+        d = nbrs.bit_count()
+        classes[d] = classes.get(d, 0) | 1 << v
+    return sorted(classes.items(), reverse=True)
+
+
+def _branch_vertex(comp: int, masks, classes) -> int:
+    """Maximum induced degree, ties broken by smallest vertex id.
+
+    A vertex's degree in ``comp`` is at most its degree in the host graph,
+    so the degree classes are scanned from the top and the scan stops at
+    the first class whose degree is below the best found."""
     best_v = -1
     best_deg = -1
-    m = comp
-    while m:
-        b = m & -m
-        m ^= b
-        v = b.bit_length() - 1
-        deg = (masks[v] & comp).bit_count()
-        if deg > best_deg:
-            best_deg = deg
-            best_v = v
+    for degree, members in classes:
+        if degree < best_deg:
+            break
+        m = comp & members
+        while m:
+            b = m & -m
+            m ^= b
+            v = b.bit_length() - 1
+            deg = (masks[v] & comp).bit_count()
+            if deg > best_deg or (deg == best_deg and v < best_v):
+                best_deg = deg
+                best_v = v
     return best_v
 
 
@@ -137,14 +167,16 @@ def isp_eval(g: Graph, x) -> Fraction:
     x = as_rational(x)
     p, q = x.numerator, x.denominator
     masks = g.neighbor_masks()
+    classes = _degree_classes(masks)
     memo = {}
 
-    # J(mask) = q^|mask| * I(mask; p/q) keeps the recursion over integers.
+    # J(mask) = q^|mask| * I(mask; p/q) keeps the recursion over integers;
+    # an isolated vertex contributes J = q + p.
     def component_value(comp):
         val = memo.get(comp)
         if val is not None:
             return val
-        v = _branch_vertex(comp, masks)
+        v = _branch_vertex(comp, masks, classes)
         vbit = 1 << v
         without = comp ^ vbit
         closed = masks[v] & comp
@@ -153,10 +185,9 @@ def isp_eval(g: Graph, x) -> Fraction:
         return val
 
     def subgraph_value(mask):
-        if mask == 0:
-            return 1
-        result = 1
-        for comp in _components_of(mask, masks):
+        comps, isolated = _components_of(mask, masks)
+        result = (q + p) ** isolated
+        for comp in comps:
             result *= component_value(comp)
         return result
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import indpoly.interpolate
 from indpoly import (
     CapacityError,
     DegeneratePointError,
@@ -256,6 +257,13 @@ class TestExternalOracle:
     def test_spawn_failure(self):
         oracle = external_oracle("/nonexistent/binary-xyz")
         with pytest.raises(OracleError, match="spawn"):
+            oracle.evaluate(complete_graph(2), 2)
+
+    def test_stuck_oracle_times_out(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(indpoly.interpolate, "ORACLE_TIMEOUT_S", 0.5)
+        body = "import time\ntime.sleep(60)\n"
+        oracle = external_oracle(_write_oracle_script(tmp_path, body))
+        with pytest.raises(OracleError, match="did not answer within 0.5 s"):
             oracle.evaluate(complete_graph(2), 2)
 
     def test_wrapped_internal_matches_internal(self, tmp_path):

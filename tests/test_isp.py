@@ -132,7 +132,7 @@ class TestIspEval:
         assert sys.getrecursionlimit() == before
 
     def test_restores_recursion_limit_on_error(self, monkeypatch):
-        def fail(comp, masks):
+        def fail(*args):
             raise RuntimeError("interrupted")
 
         monkeypatch.setattr(indpoly.isp, "_branch_vertex", fail)
@@ -228,3 +228,68 @@ class TestBranchingAgainstEnumeration:
         assert isp_coeffs(g) == isp_coeffs_by_enumeration(g)
         for k in range(g.n + 2):
             assert count_is_of_size(g, k) == count_is_of_size_by_enumeration(g, k)
+
+
+def _vertices(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _full_scan_branch_vertex(comp, masks):
+    """Reference rule: maximum degree inside comp, then smallest id."""
+    return max(_vertices(comp), key=lambda v: ((masks[v] & comp).bit_count(), -v))
+
+
+@st.composite
+def graphs_and_submasks(draw):
+    g = draw(small_graphs())
+    return g, draw(st.integers(min_value=0, max_value=(1 << g.n) - 1))
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw):
+    """A small graph plus isolated vertices, under a random relabelling."""
+    core = draw(small_graphs())
+    n = core.n + draw(st.integers(min_value=1, max_value=8))
+    label = draw(st.permutations(range(n)))
+    return Graph(n, [(label[u], label[v]) for u, v in core.edges])
+
+
+class TestKernelHelpers:
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_and_submasks())
+    def test_branch_vertex_matches_full_scan(self, case):
+        g, sub = case
+        masks = g.neighbor_masks()
+        classes = indpoly.isp._degree_classes(masks)
+        comps, _ = indpoly.isp._components_of(sub, masks)
+        for comp in comps:
+            assert indpoly.isp._branch_vertex(comp, masks, classes) == _full_scan_branch_vertex(comp, masks)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_and_submasks())
+    def test_components_split_mask_exactly(self, case):
+        g, sub = case
+        masks = g.neighbor_masks()
+        comps, isolated = indpoly.isp._components_of(sub, masks)
+        covered = 0
+        for comp in comps:
+            assert comp.bit_count() >= 2 and comp & ~sub == 0 and comp & covered == 0
+            covered |= comp
+            # connected, and adjacent to nothing else in sub
+            reached, stack = {_vertices(comp)[0]}, [_vertices(comp)[0]]
+            while stack:
+                u = stack.pop()
+                for w in _vertices(masks[u] & sub):
+                    assert comp >> w & 1
+                    if w not in reached:
+                        reached.add(w)
+                        stack.append(w)
+            assert len(reached) == comp.bit_count()
+        singles = sub & ~covered
+        assert singles.bit_count() == isolated
+        assert all(masks[v] & sub == 0 for v in _vertices(singles))
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_with_isolated_vertices(), st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(3, 7)]))
+    def test_eval_with_isolated_vertices_matches_enumeration(self, g, x):
+        assert isp_eval(g, x) == isp_multivariate(g, {v: x for v in range(g.n)})
