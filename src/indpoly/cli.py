@@ -164,24 +164,19 @@ def _cmd_normalize_point(args) -> dict:
     return normalize_point(parse_rational(args.at)).to_json_dict()
 
 
-_MODES = {"verified": "verified_minimal", "paper": "paper_formula"}
-
-
 def _cmd_interpolate(args) -> dict:
     g = _load_graph(args.graph)
     x = parse_rational(args.at)
-    mode = _MODES[args.mode]
     oracle = external_oracle(args.oracle) if args.oracle else InternalOracle()
     if g.n == 0:
-        poly, family = interpolate_coeffs(g, x, oracle=oracle, mode=mode), None
+        poly, family = interpolate_coeffs(g, x, oracle=oracle), None
     else:
-        family = build_clone_family(x, g.n, mode)
+        family = build_clone_family(x, g.n)
         poly = interpolate_family(g, family, oracle)
     return {
         "graph": args.graph,
         "vertices": g.n,
         "at": format_rational(x),
-        "mode": mode,
         "oracle": oracle.kind,
         "coeffs": poly.to_json_dict()["coeffs"],
         "family": family.dump_records() if family else [],
@@ -263,7 +258,6 @@ def _build_parser() -> _Parser:
     p.add_argument("graph")
     p.add_argument("--at", required=True, metavar="P/Q")
     p.add_argument("--oracle", metavar="CMD", help="external oracle command")
-    p.add_argument("--mode", choices=sorted(_MODES), default="verified")
     p.set_defaults(handler=_cmd_interpolate)
 
     p = sub.add_parser("verify", help="run the exact property suites")

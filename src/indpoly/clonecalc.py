@@ -8,8 +8,10 @@ exact rationals (B_k, C_k) via the transfer recurrence
 
 i.e. repeated application of the matrix [[0, x], [1, 1]].  The recurrence
 is the primary computation path (exact over Q for every rational x); the
-eigenvalue closed forms exist as a cross-check and for the spacing bound
-of the interpolation module.
+eigenvalue closed forms exist as a cross-check.  For nondegenerate x the
+eigenvalues t1, t2 are real with t1 + t2 = 1 and t2 != 0, so
+|t1| > |t2| > 0 and C_k = (t1^(k+2) - t2^(k+2)) / (t1 - t2) never
+vanishes; in particular neither C_s nor B_s + C_s = C_(s+1) does.
 
 An S-clone shifts the evaluation point x to the rational x(S) defined by
 1 + x(S) = prod over s in S of (1 + B_s/C_s), and multiplies the
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegeneratePointError, DomainError, IncompatibleCloneError
+from .errors import DegeneratePointError, DomainError
 from .graphs import CloneSpec, Graph, comb, k_clone
 from .quadfield import QuadExt, as_rational, format_rational
 
@@ -99,16 +101,7 @@ def clone_shifted_point(x, spec) -> Fraction:
     product = Fraction(1)
     for s in spec.entries:
         w = path_weights(x, s)
-        if w.c == 0:
-            raise IncompatibleCloneError(
-                f"path weight C_{s} vanishes at x = {x}"
-            )
-        factor = 1 + Fraction(w.b, w.c)
-        if factor == 0:
-            raise IncompatibleCloneError(
-                f"1 + B_{s}/C_{s} vanishes at x = {x}; shifted point undefined"
-            )
-        product *= factor
+        product *= 1 + Fraction(w.b, w.c)
     return product - 1
 
 
@@ -123,10 +116,7 @@ def clone_correction_factor(x, spec, n: int) -> Fraction:
         raise DomainError(f"negative vertex count {n}")
     product = Fraction(1)
     for s in spec.entries:
-        w = path_weights(x, s)
-        if w.c == 0:
-            raise IncompatibleCloneError(f"path weight C_{s} vanishes at x = {x}")
-        product *= w.c
+        product *= path_weights(x, s).c
     return product ** n
 
 

@@ -9,10 +9,6 @@ class DegeneratePointError(DomainError):
     """Evaluation point is degenerate for path reduction (x <= -1/4 or x = 0)."""
 
 
-class IncompatibleCloneError(DomainError):
-    """Clone multiset is incompatible with the evaluation point."""
-
-
 class FormulaError(DomainError):
     """Malformed CNF input (bad DIMACS syntax, clause width, literal range)."""
 

@@ -343,19 +343,26 @@ def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
 
 
+def _is_json_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def graph_from_json_dict(obj) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphFormatError("structured graph must be {\"n\": ..., \"edges\": [...]}")
     n = obj["n"]
-    if not isinstance(n, int):
+    if not _is_json_int(n):
         raise GraphFormatError(f"vertex count must be an integer, got {n!r}")
+    if not isinstance(obj["edges"], list):
+        raise GraphFormatError(f"edges must be a list, got {obj['edges']!r}")
     edges = []
     seen = set()
     for item in obj["edges"]:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise GraphFormatError(f"malformed edge entry {item!r}")
         u, v = item
-        if not isinstance(u, int) or not isinstance(v, int):
+        if not (_is_json_int(u) and _is_json_int(v)):
             raise GraphFormatError(f"non-integer endpoints in {item!r}")
         if u == v:
             raise GraphFormatError(f"self-loop at {u}")

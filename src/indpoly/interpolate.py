@@ -9,24 +9,22 @@ is evaluated at the single fixed point x by an oracle, the clone
 correction factor is divided out to recover I(G; x(S_i)), and exact
 Lagrange interpolation returns the coefficient vector.
 
-The offset 1 needs no search.  A path length s is unusable only if C_s
-or B_s + C_s = C_(s+1) vanishes, i.e. if (t1/t2)^s equals (t2/t1)^2 or
-(t2/t1)^3.  For nondegenerate x those targets are below 1 in magnitude,
-while |t1/t2|^s > 1 for every s >= 1.
+The offset 1 needs no search: a path length s would be unusable only if
+C_s or B_s + C_s = C_(s+1) vanished, and for nondegenerate x neither
+does (see the clonecalc module).
 
-Two spacing modes exist.  ``verified_minimal`` (the default) starts at
-spacing 1 and doubles until the n+1 points are exactly pairwise distinct;
-the exactness check is part of construction, not an afterthought.
-``paper_formula`` evaluates the published worst-case bound (base-2 logs in
-floating point with a relative safety margin of 1e-9, constants compared
-exactly in the quadratic field); it produces much larger clones and exists
-for inspection.
+One spacing rule: the family starts at spacing 1 and doubles only when
+two of the n+1 shifted points collide exactly, so the exact distinctness
+check, not a bound, guarantees correctness.  The paper's worst-case
+spacing bound is not computed.  The check makes it redundant, and it is
+large: at x = 2 it is 84 for n = 3 and 145 for n = 10, which would grow
+the largest clone from 24 to 1020 vertices (n = 3) and from 230 to 21830
+(n = 10), while spacing 1 already separates those points.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import shlex
 import subprocess
 from dataclasses import dataclass
@@ -36,49 +34,14 @@ from .clonecalc import clone_correction_factor, clone_shifted_point, transfer_ei
 from .errors import CapacityError, DomainError, OracleError
 from .graphs import CloneSpec, Graph, graph_to_json_dict, s_clone
 from .isp import Polynomial, isp_eval
-from .quadfield import QuadExt, as_rational, format_rational, quad_abs, quad_max, quad_min
+from .quadfield import as_rational, format_rational
 
 # Wall-clock limit on one external oracle query; a query that runs longer
 # is killed and reported as an OracleError.
 ORACLE_TIMEOUT_S = 600.0
 
-_SPACING_MARGIN = 1e-9
 _MAX_DOUBLINGS = 64
 _FAMILY_OFFSET = 1
-
-
-def family_spacing(x, n: int, mode: str = "verified_minimal") -> int:
-    """Element spacing for the clone family.
-
-    ``verified_minimal`` returns 1 (distinctness is verified exactly and
-    escalated during construction).  ``paper_formula`` evaluates the
-    worst-case bound 7*((log n + 1) log(C2/C1) + 2 log n + 1) / log(t1/|t2|)
-    with base-2 logs, where C1 = min{1, |t1|, |t2|, |x+t1|, |x|, |t1-t2|}
-    and C2 = 2 max{1, |t1|, |t2|, |x+t1|, |x+t2|} are selected by exact
-    field comparison; the float bound is inflated by a relative 1e-9
-    before taking the next integer above it."""
-    x = as_rational(x)
-    if n < 1:
-        raise DomainError(f"family size needs n >= 1, got {n}")
-    if mode == "verified_minimal":
-        transfer_eigenvalues(x)  # enforce nondegeneracy
-        return 1
-    if mode != "paper_formula":
-        raise DomainError(f"unknown spacing mode {mode!r}")
-    t1, t2 = transfer_eigenvalues(x)
-    one = QuadExt(1, 0, t1.d)
-    xq = QuadExt(x, 0, t1.d)
-    c1 = quad_min(
-        [one, quad_abs(t1), quad_abs(t2), quad_abs(xq + t1), quad_abs(xq), quad_abs(t1 - t2)]
-    )
-    c2 = 2 * quad_max(
-        [one, quad_abs(t1), quad_abs(t2), quad_abs(xq + t1), quad_abs(xq + t2)]
-    )
-    log_n = math.log2(n)
-    log_ratio = math.log2(t1.to_float() / quad_abs(t2).to_float())
-    log_c = math.log2(c2.to_float() / c1.to_float())
-    bound = 7 * ((log_n + 1) * log_c + 2 * log_n + 1) / log_ratio
-    return max(1, math.floor(bound * (1 + _SPACING_MARGIN)) + 1)
 
 
 @dataclass(frozen=True)
@@ -117,24 +80,18 @@ def _family_sets(n: int, spacing: int) -> tuple:
     return tuple(sets)
 
 
-def build_clone_family(x, n: int, mode: str = "verified_minimal") -> CloneFamily:
+def build_clone_family(x, n: int) -> CloneFamily:
     """Construct the family S_0..S_n with exactly pairwise distinct shifted
-    points.  In verified_minimal mode the spacing doubles on any exact
-    collision; in paper_formula mode a collision is a hard error since the
-    bound is supposed to preclude it."""
+    points, starting at spacing 1 and doubling on any exact collision."""
     x = as_rational(x)
     if n < 1:
         raise DomainError(f"family size needs n >= 1, got {n}")
-    spacing = family_spacing(x, n, mode)
+    spacing = 1
     for _ in range(_MAX_DOUBLINGS):
         sets = _family_sets(n, spacing)
         points = tuple(clone_shifted_point(x, spec) for spec in sets)
         if len(set(points)) == n + 1:
             return CloneFamily(x, n, _FAMILY_OFFSET, spacing, sets, points)
-        if mode == "paper_formula":
-            raise AssertionError(
-                f"paper_formula spacing {spacing} produced colliding points"
-            )
         spacing *= 2
     raise AssertionError("spacing escalation failed to separate the points")
 
@@ -260,9 +217,7 @@ def external_oracle(command: str) -> ExternalOracle:
     return ExternalOracle(command)
 
 
-def interpolate_coeffs(
-    g: Graph, x, oracle=None, mode: str = "verified_minimal"
-) -> Polynomial:
+def interpolate_coeffs(g: Graph, x, oracle=None) -> Polynomial:
     """All coefficients of I(G; X) from oracle evaluations at the single
     point x: build the clone family for n = |V(G)| and run
     interpolate_family on it.
@@ -274,7 +229,7 @@ def interpolate_coeffs(
         oracle = InternalOracle()
     if g.n == 0:
         return Polynomial([1])
-    return interpolate_family(g, build_clone_family(x, g.n, mode), oracle)
+    return interpolate_family(g, build_clone_family(x, g.n), oracle)
 
 
 def interpolate_family(g: Graph, family: CloneFamily, oracle) -> Polynomial:

@@ -184,32 +184,6 @@ class QuadExt:
             raise DomainError(f"{self!r} is irrational")
         return self.a + self.b * root
 
-    def to_float(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(float(self.d))
-
     def __repr__(self):
         return f"QuadExt({self.a}, {self.b}, d={self.d})"
 
-
-def quad_min(values):
-    """Exact minimum of an iterable of same-field QuadExt values."""
-    it = iter(values)
-    best = next(it)
-    for v in it:
-        if (v - best).sign() < 0:
-            best = v
-    return best
-
-
-def quad_max(values):
-    """Exact maximum of an iterable of same-field QuadExt values."""
-    it = iter(values)
-    best = next(it)
-    for v in it:
-        if (v - best).sign() > 0:
-            best = v
-    return best
-
-
-def quad_abs(v: QuadExt) -> QuadExt:
-    return -v if v.sign() < 0 else v

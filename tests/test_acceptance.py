@@ -213,9 +213,9 @@ def test_criterion_8_interpolation_pipeline():
         g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
         expected = isp_coeffs(g)
         for x in (Fraction(2), Fraction(1, 2)):
-            family = build_clone_family(x, n, "verified_minimal")
+            family = build_clone_family(x, n)
             assert len(set(family.points)) == n + 1
-            assert interpolate_coeffs(g, x, mode="verified_minimal") == expected
+            assert interpolate_coeffs(g, x) == expected
     _report(8, "interpolation-pipeline", started, 600.0)
 
 

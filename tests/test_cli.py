@@ -157,6 +157,15 @@ class TestExitCodes:
         bad.write_text("p cnf 2 1\n1 3 0\n")
         assert run_cli("count-sat", str(bad)).returncode == 1
 
+    def test_domain_error_malformed_json_graph(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 2, "edges": 5}')
+        proc = run_cli("isp-coeffs", str(bad))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("indpoly: error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_capacity_error(self, tmp_path):
         wide = tmp_path / "wide.cnf"
         wide.write_text("p cnf 30 1\n1 2 0\n")

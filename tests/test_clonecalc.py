@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indpoly import (
     CloneSpec,
@@ -55,6 +57,18 @@ class TestPathWeights:
         for x in STANDARD_WEIGHTS:
             for k in range(0, 40):
                 assert path_weights(x, k).c != 0
+
+    @settings(deadline=None)
+    @given(
+        st.fractions(min_value=Fraction(-1, 4), max_denominator=1000).filter(is_nondegenerate),
+        st.integers(min_value=0, max_value=60),
+    )
+    def test_c_and_next_c_never_vanish(self, x, s):
+        # clone_shifted_point and clone_correction_factor divide by C_s and
+        # by 1 + B_s/C_s = C_(s+1)/C_s without checking either for zero.
+        w = path_weights(x, s)
+        assert w.c != 0
+        assert w.b + w.c != 0
 
 
 class TestNondegeneracy:

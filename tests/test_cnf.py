@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indpoly import (
     CapacityError,
@@ -59,6 +61,18 @@ class TestCnfFormula:
         assert parse_dimacs(f.to_dimacs()) == f
 
 
+@st.composite
+def cnf_formulas(draw):
+    """Formulas of any clause width, repeated and complementary literals
+    included; n = 0 admits only the empty formula."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    if n == 0:
+        return CnfFormula(0, [])
+    literal = st.integers(min_value=1, max_value=n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=5), max_size=8))
+    return CnfFormula(n, clauses)
+
+
 class TestParseDimacs:
     def test_single_clause(self):
         f = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
@@ -95,6 +109,11 @@ class TestParseDimacs:
     def test_rejects_malformed(self, bad):
         with pytest.raises(FormulaError):
             parse_dimacs(bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cnf_formulas())
+    def test_round_trip_property(self, f):
+        assert parse_dimacs(f.to_dimacs()) == f
 
 
 class TestCountSat:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indpoly import (
     CloneSpec,
@@ -299,6 +301,11 @@ class TestGraphFormats:
             {"n": 2, "edges": [[0, 1], [1, 0]]},
             {"n": "2", "edges": []},
             {"n": 2, "edges": [[0]]},
+            {"n": 2, "edges": 5},
+            {"n": 2, "edges": None},
+            {"n": True, "edges": []},
+            {"n": 2, "edges": [[0, True]]},
+            {"n": 2, "edges": [[False, 1]]},
         ],
     )
     def test_json_rejects(self, bad):
@@ -311,3 +318,23 @@ class TestGraphFormats:
         assert parse_graph('{"n": 3, "edges": [[0, 1], [1, 2]]}') == g
         with pytest.raises(GraphFormatError):
             parse_graph('{"n": 3,')
+
+
+@st.composite
+def unlabelled_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, edges)
+
+
+class TestFormatRoundTripProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(unlabelled_graphs())
+    def test_text_round_trip(self, g):
+        assert parse_graph(graph_to_text(g)) == g
+
+    @settings(max_examples=200, deadline=None)
+    @given(unlabelled_graphs())
+    def test_json_round_trip(self, g):
+        assert graph_from_json_dict(graph_to_json_dict(g)) == g

@@ -18,7 +18,6 @@ from indpoly import (
     build_clone_family,
     complete_graph,
     external_oracle,
-    family_spacing,
     interpolate_coeffs,
     interpolate_family,
     isp_coeffs,
@@ -29,29 +28,6 @@ from indpoly import (
     s_clone,
 )
 from indpoly.verify import random_graph
-
-
-class TestFamilySpacing:
-    def test_verified_minimal_is_one(self):
-        assert family_spacing(2, 5) == 1
-        assert family_spacing(Fraction(1, 2), 3, "verified_minimal") == 1
-
-    def test_paper_formula_worked_value(self):
-        # x=2: C1=1, C2=8, ratio=2 -> 7*((log2(3)+1)*3 + 2*log2(3) + 1) ~ 83.5
-        assert family_spacing(2, 3, "paper_formula") == 84
-
-    def test_paper_formula_n_1(self):
-        value = family_spacing(2, 1, "paper_formula")
-        assert value >= 8  # exact bound is 28, strict inequality gives 29
-        assert value == 29
-
-    def test_unknown_mode(self):
-        with pytest.raises(DomainError):
-            family_spacing(2, 3, "something")
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegeneratePointError):
-            family_spacing(Fraction(-1, 2), 3)
 
 
 class TestBuildCloneFamily:
@@ -95,18 +71,25 @@ class TestBuildCloneFamily:
 
     def test_offset_is_one_at_integer_eigenvalue_points(self):
         for x in (Fraction(2), Fraction(6)):
-            for mode in ("verified_minimal", "paper_formula"):
-                assert build_clone_family(x, 3, mode).offset == 1
+            assert build_clone_family(x, 3).offset == 1
 
     def test_offset_is_one_at_fractional_point(self):
         for x in (Fraction(1, 2), Fraction(-1, 5)):
-            for mode in ("verified_minimal", "paper_formula"):
-                assert build_clone_family(x, 3, mode).offset == 1
+            assert build_clone_family(x, 3).offset == 1
+
+    def test_spacing_is_one(self):
+        assert build_clone_family(2, 5).spacing == 1
+        assert build_clone_family(Fraction(1, 2), 3).spacing == 1
 
     def test_degenerate_rejected(self):
         for n in (1, 4):
             with pytest.raises(DegeneratePointError):
                 build_clone_family(0, n)
+
+    def test_degenerate_minus_half_rejected(self):
+        for n in (1, 3):
+            with pytest.raises(DegeneratePointError):
+                build_clone_family(Fraction(-1, 2), n)
 
 
 class TestLagrange:

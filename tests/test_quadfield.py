@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indpoly import (
     DegeneratePointError,
@@ -13,7 +16,6 @@ from indpoly import (
     rational_sqrt,
     transfer_eigenvalues,
 )
-from indpoly.quadfield import quad_abs, quad_max, quad_min
 
 
 class TestRationalFormat:
@@ -42,6 +44,11 @@ class TestRationalFormat:
         for _ in range(50):
             q = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
             assert parse_rational(format_rational(q)) == q
+
+    @settings(deadline=None)
+    @given(st.fractions())
+    def test_round_trip_property(self, q):
+        assert parse_rational(format_rational(q)) == q
 
 
 class TestRationalSqrt:
@@ -166,16 +173,10 @@ class TestQuadExtSign:
             QuadExt(-2, 2, 2),
             QuadExt(3, -1, 2),
         ]
-        key = [v.to_float() for v in values]
+        key = [float(v.a) + float(v.b) * math.sqrt(float(v.d)) for v in values]
         order = sorted(range(len(values)), key=lambda i: key[i])
         for i, j in zip(order, order[1:]):
             assert (values[j] - values[i]).sign() >= 0
-
-    def test_abs_helpers(self):
-        assert quad_abs(QuadExt(1, -1, 2)) == QuadExt(-1, 1, 2)
-        vals = [QuadExt(1, 0, 2), QuadExt(0, 1, 2), QuadExt(2, 0, 2)]
-        assert quad_min(vals) == vals[0]
-        assert quad_max(vals) == vals[2]
 
 
 class TestTransferEigenvalues:
