@@ -45,8 +45,7 @@ for k in range(5):
     w = path_weights(2, k)
     print(f"  k={k}:  B={w.b}  C={w.c}")
 b, c = path_weights_closed_form(2, 2)
-print("closed forms in Q(sqrt(1+4x)) agree, e.g. k=2:",
-      f"B={b.rational_value()}, C={c.rational_value()}")
+print("eigenvalue closed forms, summed over Q, agree, e.g. k=2:", f"B={b}, C={c}")
 
 print()
 print("=" * 64)

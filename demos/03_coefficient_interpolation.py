@@ -54,4 +54,4 @@ print()
 print("The same pipeline accepts any oracle speaking the line protocol")
 print('  request:  {"graph": {"n": ..., "edges": [...]}, "point": "p/q"}')
 print('  response: {"value": "p/q"}')
-print("via interpolate_coeffs(g, x, oracle=external_oracle(command)).")
+print("via interpolate_coeffs(g, x, oracle=ExternalOracle(command)).")

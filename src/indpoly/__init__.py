@@ -4,7 +4,7 @@ Parsimonious reductions from #3SAT through #X3SAT to independent-set
 counting, S-clone graph transformations with their exact path-weight
 calculus, and an interpolation pipeline that recovers every coefficient
 of I(G; X) from evaluations of transformed graphs at one rational point.
-All arithmetic is exact (rationals and a single quadratic extension).
+All arithmetic is exact and over the rationals; no floating point.
 """
 
 from .clonecalc import (
@@ -16,7 +16,6 @@ from .clonecalc import (
     normalize_point,
     path_weights,
     path_weights_closed_form,
-    transfer_eigenvalues,
 )
 from .cnf import (
     CnfFormula,
@@ -61,7 +60,6 @@ from .interpolate import (
     ExternalOracle,
     InternalOracle,
     build_clone_family,
-    external_oracle,
     interpolate_coeffs,
     interpolate_family,
     lagrange_interpolate,
@@ -75,7 +73,7 @@ from .isp import (
     isp_eval,
     isp_multivariate,
 )
-from .quadfield import QuadExt, as_rational, format_rational, parse_rational, rational_sqrt
+from .quadfield import as_rational, format_rational, parse_rational
 
 __version__ = "0.1.0"
 
@@ -94,7 +92,6 @@ __all__ = [
     "OracleError",
     "PathWeights",
     "Polynomial",
-    "QuadExt",
     "TransformPlan",
     "as_rational",
     "attach_path",
@@ -111,7 +108,6 @@ __all__ = [
     "cycle_graph",
     "delete_vertex",
     "edgeless_graph",
-    "external_oracle",
     "format_rational",
     "graph_from_json_dict",
     "graph_to_json_dict",
@@ -133,12 +129,10 @@ __all__ = [
     "path_graph",
     "path_weights",
     "path_weights_closed_form",
-    "rational_sqrt",
     "reduce_to_graph",
     "reduce_to_x3sat",
     "reduction_report",
     "s_clone",
     "s_clone_origin",
-    "transfer_eigenvalues",
     "x3sat_to_graph",
 ]

@@ -25,9 +25,9 @@ from .cnf import count_sat, count_x3sat, parse_dimacs, reduce_to_graph, reduce_t
 from .errors import CapacityError, DomainError, OracleError
 from .graphs import CloneSpec, graph_to_json_dict, graph_to_text, parse_graph, s_clone
 from .interpolate import (
+    ExternalOracle,
     InternalOracle,
     build_clone_family,
-    external_oracle,
     interpolate_coeffs,
     interpolate_family,
 )
@@ -167,7 +167,7 @@ def _cmd_normalize_point(args) -> dict:
 def _cmd_interpolate(args) -> dict:
     g = _load_graph(args.graph)
     x = parse_rational(args.at)
-    oracle = external_oracle(args.oracle) if args.oracle else InternalOracle()
+    oracle = ExternalOracle(args.oracle) if args.oracle else InternalOracle()
     if g.n == 0:
         poly, family = interpolate_coeffs(g, x, oracle=oracle), None
     else:

@@ -8,10 +8,12 @@ exact rationals (B_k, C_k) via the transfer recurrence
 
 i.e. repeated application of the matrix [[0, x], [1, 1]].  The recurrence
 is the primary computation path (exact over Q for every rational x); the
-eigenvalue closed forms exist as a cross-check.  For nondegenerate x the
-eigenvalues t1, t2 are real with t1 + t2 = 1 and t2 != 0, so
-|t1| > |t2| > 0 and C_k = (t1^(k+2) - t2^(k+2)) / (t1 - t2) never
-vanishes; in particular neither C_s nor B_s + C_s = C_(s+1) does.
+eigenvalue closed form, summed over Q by its binomial expansion, exists
+as a cross-check.  The eigenvalues t1, t2 = (1 +- sqrt(1+4x))/2 are the
+roots of t^2 - t - x.  For nondegenerate x they are real with
+t1 + t2 = 1 and t2 != 0, so |t1| > |t2| > 0 and
+C_k = (t1^(k+2) - t2^(k+2)) / (t1 - t2) never vanishes; in particular
+neither C_s nor B_s + C_s = C_(s+1) does.
 
 An S-clone shifts the evaluation point x to the rational x(S) defined by
 1 + x(S) = prod over s in S of (1 + B_s/C_s), and multiplies the
@@ -20,12 +22,13 @@ polynomial value by (prod C_s)^|V|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegeneratePointError, DomainError
 from .graphs import CloneSpec, Graph, comb, k_clone
-from .quadfield import QuadExt, as_rational, format_rational
+from .quadfield import as_rational, format_rational
 
 
 def is_nondegenerate(x) -> bool:
@@ -41,16 +44,6 @@ def _require_nondegenerate(x: Fraction):
         raise DegeneratePointError(
             f"x = {x} violates x > -1/4, degenerate for path reduction"
         )
-
-
-def transfer_eigenvalues(x) -> tuple:
-    """The two roots of t^2 - t - x, as elements of Q(sqrt(1+4x)),
-    larger root first.  Defined only for nondegenerate x."""
-    x = as_rational(x)
-    _require_nondegenerate(x)
-    d = 1 + 4 * x
-    half = Fraction(1, 2)
-    return QuadExt(half, half, d), QuadExt(half, -half, d)
 
 
 @dataclass(frozen=True)
@@ -74,21 +67,28 @@ def path_weights(x, k: int) -> PathWeights:
     return PathWeights(b, c, k)
 
 
+def _lucas_u(d: Fraction, m: int) -> Fraction:
+    """U_m = (t1^m - t2^m) / (t1 - t2) for t1, t2 = (1 +- sqrt(d))/2, m >= 1.
+    By the binomial theorem only the odd powers sqrt(d)^j survive:
+    U_m = 2^(1-m) * sum over odd j <= m of C(m, j) * d^((j-1)/2)."""
+    total = sum(math.comb(m, j) * d ** ((j - 1) // 2) for j in range(1, m + 1, 2))
+    return total / 2 ** (m - 1)
+
+
 def path_weights_closed_form(x, k: int) -> tuple:
-    """Eigenvalue closed forms for (B_k, C_k), as same-field QuadExt values:
+    """Eigenvalue closed forms for (B_k, C_k), as exact rationals:
 
-        B_k = x / (t2 - t1) * (-t1^(k+1) + t2^(k+1))
-        C_k = 1 / (t2 - t1) * (-t1^(k+2) + t2^(k+2))
+        B_k = x * U_(k+1),   C_k = U_(k+2)
 
-    Requires nondegenerate x; agrees exactly with path_weights."""
+    with U_m the Lucas sum of the eigenvalues of [[0, x], [1, 1]], summed
+    term by term without iterating the recurrence.  Requires
+    nondegenerate x; agrees exactly with path_weights."""
     if k < 0:
         raise DomainError(f"path length must be >= 0, got {k}")
     x = as_rational(x)
-    t1, t2 = transfer_eigenvalues(x)
-    gap = t2 - t1
-    b = (-(t1 ** (k + 1)) + t2 ** (k + 1)) * x / gap
-    c = (-(t1 ** (k + 2)) + t2 ** (k + 2)) / gap
-    return b, c
+    _require_nondegenerate(x)
+    d = 1 + 4 * x
+    return x * _lucas_u(d, k + 1), _lucas_u(d, k + 2)
 
 
 def clone_shifted_point(x, spec) -> Fraction:

@@ -30,7 +30,7 @@ import subprocess
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clonecalc import clone_correction_factor, clone_shifted_point, transfer_eigenvalues
+from .clonecalc import _require_nondegenerate, clone_correction_factor, clone_shifted_point
 from .errors import CapacityError, DomainError, OracleError
 from .graphs import CloneSpec, Graph, graph_to_json_dict, s_clone
 from .isp import Polynomial, isp_eval
@@ -212,11 +212,6 @@ class ExternalOracle:
             raise OracleError(f"non-rational oracle value in {line!r}: {exc}") from exc
 
 
-def external_oracle(command: str) -> ExternalOracle:
-    """Wrap a command template as an evaluation oracle."""
-    return ExternalOracle(command)
-
-
 def interpolate_coeffs(g: Graph, x, oracle=None) -> Polynomial:
     """All coefficients of I(G; X) from oracle evaluations at the single
     point x: build the clone family for n = |V(G)| and run
@@ -224,7 +219,7 @@ def interpolate_coeffs(g: Graph, x, oracle=None) -> Polynomial:
 
     Requires nondegenerate x (compose with normalize_point otherwise)."""
     x = as_rational(x)
-    transfer_eigenvalues(x)  # enforce nondegeneracy up front
+    _require_nondegenerate(x)  # also on the empty graph, which returns early
     if oracle is None:
         oracle = InternalOracle()
     if g.n == 0:

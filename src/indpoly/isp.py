@@ -199,11 +199,12 @@ def isp_eval(g: Graph, x) -> Fraction:
 def isp_coeffs(g: Graph) -> Polynomial:
     """All coefficients of I(G; X): coefficient k counts the independent
     sets of size k.  Each is a non-negative integer below 2^(n+1), so they
-    are the base-2^(n+1) digits of the integer I(G; 2^(n+1))."""
+    are the base-2^(n+1) digits of the integer I(G; 2^(n+1)).  The digits
+    are sliced from one binary string, lowest first: shifting the
+    n(n+1)-bit value once per digit would cost O(n^3) bit operations."""
     width = g.n + 1
-    packed = isp_eval(g, 1 << width).numerator
-    digit = (1 << width) - 1
-    return Polynomial([(packed >> (width * k)) & digit for k in range(width)])
+    bits = format(isp_eval(g, 1 << width).numerator, "b").zfill(width * width)
+    return Polynomial([int(bits[end - width:end], 2) for end in range(width * width, 0, -width)])
 
 
 def _check_enumeration_bound(g: Graph, max_vertices: int):

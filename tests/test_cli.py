@@ -147,6 +147,14 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "degenerate" in proc.stderr
 
+    def test_domain_error_degenerate_point_on_empty_graph(self, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("p is 0 0\n")
+        proc = run_cli("interpolate", str(empty), "--at", "0")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "indpoly: error: x = 0 is degenerate for path reduction\n"
+
     def test_domain_error_unsupported_point(self):
         proc = run_cli("normalize-point", "--at", "-1/1")
         assert proc.returncode == 1

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from indpoly import (
@@ -20,6 +20,15 @@ from indpoly import (
     s_clone,
 )
 from indpoly.verify import STANDARD_WEIGHTS, random_graph
+
+
+def _standard_weight_examples(test):
+    """Pin every (x, k) with x in STANDARD_WEIGHTS and k <= 50 as an
+    explicit hypothesis example."""
+    for x in STANDARD_WEIGHTS:
+        for k in range(51):
+            test = example(x, k)(test)
+    return test
 
 
 class TestPathWeights:
@@ -45,13 +54,20 @@ class TestPathWeights:
         with pytest.raises(DomainError):
             path_weights(2, -1)
 
-    def test_closed_form_agreement(self):
-        for x in STANDARD_WEIGHTS:
-            for k in range(0, 51):
-                w = path_weights(x, k)
-                b, c = path_weights_closed_form(x, k)
-                assert b == w.b
-                assert c == w.c
+    @settings(deadline=None)
+    @given(
+        st.fractions(min_value=Fraction(-1, 4), max_denominator=1000).filter(is_nondegenerate),
+        st.integers(min_value=0, max_value=60),
+    )
+    @_standard_weight_examples
+    def test_closed_form_agreement(self, x, k):
+        w = path_weights(x, k)
+        assert path_weights_closed_form(x, k) == (w.b, w.c)
+
+    @pytest.mark.parametrize("x", [0, Fraction(-1, 4), -1, -5])
+    def test_closed_form_degenerate_points_rejected(self, x):
+        with pytest.raises(DegeneratePointError):
+            path_weights_closed_form(x, 3)
 
     def test_c_k_never_zero_for_nondegenerate(self):
         for x in STANDARD_WEIGHTS:

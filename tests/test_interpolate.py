@@ -11,13 +11,13 @@ from indpoly import (
     CapacityError,
     DegeneratePointError,
     DomainError,
+    ExternalOracle,
     Graph,
     InternalOracle,
     OracleError,
     Polynomial,
     build_clone_family,
     complete_graph,
-    external_oracle,
     interpolate_coeffs,
     interpolate_family,
     isp_coeffs,
@@ -148,6 +148,13 @@ class TestInterpolatePipeline:
         with pytest.raises(DegeneratePointError):
             interpolate_coeffs(complete_graph(2), Fraction(-1, 2))
 
+    @pytest.mark.parametrize("x", [0, Fraction(-1, 4), Fraction(-1, 2)])
+    def test_degenerate_point_rejected_on_empty_graph(self, x):
+        # The empty graph returns before any clone family is built, so the
+        # up-front nondegeneracy check is all that rejects these points.
+        with pytest.raises(DegeneratePointError):
+            interpolate_coeffs(Graph(0), x)
+
     def test_family_route_matches(self):
         g = path_graph(5)
         family = build_clone_family(Fraction(1, 2), g.n)
@@ -194,7 +201,7 @@ print('{"value": "not-a-rational"}')
 
 class TestExternalOracle:
     def test_round_trip_constant(self, tmp_path):
-        oracle = external_oracle(_write_oracle_script(tmp_path, CONSTANT_ORACLE))
+        oracle = ExternalOracle(_write_oracle_script(tmp_path, CONSTANT_ORACLE))
         assert oracle.evaluate(complete_graph(2), 2) == Fraction(7, 3)
 
     def test_request_format(self, tmp_path):
@@ -208,44 +215,44 @@ class TestExternalOracle:
             "assert obj['graph'] == {'n': 2, 'edges': [[0, 1]]}\n"
             "print(json.dumps({'value': '0/1'}))\n"
         )
-        oracle = external_oracle(f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}")
+        oracle = ExternalOracle(f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}")
         assert oracle.evaluate(complete_graph(2), 2) == 0
 
     def test_malformed_value_surfaced(self, tmp_path):
-        oracle = external_oracle(_write_oracle_script(tmp_path, MALFORMED_ORACLE))
+        oracle = ExternalOracle(_write_oracle_script(tmp_path, MALFORMED_ORACLE))
         with pytest.raises(OracleError, match="not-a-rational"):
             oracle.evaluate(complete_graph(2), 2)
 
     def test_non_json_response(self, tmp_path):
-        oracle = external_oracle(_write_oracle_script(tmp_path, "print('garbage')"))
+        oracle = ExternalOracle(_write_oracle_script(tmp_path, "print('garbage')"))
         with pytest.raises(OracleError, match="garbage"):
             oracle.evaluate(complete_graph(2), 2)
 
     def test_extra_response_line_rejected(self, tmp_path):
         body = CONSTANT_ORACLE + "print('{\"value\": \"1/1\"}')\n"
-        oracle = external_oracle(_write_oracle_script(tmp_path, body))
+        oracle = ExternalOracle(_write_oracle_script(tmp_path, body))
         with pytest.raises(OracleError, match="2 response lines"):
             oracle.evaluate(complete_graph(2), 2)
 
     def test_empty_response(self, tmp_path):
-        oracle = external_oracle(_write_oracle_script(tmp_path, "import sys\nsys.stdin.read()\n"))
+        oracle = ExternalOracle(_write_oracle_script(tmp_path, "import sys\nsys.stdin.read()\n"))
         with pytest.raises(OracleError, match="no response"):
             oracle.evaluate(complete_graph(2), 2)
 
     def test_nonzero_exit_surfaced(self, tmp_path):
-        oracle = external_oracle(_write_oracle_script(tmp_path, "import sys\nsys.exit(9)\n"))
+        oracle = ExternalOracle(_write_oracle_script(tmp_path, "import sys\nsys.exit(9)\n"))
         with pytest.raises(OracleError, match="status 9"):
             oracle.evaluate(complete_graph(2), 2)
 
     def test_spawn_failure(self):
-        oracle = external_oracle("/nonexistent/binary-xyz")
+        oracle = ExternalOracle("/nonexistent/binary-xyz")
         with pytest.raises(OracleError, match="spawn"):
             oracle.evaluate(complete_graph(2), 2)
 
     def test_stuck_oracle_times_out(self, tmp_path, monkeypatch):
         monkeypatch.setattr(indpoly.interpolate, "ORACLE_TIMEOUT_S", 0.5)
         body = "import time\ntime.sleep(60)\n"
-        oracle = external_oracle(_write_oracle_script(tmp_path, body))
+        oracle = ExternalOracle(_write_oracle_script(tmp_path, body))
         with pytest.raises(OracleError, match="did not answer within 0.5 s"):
             oracle.evaluate(complete_graph(2), 2)
 
@@ -254,7 +261,7 @@ class TestExternalOracle:
         rng = random.Random(43)
         for _ in range(2):
             g = random_graph(rng, rng.randint(1, 3))
-            via_external = interpolate_coeffs(g, 2, oracle=external_oracle(command))
+            via_external = interpolate_coeffs(g, 2, oracle=ExternalOracle(command))
             via_internal = interpolate_coeffs(g, 2, oracle=InternalOracle())
             assert via_external == via_internal == isp_coeffs(g)
 
