@@ -1,6 +1,7 @@
 """Recovering every coefficient of I(G; X) from one evaluation point.
 
-A degree-n polynomial needs n+1 distinct sample points.  Instead of
+I(G; X) has degree alpha(G).  A partition of V into d cliques proves
+alpha(G) <= d, so d+1 distinct sample points suffice.  Instead of
 moving the point, the clone family moves the graph: member i is a
 multiset S_i built from the binary representation of i, and evaluating
 the S_i-clone at the single fixed point x yields I(G; x(S_i)) after an
@@ -13,6 +14,7 @@ from fractions import Fraction
 from indpoly import (
     Graph,
     build_clone_family,
+    clique_cover,
     format_rational,
     interpolate_coeffs,
     isp_coeffs,
@@ -25,10 +27,13 @@ x = Fraction(2)
 print("=" * 64)
 print("The clone family at x = 2 for a 5-vertex graph")
 print("=" * 64)
-family = build_clone_family(x, g.n)
+cover = clique_cover(g)
+d = len(cover)
+print(f"clique cover {[list(part) for part in cover]} certifies degree <= d = {d}")
+family = build_clone_family(x, d)
 print(f"offset s0 = {family.offset}, spacing = {family.spacing}")
 print(f"{'i':>2}  {'S_i':<12} {'x(S_i)':<12} clone vertices")
-for record in family.dump_records():
+for record in family.dump_records(g.n):
     print(f"{record['i']:>2}  {str(record['s_set']):<12} {record['point']:<12} {record['clone_vertices']}")
 
 print()
@@ -37,7 +42,7 @@ print("Interpolation against the definitional evaluator")
 print("=" * 64)
 recovered = interpolate_coeffs(g, x)
 direct = isp_coeffs(g)
-print("n+1 oracle calls at the single point x = 2 recover:")
+print(f"d+1 = {d + 1} oracle calls at the single point x = 2 recover:")
 print(f"  interpolated: {[format_rational(c) for c in recovered.coeffs]}")
 print(f"  enumerated:   {[format_rational(c) for c in direct.coeffs]}")
 assert recovered == direct

@@ -23,7 +23,7 @@ import time
 from .clonecalc import normalize_point
 from .cnf import count_sat, count_x3sat, parse_dimacs, reduce_to_graph, reduce_to_x3sat, x3sat_to_graph
 from .errors import CapacityError, DomainError, OracleError
-from .graphs import CloneSpec, graph_to_json_dict, graph_to_text, parse_graph, s_clone
+from .graphs import CloneSpec, clique_cover, graph_to_json_dict, graph_to_text, parse_graph, s_clone
 from .interpolate import (
     ExternalOracle,
     InternalOracle,
@@ -171,7 +171,7 @@ def _cmd_interpolate(args) -> dict:
     if g.n == 0:
         poly, family = interpolate_coeffs(g, x, oracle=oracle), None
     else:
-        family = build_clone_family(x, g.n)
+        family = build_clone_family(x, len(clique_cover(g)))
         poly = interpolate_family(g, family, oracle)
     return {
         "graph": args.graph,
@@ -179,7 +179,7 @@ def _cmd_interpolate(args) -> dict:
         "at": format_rational(x),
         "oracle": oracle.kind,
         "coeffs": poly.to_json_dict()["coeffs"],
-        "family": family.dump_records() if family else [],
+        "family": family.dump_records(g.n) if family else [],
     }
 
 

@@ -275,6 +275,56 @@ def delete_vertex(g: Graph, v: int) -> Graph:
     return Graph(g.n - 1, edges, labels)
 
 
+def _vertices_of(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def clique_cover(g: Graph) -> tuple:
+    """Greedy partition of V into cliques, as ascending vertex tuples.
+
+    Each part starts at the remaining vertex of least remaining degree and
+    grows by the candidate with the most neighbours among the other
+    candidates, where a candidate is adjacent to every member so far (ties
+    go to the lowest vertex).  An independent set meets each clique at most
+    once, so the number of parts bounds alpha(G) and with it the degree of
+    I(G; X).  Greedy, so not always a minimum cover."""
+    masks = g.neighbor_masks()
+    remaining = (1 << g.n) - 1
+    parts = []
+    while remaining:
+        start = min(_vertices_of(remaining), key=lambda v: (masks[v] & remaining).bit_count())
+        part = 1 << start
+        candidates = masks[start] & remaining
+        while candidates:
+            v = max(_vertices_of(candidates), key=lambda u: (masks[u] & candidates).bit_count())
+            part |= 1 << v
+            candidates &= masks[v]
+        parts.append(tuple(_vertices_of(part)))
+        remaining &= ~part
+    return tuple(parts)
+
+
+def is_clique_cover(g: Graph, parts) -> bool:
+    """Exact O(n^2) check that ``parts`` partitions V(G) into nonempty
+    cliques: the parts are disjoint, they cover V, and every two members of
+    a part are adjacent."""
+    masks = g.neighbor_masks()
+    seen = 0
+    for part in parts:
+        if not part:
+            return False
+        for i, v in enumerate(part):
+            if not (isinstance(v, int) and 0 <= v < g.n) or seen >> v & 1:
+                return False
+            seen |= 1 << v
+            if any(not masks[v] >> u & 1 for u in part[:i]):
+                return False
+    return seen == (1 << g.n) - 1
+
+
 # ---------------------------------------------------------------------------
 # Serialization: canonical text format and structured (JSON) format.
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Coefficient recovery for the independent set polynomial.
 
-Evaluating a graph polynomial of degree <= n at n+1 pairwise distinct
-points determines it.  The clone family built here supplies those points:
+I(G; X) has degree alpha(G), the largest independent set size.  A
+partition of V into d cliques proves alpha(G) <= d, since an independent
+set meets each clique at most once, so evaluating I at d+1 pairwise
+distinct points determines it.  ``graphs.clique_cover`` builds such a
+partition greedily; ``interpolate_family`` checks it exactly before
+trusting its size.  The clone family built here supplies the d+1 points:
 member i is the multiset S_i = {1 + spacing*(2j + bit_j(i))} over the
 bit positions j of i, so distinct indices differ in at least one element
 and the shifted points x(S_i) separate.  Each S-clone of the input graph
@@ -14,7 +18,7 @@ C_s or B_s + C_s = C_(s+1) vanished, and for nondegenerate x neither
 does (see the clonecalc module).
 
 One spacing rule: the family starts at spacing 1 and doubles only when
-two of the n+1 shifted points collide exactly, so the exact distinctness
+two of the d+1 shifted points collide exactly, so the exact distinctness
 check, not a bound, guarantees correctness.  The paper's worst-case
 spacing bound is not computed.  The check makes it redundant, and it is
 large: at x = 2 it is 84 for n = 3 and 145 for n = 10, which would grow
@@ -32,7 +36,7 @@ from fractions import Fraction
 
 from .clonecalc import _require_nondegenerate, clone_correction_factor, clone_shifted_point
 from .errors import CapacityError, DomainError, OracleError
-from .graphs import CloneSpec, Graph, graph_to_json_dict, s_clone
+from .graphs import CloneSpec, Graph, clique_cover, graph_to_json_dict, is_clique_cover, s_clone
 from .isp import Polynomial, isp_eval
 from .quadfield import as_rational, format_rational
 
@@ -46,52 +50,55 @@ _FAMILY_OFFSET = 1
 
 @dataclass(frozen=True)
 class CloneFamily:
-    """The n+1 clone multisets S_0..S_n and their shifted points for one
-    interpolation run."""
+    """The d+1 clone multisets S_0..S_d and their shifted points for one
+    interpolation run, where d = ``degree`` bounds the degree of I(G; X)."""
 
     x: Fraction
-    n: int
+    degree: int
     offset: int
     spacing: int
     sets: tuple
     points: tuple
 
-    def clone_vertex_count(self, i: int) -> int:
-        return self.n * self.sets[i].block
+    def clone_vertex_count(self, i: int, n: int) -> int:
+        """Vertices of the S_i-clone of an n-vertex graph."""
+        return n * self.sets[i].block
 
-    def dump_records(self) -> list:
+    def dump_records(self, n: int) -> list:
+        """One record per member, for use on an n-vertex graph."""
         return [
             {
                 "i": i,
                 "s_set": list(self.sets[i].entries),
                 "point": format_rational(self.points[i]),
-                "clone_vertices": self.clone_vertex_count(i),
+                "clone_vertices": self.clone_vertex_count(i, n),
             }
             for i in range(len(self.sets))
         ]
 
 
-def _family_sets(n: int, spacing: int) -> tuple:
-    bits = n.bit_length() - 1  # floor(log2 n) for n >= 1
+def _family_sets(d: int, spacing: int) -> tuple:
+    bits = d.bit_length() - 1  # floor(log2 d) for d >= 1
     sets = []
-    for i in range(n + 1):
+    for i in range(d + 1):
         entries = [_FAMILY_OFFSET + spacing * (2 * j + ((i >> j) & 1)) for j in range(bits + 1)]
         sets.append(CloneSpec(entries))
     return tuple(sets)
 
 
-def build_clone_family(x, n: int) -> CloneFamily:
-    """Construct the family S_0..S_n with exactly pairwise distinct shifted
-    points, starting at spacing 1 and doubling on any exact collision."""
+def build_clone_family(x, d: int) -> CloneFamily:
+    """Construct the family S_0..S_d for the degree bound d, with exactly
+    pairwise distinct shifted points, starting at spacing 1 and doubling on
+    any exact collision."""
     x = as_rational(x)
-    if n < 1:
-        raise DomainError(f"family size needs n >= 1, got {n}")
+    if d < 1:
+        raise DomainError(f"family size needs degree bound d >= 1, got {d}")
     spacing = 1
     for _ in range(_MAX_DOUBLINGS):
-        sets = _family_sets(n, spacing)
+        sets = _family_sets(d, spacing)
         points = tuple(clone_shifted_point(x, spec) for spec in sets)
-        if len(set(points)) == n + 1:
-            return CloneFamily(x, n, _FAMILY_OFFSET, spacing, sets, points)
+        if len(set(points)) == d + 1:
+            return CloneFamily(x, d, _FAMILY_OFFSET, spacing, sets, points)
         spacing *= 2
     raise AssertionError("spacing escalation failed to separate the points")
 
@@ -214,8 +221,8 @@ class ExternalOracle:
 
 def interpolate_coeffs(g: Graph, x, oracle=None) -> Polynomial:
     """All coefficients of I(G; X) from oracle evaluations at the single
-    point x: build the clone family for n = |V(G)| and run
-    interpolate_family on it.
+    point x: build the clone family for the degree bound d = the size of
+    ``clique_cover(g)`` and run interpolate_family on it.
 
     Requires nondegenerate x (compose with normalize_point otherwise)."""
     x = as_rational(x)
@@ -224,17 +231,26 @@ def interpolate_coeffs(g: Graph, x, oracle=None) -> Polynomial:
         oracle = InternalOracle()
     if g.n == 0:
         return Polynomial([1])
-    return interpolate_family(g, build_clone_family(x, g.n), oracle)
+    return interpolate_family(g, build_clone_family(x, len(clique_cover(g))), oracle)
 
 
 def interpolate_family(g: Graph, family: CloneFamily, oracle) -> Polynomial:
-    """All coefficients of I(G; X) from a clone family built for
-    n = |V(G)|: evaluate each S-clone at family.x with the oracle, divide
-    out the clone correction factor, and interpolate at the shifted
-    points.  Oracle failures and capacity errors are re-raised with the
-    failing clone index."""
-    if family.n != g.n:
-        raise DomainError(f"clone family for n = {family.n} used on a {g.n}-vertex graph")
+    """All coefficients of I(G; X) from a clone family whose degree bound
+    is certified for G: evaluate each S-clone at family.x with the oracle,
+    divide out the clone correction factor, and interpolate at the shifted
+    points.
+
+    The certificate is ``clique_cover(g)``, checked exactly; the family
+    needs at least one point more than it has parts.  Oracle failures and
+    capacity errors are re-raised with the failing clone index."""
+    cover = clique_cover(g)
+    if not is_clique_cover(g, cover):
+        raise DomainError(f"degree certificate failed its check: {cover} is not a clique cover")
+    if len(family.points) < len(cover) + 1:
+        raise DomainError(
+            f"clone family for degree {family.degree} has {len(family.points)} points; "
+            f"the {len(cover)}-clique cover of this {g.n}-vertex graph needs {len(cover) + 1}"
+        )
     samples = []
     for i, spec in enumerate(family.sets):
         try:

@@ -48,6 +48,7 @@ from .graphs import (
     CloneSpec,
     Graph,
     attach_path,
+    clique_cover,
     comb,
     complete_graph,
     delete_vertex,
@@ -493,8 +494,9 @@ def suite_pipeline(seed: int):
         n = rng.randint(1, 5)
         g = random_graph(rng, n)
         for x in (Fraction(2), Fraction(1, 2)):
-            family = build_clone_family(x, n)
-            distinct = len(set(family.points)) == n + 1
+            d = len(clique_cover(g))
+            family = build_clone_family(x, d)
+            distinct = len(set(family.points)) == d + 1
             got = interpolate_coeffs(g, x)
             expected = isp_coeffs(g)
             ok = distinct and got == expected

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from indpoly import CloneSpec, clique_cover, path_graph, s_clone
 from indpoly.cli import main
 from indpoly.verify import SUITES
 
@@ -118,7 +119,18 @@ class TestPolynomialCommands:
         (record,) = records_of(proc.stdout)
         assert record["coeffs"] == ["1/1", "2/1"]
         assert record["oracle"] == "internal_definitional"
-        assert len(record["family"]) == 3
+        # K2 is one clique, so the family has d + 1 = 2 members.
+        assert len(record["family"]) == 2
+
+    def test_interpolate_family_sized_by_clique_cover(self, p4_graph):
+        proc = run_cli("interpolate", p4_graph, "--at", "2")
+        assert proc.returncode == 0
+        (record,) = records_of(proc.stdout)
+        assert record["coeffs"] == ["1/1", "4/1", "3/1"]
+        g = path_graph(4)
+        assert len(record["family"]) == len(clique_cover(g)) + 1 == 3
+        for entry in record["family"]:
+            assert entry["clone_vertices"] == s_clone(g, CloneSpec(entry["s_set"])).n
 
     def test_interpolate_with_external_oracle(self, k2_graph, tmp_path):
         script = tmp_path / "oracle.py"

@@ -10,6 +10,7 @@ from indpoly import (
     Graph,
     GraphFormatError,
     attach_path,
+    clique_cover,
     comb,
     complete_graph,
     delete_vertex,
@@ -17,6 +18,8 @@ from indpoly import (
     graph_from_json_dict,
     graph_to_json_dict,
     graph_to_text,
+    is_clique_cover,
+    isp_coeffs_by_enumeration,
     k_clone,
     parse_graph,
     parse_graph_text,
@@ -338,3 +341,35 @@ class TestFormatRoundTripProperties:
     @given(unlabelled_graphs())
     def test_json_round_trip(self, g):
         assert graph_from_json_dict(graph_to_json_dict(g)) == g
+
+
+class TestCliqueCover:
+    def test_path_cover(self):
+        assert clique_cover(path_graph(4)) == ((0, 1), (2, 3))
+
+    def test_empty_graph(self):
+        assert clique_cover(Graph(0)) == ()
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    def test_complete_graph_is_one_part(self, k):
+        assert clique_cover(complete_graph(k)) == (tuple(range(k)),)
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_edgeless_graph_is_n_parts(self, n):
+        assert clique_cover(edgeless_graph(n)) == tuple((v,) for v in range(n))
+
+    def test_check_rejects_non_covers(self):
+        g = path_graph(4)
+        assert is_clique_cover(g, ((0, 1), (2, 3)))
+        assert not is_clique_cover(g, ((0, 1, 2), (3,)))  # 0 and 2 not adjacent
+        assert not is_clique_cover(g, ((0, 1), (2,)))  # misses vertex 3
+        assert not is_clique_cover(g, ((0, 1), (1, 2), (3,)))  # overlap
+        assert not is_clique_cover(g, ((0, 1), (2, 3), ()))  # empty part
+        assert not is_clique_cover(g, ((0, 1), (2, 3), (4,)))  # unknown vertex
+
+    @settings(max_examples=200, deadline=None)
+    @given(unlabelled_graphs())
+    def test_partitions_into_cliques_bounding_alpha(self, g):
+        cover = clique_cover(g)
+        assert is_clique_cover(g, cover)
+        assert len(cover) >= isp_coeffs_by_enumeration(g).degree

@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import indpoly.interpolate
 from indpoly import (
@@ -17,7 +19,9 @@ from indpoly import (
     OracleError,
     Polynomial,
     build_clone_family,
+    clique_cover,
     complete_graph,
+    edgeless_graph,
     interpolate_coeffs,
     interpolate_family,
     isp_coeffs,
@@ -60,10 +64,17 @@ class TestBuildCloneFamily:
 
     def test_dump_records(self):
         family = build_clone_family(2, 2)
-        records = family.dump_records()
+        records = family.dump_records(2)
         assert len(records) == 3
         assert records[0].keys() == {"i", "s_set", "point", "clone_vertices"}
         assert records[1]["clone_vertices"] == 2 * family.sets[1].block
+
+    def test_dump_records_count_the_graph_not_the_degree(self):
+        g = path_graph(5)  # cover of 3 cliques, so d = 3 < n = 5
+        family = build_clone_family(2, len(clique_cover(g)))
+        assert family.degree == 3
+        for record, spec in zip(family.dump_records(g.n), family.sets):
+            assert record["clone_vertices"] == s_clone(g, spec).n
 
     def test_bad_n(self):
         with pytest.raises(DomainError):
@@ -160,14 +171,50 @@ class TestInterpolatePipeline:
         family = build_clone_family(Fraction(1, 2), g.n)
         assert interpolate_family(g, family, InternalOracle()) == isp_coeffs_by_enumeration(g)
 
-    def test_family_size_must_match_graph(self):
-        with pytest.raises(DomainError):
+    def test_family_smaller_than_cover_rejected(self):
+        # alpha(P4) = 2 and its cover has 2 cliques: a 2-point family is short.
+        with pytest.raises(DomainError, match="needs 3"):
+            interpolate_family(path_graph(4), build_clone_family(2, 1), InternalOracle())
+
+    def test_every_degree_bound_from_cover_to_n_agrees(self):
+        for g in (path_graph(4), path_graph(6), complete_graph(3), random_graph(random.Random(44), 7)):
+            expected = isp_coeffs_by_enumeration(g)
+            for x in (Fraction(2), Fraction(1, 2)):
+                for d in range(len(clique_cover(g)), g.n + 1):
+                    family = build_clone_family(x, d)
+                    assert interpolate_family(g, family, InternalOracle()) == expected
+
+    @pytest.mark.parametrize("bad_cover", [((0, 1, 2, 3),), ((0, 1), (2,)), ((0, 1), (1, 2), (3,))])
+    def test_failed_certificate_never_feeds_interpolation(self, monkeypatch, bad_cover):
+        monkeypatch.setattr(indpoly.interpolate, "clique_cover", lambda g: bad_cover)
+        with pytest.raises(DomainError, match="certificate"):
             interpolate_family(path_graph(4), build_clone_family(2, 3), InternalOracle())
 
     def test_oracle_capacity_reported_per_clone(self):
         oracle = InternalOracle(max_vertices=3)
         with pytest.raises(CapacityError, match="clone 0"):
             interpolate_coeffs(complete_graph(3), 2, oracle=oracle)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, keep in zip(pairs, chosen) if keep])
+
+
+class TestInterpolateAgainstEnumeration:
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(), st.sampled_from([Fraction(2), Fraction(1, 2), Fraction(-1, 5)]))
+    @example(complete_graph(1), Fraction(2))
+    @example(complete_graph(6), Fraction(-1, 5))  # d = 1
+    @example(complete_graph(9), Fraction(1, 2))
+    @example(edgeless_graph(1), Fraction(1, 2))
+    @example(edgeless_graph(6), Fraction(2))  # d = n
+    @example(edgeless_graph(9), Fraction(-1, 5))
+    def test_interpolate_matches_enumeration(self, g, x):
+        assert interpolate_coeffs(g, x) == isp_coeffs_by_enumeration(g)
 
 
 def _write_oracle_script(tmp_path, body: str) -> str:
