@@ -3,16 +3,19 @@
 Walks the full reduction chain on a small formula: exact brute-force
 counting, the parsimonious 3-CNF -> X3SAT gadget rewrite, and the
 X3SAT -> graph construction whose size-m independent sets are in
-bijection with the solutions.
+bijection with the solutions.  Those sets take one vertex from each
+clause clique, and the composed pipeline counts them that way.
 """
 
 from indpoly import (
     count_is_of_size,
     count_sat,
     count_sat_via_independent_sets,
+    count_transversal_is,
     count_x3sat,
     graph_to_text,
     parse_dimacs,
+    reduce_to_graph,
     reduce_to_x3sat,
     x3sat_to_graph,
 )
@@ -57,6 +60,11 @@ print(f"independent sets of size exactly {target}: pick one true literal per cla
 print(f"multiplier for declared-but-unused variables: {multiplier}")
 count = multiplier * count_is_of_size(graph, target)
 print(f"multiplier * count_is_of_size(graph, {target}) = {count}")
+cliques = reduce_to_graph(formula).cliques
+transversals = multiplier * count_transversal_is(graph, cliques)
+print(f"{len(cliques)} clause cliques; one vertex from each, no two adjacent:")
+print(f"multiplier * count_transversal_is(graph, cliques) = {transversals}")
+assert transversals == count
 
 print()
 print("=" * 64)

@@ -6,23 +6,26 @@ Literals follow the DIMACS convention: variable i is the positive literal
 variable count; declared-but-unused variables matter, because they turn
 into an explicit power-of-two multiplier in the reductions.
 
-``count_sat`` and ``count_x3sat`` enumerate all 2^n assignments (no
-solver shortcuts); the enumeration is vectorized over numpy blocks and
-refuses to run beyond ``max_variables``.
+``count_sat`` and ``count_x3sat`` check all 2^n assignments (no solver
+shortcuts) and refuse to run beyond ``max_variables``.  The check is
+bitsliced over Python integers: bit a of a variable's truth table is its
+value under assignment a, so one bitwise operation evaluates a literal
+connective on a whole block of 2^``_BLOCK_BITS`` assignments at once.
+
+``GraphReduction.count`` counts through the composed reduction's graph,
+with ``count_transversal_is`` on the per-clause cliques.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CapacityError, FormulaError
 from .graphs import Graph
-from .isp import count_is_of_size
+from .isp import count_transversal_is
 
 DEFAULT_ASSIGNMENT_BOUND = 24
-_BLOCK = 1 << 20
+_BLOCK_BITS = 20  # assignments are checked in blocks of 2^_BLOCK_BITS
 
 
 class CnfFormula:
@@ -150,34 +153,54 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(n, clauses)
 
 
-def _count_assignments(f: CnfFormula, clause_holds, max_variables: int) -> int:
-    """Number of the 2^n assignments under which every clause holds,
-    enumerated over numpy blocks.  ``clause_holds`` maps, per assignment,
-    the number of true literals of a clause to whether the clause holds."""
-    if f.variable_count > max_variables:
+def _truth_table(var: int, size: int) -> int:
+    """Bit a is bit ``var`` of a, for a in range(size): runs of 2^var zeros
+    then 2^var ones, doubled up to ``size`` bits (a power of two above
+    2^var)."""
+    run = 1 << var
+    table = ((1 << run) - 1) << run
+    span = 2 * run
+    while span < size:
+        table |= table << span
+        span *= 2
+    return table
+
+
+def _count_assignments(f: CnfFormula, exactly_one: bool, max_variables: int) -> int:
+    """Number of the 2^n assignments under which every clause has at least
+    one true literal, or exactly one when ``exactly_one`` is set.
+
+    Assignments run in blocks of 2^w, w = min(n, _BLOCK_BITS): within a
+    block the low w variables take every value (their truth tables) and
+    the others are constant (all ones or all zeros)."""
+    n = f.variable_count
+    if n > max_variables:
         raise CapacityError(
-            f"exhaustive enumeration over {f.variable_count} variables exceeds "
-            f"the bound {max_variables}"
+            f"exhaustive enumeration over {n} variables exceeds the bound {max_variables}"
         )
+    width = min(n, _BLOCK_BITS)
+    size = 1 << width
+    ones = (1 << size) - 1
+    tables = [_truth_table(var, size) for var in range(width)]
     total = 0
-    limit = 1 << f.variable_count
-    for base in range(0, limit, _BLOCK):
-        hi = min(base + _BLOCK, limit)
-        assigns = np.arange(base, hi, dtype=np.int64)
-        ok = np.ones(hi - base, dtype=bool)
+    for high in range(1 << (n - width)):
+        value = tables + [ones if high >> k & 1 else 0 for k in range(n - width)]
+        ok = ones
         for clause in f.clauses:
-            true_count = np.zeros(hi - base, dtype=np.uint8)
+            seen = many = 0
             for lit in clause:
-                bit = ((assigns >> (abs(lit) - 1)) & 1).astype(np.uint8)
-                true_count += bit if lit > 0 else 1 - bit
-            ok &= clause_holds(true_count)
-        total += int(np.count_nonzero(ok))
+                true = value[lit - 1] if lit > 0 else value[-lit - 1] ^ ones
+                if exactly_one:
+                    many |= seen & true
+                seen |= true
+            ok &= seen ^ many  # many is a subset of seen
+        total += ok.bit_count()
     return total
 
 
 def count_sat(f: CnfFormula, *, max_variables: int = DEFAULT_ASSIGNMENT_BOUND) -> int:
     """Exact number of satisfying assignments, over all 2^n assignments."""
-    return _count_assignments(f, lambda true_count: true_count >= 1, max_variables)
+    return _count_assignments(f, False, max_variables)
 
 
 def count_x3sat(f: CnfFormula, *, max_variables: int = DEFAULT_ASSIGNMENT_BOUND) -> int:
@@ -188,7 +211,7 @@ def count_x3sat(f: CnfFormula, *, max_variables: int = DEFAULT_ASSIGNMENT_BOUND)
             raise FormulaError(
                 f"clause {idx} has width {len(clause)}; X3SAT needs width 2 or 3"
             )
-    return _count_assignments(f, lambda true_count: true_count == 1, max_variables)
+    return _count_assignments(f, True, max_variables)
 
 
 def reduce_to_x3sat(f: CnfFormula) -> CnfFormula:
@@ -298,17 +321,20 @@ def x3sat_to_graph(f: CnfFormula):
 class GraphReduction:
     """The composed reduction 3-CNF -> X3SAT -> independent sets: the
     formula has multiplier times as many satisfying assignments as
-    ``graph`` has independent sets of size ``target``."""
+    ``graph`` has independent sets of size ``target``.  ``cliques`` holds
+    the vertices of each reduced clause: ``target`` cliques that partition
+    the graph, so those independent sets take one vertex from each."""
 
     formula: CnfFormula
     reduced: CnfFormula
     graph: Graph
     target: int
     multiplier: int
+    cliques: tuple
 
     def count(self) -> int:
         """Satisfying assignments of the formula, counted on the graph."""
-        return self.multiplier * count_is_of_size(self.graph, self.target)
+        return self.multiplier * count_transversal_is(self.graph, self.cliques)
 
     def report(self) -> dict:
         """Sizes of every stage, as the fields of a CLI record."""
@@ -327,7 +353,11 @@ def reduce_to_graph(f: CnfFormula) -> GraphReduction:
     """Run both reductions on a 3-CNF formula."""
     reduced = reduce_to_x3sat(f)
     graph, target, multiplier = x3sat_to_graph(reduced)
-    return GraphReduction(f, reduced, graph, target, multiplier)
+    cliques, start = [], 0
+    for clause in reduced.clauses:  # x3sat_to_graph numbers them in order
+        cliques.append(tuple(range(start, start + len(clause))))
+        start += len(clause)
+    return GraphReduction(f, reduced, graph, target, multiplier, tuple(cliques))
 
 
 def count_sat_via_independent_sets(f: CnfFormula) -> int:

@@ -19,11 +19,17 @@ and tested against each other:
   digits are the coefficients), and
 * plain enumeration of subsets, bounded by ``max_vertices``.
 
-The branching route has no hard vertex bound (cost is exponential only
+A third route, ``count_transversal_is``, counts only the independent sets
+that meet every part of a given clique partition exactly once (these are
+the independent sets of size t for a partition into t cliques, the count
+the #X3SAT -> #IS reduction asks for).  It branches on a part, not a
+vertex, and needs no big integers.
+
+The branching routes have no hard vertex bound (cost is exponential only
 in the 2-core, so pendant-heavy graphs stay cheap); the enumeration
-route fails loudly with ``CapacityError`` beyond its bound.  Neither
-route ever uses the clone/path shift identities, so those identities
-can be tested against these evaluators without circularity.
+route fails loudly with ``CapacityError`` beyond its bound.  No route
+ever uses the clone/path shift identities, so those identities can be
+tested against these evaluators without circularity.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import CapacityError, DomainError
-from .graphs import Graph
+from .graphs import Graph, is_clique_cover
 from .quadfield import as_rational, format_rational
 
 DEFAULT_ENUMERATION_BOUND = 20
@@ -205,6 +211,70 @@ def isp_coeffs(g: Graph) -> Polynomial:
     width = g.n + 1
     bits = format(isp_eval(g, 1 << width).numerator, "b").zfill(width * width)
     return Polynomial([int(bits[end - width:end], 2) for end in range(width * width, 0, -width)])
+
+
+def count_transversal_is(g: Graph, parts) -> int:
+    """Number of independent sets of g that meet every part of the clique
+    partition ``parts`` exactly once: the independent sets of size
+    len(parts), since no independent set meets a clique twice.
+
+    The recursion branches on the live part with the fewest live vertices.
+    Choosing v removes v's part and v's neighbours, and a choice dies as
+    soon as another part has no live vertex left.  A component of the live
+    vertices is a union of whole live parts and is counted on its own,
+    memoised on its vertex mask; an isolated live vertex is a whole part
+    and contributes the factor 1."""
+    if not is_clique_cover(g, parts):
+        raise DomainError("parts are not a partition of the vertices into cliques")
+    masks = g.neighbor_masks()
+    part_of = [0] * g.n  # each vertex's whole part, as a bitmask
+    for part in parts:
+        part_mask = sum(1 << v for v in part)
+        for v in part:
+            part_of[v] = part_mask
+    memo = {}
+
+    def component_count(comp):
+        val = memo.get(comp)
+        if val is not None:
+            return val
+        branch = comp
+        rest = comp
+        while rest:
+            live = part_of[(rest & -rest).bit_length() - 1] & comp
+            if live.bit_count() < branch.bit_count():
+                branch = live
+                if not live & (live - 1):
+                    break
+            rest ^= live
+        val = 0
+        choices = branch
+        while choices:
+            b = choices & -choices
+            choices ^= b
+            nbrs = masks[b.bit_length() - 1] & comp
+            left = comp & ~(branch | nbrs)
+            hit = nbrs & ~branch  # only parts that lost a neighbour of v can empty
+            while hit:
+                part = part_of[(hit & -hit).bit_length() - 1]
+                if not part & left:
+                    break
+                hit &= ~part
+            else:
+                val += mask_count(left)
+        memo[comp] = val
+        return val
+
+    def mask_count(mask):
+        result = 1  # each isolated vertex is a whole part: factor 1
+        for comp in _components_of(mask, masks)[0]:
+            result *= component_count(comp)
+            if not result:
+                break
+        return result
+
+    with _recursion_depth(len(parts)):
+        return mask_count((1 << g.n) - 1)
 
 
 def _check_enumeration_bound(g: Graph, max_vertices: int):

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import indpoly.cnf
 from indpoly import (
     CapacityError,
     CnfFormula,
@@ -331,3 +333,129 @@ class TestEndToEnd:
         for _ in range(25):
             f = random_3cnf(rng, rng.randint(1, 4), rng.randint(0, 2))
             assert count_sat_via_independent_sets(f) == count_sat(f)
+
+
+def _product_count(f: CnfFormula, holds) -> int:
+    """Assignments, by itertools.product, under which every clause's number
+    of true literals satisfies ``holds``."""
+    return sum(
+        all(holds(sum(values[abs(lit) - 1] == (lit > 0) for lit in clause)) for clause in f.clauses)
+        for values in itertools.product((False, True), repeat=f.variable_count)
+    )
+
+
+@st.composite
+def wide_cnf_formulas(draw):
+    """n = 0..12 with up to 10 clauses of width 1..4 given with repeated
+    literals and complementary pairs (tautological clauses) allowed."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    if n == 0:
+        return CnfFormula(0, [])
+    literal = st.integers(min_value=1, max_value=n).flatmap(lambda v: st.sampled_from([v, -v]))
+    return CnfFormula(n, draw(st.lists(st.lists(literal, min_size=1, max_size=4), max_size=10)))
+
+
+@st.composite
+def x3sat_formulas(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    literal = st.integers(min_value=1, max_value=n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clause = st.lists(literal, min_size=2, max_size=3).filter(lambda c: len(set(c)) == len(c))
+    return CnfFormula(n, draw(st.lists(clause, max_size=8)))
+
+
+class TestBitslicedCounters:
+    @settings(max_examples=150, deadline=None)
+    @given(wide_cnf_formulas())
+    def test_count_sat_matches_product(self, f):
+        assert count_sat(f) == _product_count(f, lambda k: k >= 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(x3sat_formulas())
+    def test_count_x3sat_matches_product(self, f):
+        assert count_x3sat(f) == _product_count(f, lambda k: k == 1)
+
+    @pytest.mark.parametrize("block_bits", [0, 1, 3])
+    def test_multi_block_path(self, monkeypatch, block_bits):
+        monkeypatch.setattr(indpoly.cnf, "_BLOCK_BITS", block_bits)
+        rng = random.Random(27)
+        for n in range(0, 13):
+            clauses = [
+                [rng.choice([v, -v]) for v in rng.sample(range(1, n + 1), min(n, rng.randint(1, 3)))]
+                for _ in range(rng.randint(0, 2 * n))
+            ] if n else []
+            f = CnfFormula(n, clauses)
+            assert count_sat(f) == _product_count(f, lambda k: k >= 1)
+            x3 = CnfFormula(n, [c for c in clauses if len(c) in (2, 3)])
+            assert count_x3sat(x3) == _product_count(x3, lambda k: k == 1)
+
+    def test_duplicate_and_tautological_literals(self):
+        f = CnfFormula(3, [[1, 1, -1], [2, -3, 2], [-2, 3, -2]])
+        assert count_sat(f) == _product_count(f, lambda k: k >= 1) == 4
+        g = CnfFormula(3, [[1, -1], [1, 2, 2]])
+        assert count_x3sat(g) == _product_count(g, lambda k: k == 1) == 4
+
+    def test_error_messages_unchanged(self):
+        with pytest.raises(CapacityError, match=r"^exhaustive enumeration over 30 variables exceeds the bound 24$"):
+            count_sat(CnfFormula(30, [[1]]))
+        with pytest.raises(CapacityError, match=r"^exhaustive enumeration over 13 variables exceeds the bound 12$"):
+            count_x3sat(CnfFormula(13, [[1, 2]]), max_variables=12)
+        with pytest.raises(FormulaError, match=r"^clause 2 has width 1; X3SAT needs width 2 or 3$"):
+            count_x3sat(CnfFormula(3, [[1, 2], [3]]))
+        with pytest.raises(FormulaError, match=r"^clause 1 has width 4; X3SAT needs width 2 or 3$"):
+            count_x3sat(CnfFormula(4, [[1, 2, 3, 4]]))
+
+
+class TestReductionCountsTransversals:
+    """GraphReduction.count counts the independent sets that take one
+    vertex from each clause clique; it must equal count_sat."""
+
+    def test_cliques_are_the_clause_blocks(self):
+        reduction = reduce_to_graph(CnfFormula(4, [[1, -2, 3], [2, 4]]))
+        assert len(reduction.cliques) == reduction.target == 10
+        assert [len(c) for c in reduction.cliques] == [len(c) for c in reduction.reduced.clauses]
+        assert sum(reduction.cliques, ()) == tuple(range(reduction.graph.n))
+
+    def test_matches_kronecker_route(self):
+        rng = random.Random(28)
+        for _ in range(15):
+            f = random_3cnf(rng, rng.randint(1, 5), rng.randint(0, 3))
+            reduction = reduce_to_graph(f)
+            assert reduction.count() == reduction.multiplier * count_is_of_size(reduction.graph, reduction.target)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cnf_formulas().filter(lambda f: all(len(c) <= 3 for c in f.clauses)))
+    def test_matches_count_sat(self, f):
+        assert count_sat_via_independent_sets(f) == count_sat(f)
+
+    @pytest.mark.parametrize(
+        "n, clauses, expected",
+        [
+            (0, [], 1),  # empty formula, t = 0
+            (3, [], 8),  # empty formula, 2^n
+            (2, [[1], [-1]], 0),  # unsatisfiable, width 1
+            (3, [[1, 2], [-1, -2], [1, -2]], 2),  # width 2, variable 3 unused
+            (2, [[1, -1, 2]], 4),  # clause with x and not x
+            (5, [[1, 2, 3], [-1, -2, -3], [1], [-2, 3]], 8),  # mixed widths, 4 and 5 unused
+        ],
+    )
+    def test_worked_formulas(self, n, clauses, expected):
+        f = CnfFormula(n, clauses)
+        assert count_sat(f) == expected
+        assert count_sat_via_independent_sets(f) == expected
+
+    def test_unsatisfiable_random(self):
+        rng = random.Random(29)
+        seen = 0
+        for _ in range(40):
+            f = random_3cnf(rng, 3, 8)
+            if count_sat(f) == 0:
+                seen += 1
+                assert count_sat_via_independent_sets(f) == 0
+        assert seen >= 5
+
+    def test_pinned_fifty_clauses(self):
+        rng = random.Random(50)
+        f = CnfFormula(20, [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 21), 3)] for _ in range(50)])
+        reduction = reduce_to_graph(f)
+        assert reduction.graph.n == 700
+        assert reduction.count() == count_sat(f) == 2329

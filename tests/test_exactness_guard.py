@@ -4,9 +4,15 @@ The guard parses every module of the package and rejects calls to
 ``float``, ``math.log*``, ``math.sqrt``, ``math.exp`` and any ``.to_float``
 method.  Float literals (the edge probabilities of the random generators
 in ``verify.py``) are not calls and stay allowed.
+
+A second guard keeps the package free of dependencies: every import is
+relative or names a standard-library module, so no numeric library can
+come back in.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import indpoly
@@ -56,3 +62,36 @@ def test_package_makes_no_float_calls():
         for line, name in float_calls(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert offenders == []
+
+
+def foreign_imports(tree):
+    """(line, module) of every absolute import outside the standard library."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_import_guard_catches_third_party_modules():
+    source = "import numpy as np\nfrom scipy.special import comb\nimport os.path\nfrom . import graphs\nfrom .isp import isp_eval\nfrom __future__ import annotations\n"
+    assert foreign_imports(ast.parse(source)) == [(1, "numpy"), (2, "scipy.special")]
+
+
+def test_package_imports_only_stdlib_and_itself():
+    offenders = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in foreign_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert offenders == []
+
+
+def test_cli_import_loads_no_numeric_library():
+    probe = "import sys, indpoly.cli; assert 'numpy' not in sys.modules"
+    assert subprocess.run([sys.executable, "-c", probe]).returncode == 0

@@ -13,9 +13,11 @@ from indpoly import (
     DomainError,
     Graph,
     Polynomial,
+    clique_cover,
     complete_graph,
     count_is_of_size,
     count_is_of_size_by_enumeration,
+    count_transversal_is,
     cycle_graph,
     edgeless_graph,
     isp_coeffs,
@@ -24,8 +26,9 @@ from indpoly import (
     isp_multivariate,
     k_clone,
     path_graph,
+    x3sat_to_graph,
 )
-from indpoly.verify import all_graphs, random_graph
+from indpoly.verify import all_graphs, random_graph, random_x3sat
 
 
 class TestPolynomial:
@@ -294,3 +297,86 @@ class TestKernelHelpers:
     @given(graphs_with_isolated_vertices(), st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(3, 7)]))
     def test_eval_with_isolated_vertices_matches_enumeration(self, g, x):
         assert isp_eval(g, x) == isp_multivariate(g, {v: x for v in range(g.n)})
+
+
+@st.composite
+def partitioned_graphs(draw):
+    """A random partition of 0..n-1 into cliques, plus random edges between
+    parts, under a random relabelling: (graph, parts)."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    label = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=max(n - 1, 1)), max_size=n)))
+    bounds = [0] + [c for c in cuts if c < n] + [n]
+    parts = [tuple(label[v] for v in range(a, b)) for a, b in zip(bounds, bounds[1:]) if a < b]
+    edges = {(min(u, v), max(u, v)) for part in parts for u in part for v in part if u != v}
+    cross = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    chosen = draw(st.lists(st.booleans(), min_size=len(cross), max_size=len(cross)))
+    edges |= {e for e, keep in zip(cross, chosen) if keep}
+    return Graph(n, edges), tuple(parts)
+
+
+def _ladder(parts: int):
+    """P_(2k) split into its k consecutive edges: the picks are some left
+    ends then only right ends, so there are k + 1 transversals, and every
+    choice leaves one connected remainder (recursion depth k)."""
+    return path_graph(2 * parts), tuple((2 * i, 2 * i + 1) for i in range(parts))
+
+
+class TestTransversalCount:
+    @settings(max_examples=200, deadline=None)
+    @given(partitioned_graphs())
+    def test_equals_independent_sets_of_size_t(self, case):
+        g, parts = case
+        assert count_transversal_is(g, parts) == count_is_of_size_by_enumeration(g, len(parts))
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs())
+    def test_on_greedy_clique_cover(self, g):
+        cover = clique_cover(g)
+        assert count_transversal_is(g, cover) == count_is_of_size(g, len(cover))
+
+    def test_on_reduction_graphs(self):
+        rng = random.Random(26)
+        for _ in range(40):
+            f = random_x3sat(rng, max_total_width=15)
+            g, target, _ = x3sat_to_graph(f)
+            widths = [len(c) for c in f.clauses]
+            starts = [sum(widths[:i]) for i in range(len(widths))]
+            parts = tuple(tuple(range(s, s + w)) for s, w in zip(starts, widths))
+            assert count_transversal_is(g, parts) == count_is_of_size(g, target)
+
+    def test_small_cases(self):
+        assert count_transversal_is(Graph(0), ()) == 1
+        assert count_transversal_is(complete_graph(3), ((0, 1, 2),)) == 3
+        assert count_transversal_is(edgeless_graph(4), tuple((v,) for v in range(4))) == 1
+        assert count_transversal_is(complete_graph(4), ((0, 1), (2, 3))) == 0
+        assert count_transversal_is(*_ladder(5)) == 6
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            ((0, 1, 2), (3,)),  # 0 and 2 not adjacent
+            ((0, 1), (2,)),  # misses vertex 3
+            ((0, 1), (1, 2), (3,)),  # overlap
+            ((0, 1), (2, 3), ()),  # empty part
+            ((0, 1), (2, 3), (4,)),  # unknown vertex
+        ],
+    )
+    def test_rejects_non_partition(self, parts):
+        with pytest.raises(DomainError, match="partition"):
+            count_transversal_is(path_graph(4), parts)
+
+    def test_deep_recursion_restores_limit(self):
+        before = sys.getrecursionlimit()
+        assert count_transversal_is(*_ladder(600)) == 601
+        assert sys.getrecursionlimit() == before
+
+    def test_restores_recursion_limit_on_error(self, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(indpoly.isp, "_components_of", fail)
+        before = sys.getrecursionlimit()
+        with pytest.raises(RuntimeError):
+            count_transversal_is(*_ladder(600))
+        assert sys.getrecursionlimit() == before
