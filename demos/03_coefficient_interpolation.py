@@ -31,7 +31,7 @@ cover = clique_cover(g)
 d = len(cover)
 print(f"clique cover {[list(part) for part in cover]} certifies degree <= d = {d}")
 family = build_clone_family(x, d)
-print(f"offset s0 = {family.offset}, spacing = {family.spacing}")
+print(f"path lengths start at 1, spacing = {family.spacing}")
 print(f"{'i':>2}  {'S_i':<12} {'x(S_i)':<12} clone vertices")
 for record in family.dump_records(g.n):
     print(f"{record['i']:>2}  {str(record['s_set']):<12} {record['point']:<12} {record['clone_vertices']}")
@@ -54,6 +54,16 @@ print("=" * 64)
 for i, spec in enumerate(family.sets):
     cloned = s_clone(g, spec)
     print(f"  S_{i}: clone has {cloned.n} vertices ({cloned.n // g.n} per original)")
+
+print()
+print("=" * 64)
+print("The empty graph takes the same path")
+print("=" * 64)
+empty = Graph(0)
+empty_family = build_clone_family(x, len(clique_cover(empty)))
+print(f"no cliques, so d = {empty_family.degree}: one member {empty_family.dump_records(empty.n)}")
+print(f"one oracle call recovers {[format_rational(c) for c in interpolate_coeffs(empty, x).coeffs]}")
+assert interpolate_coeffs(empty, x) == isp_coeffs(empty)
 
 print()
 print("The same pipeline accepts any oracle speaking the line protocol")

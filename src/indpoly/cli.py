@@ -15,6 +15,7 @@ formula or graph), 2 capacity errors, 3 I/O or oracle protocol errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -24,13 +25,7 @@ from .clonecalc import normalize_point
 from .cnf import count_sat, count_x3sat, parse_dimacs, reduce_to_graph, reduce_to_x3sat, x3sat_to_graph
 from .errors import CapacityError, DomainError, OracleError
 from .graphs import CloneSpec, clique_cover, graph_to_json_dict, graph_to_text, parse_graph, s_clone
-from .interpolate import (
-    ExternalOracle,
-    InternalOracle,
-    build_clone_family,
-    interpolate_coeffs,
-    interpolate_family,
-)
+from .interpolate import ExternalOracle, InternalOracle, build_clone_family, interpolate_family
 from .isp import isp_coeffs, isp_eval
 from .quadfield import format_rational, parse_rational
 from .verify import DEFAULT_SEED, SUITES, run_suites
@@ -87,14 +82,15 @@ def _cmd_count(args) -> dict:
 def _cmd_reduce_x3sat(args) -> dict:
     f = _load_formula(args.file)
     reduced = reduce_to_x3sat(f)
-    _write_out(args.out, reduced.to_dimacs())
+    dimacs = reduced.to_dimacs()
+    _write_out(args.out, dimacs)
     return {
         "file": args.file,
         "clauses_in": len(f.clauses),
         "clauses_out": len(reduced.clauses),
         "vars_in": f.variable_count,
         "vars_out": reduced.variable_count,
-        "dimacs": reduced.to_dimacs(),
+        "dimacs": dimacs,
     }
 
 
@@ -168,18 +164,15 @@ def _cmd_interpolate(args) -> dict:
     g = _load_graph(args.graph)
     x = parse_rational(args.at)
     oracle = ExternalOracle(args.oracle) if args.oracle else InternalOracle()
-    if g.n == 0:
-        poly, family = interpolate_coeffs(g, x, oracle=oracle), None
-    else:
-        family = build_clone_family(x, len(clique_cover(g)))
-        poly = interpolate_family(g, family, oracle)
+    family = build_clone_family(x, len(clique_cover(g)))
+    poly = interpolate_family(g, family, oracle)
     return {
         "graph": args.graph,
         "vertices": g.n,
         "at": format_rational(x),
         "oracle": oracle.kind,
         "coeffs": poly.to_json_dict()["coeffs"],
-        "family": family.dump_records(g.n) if family else [],
+        "family": family.dump_records(g.n),
     }
 
 
@@ -207,7 +200,10 @@ def _cmd_verify(args) -> dict:
     }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves no state
+    in it, so every ``main`` call can reuse it."""
     parser = _Parser(prog="indpoly", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -255,21 +255,22 @@ def x3sat_to_graph(f: CnfFormula):
     """Parsimonious reduction from X3SAT counting to counting independent
     sets of a fixed size.
 
-    One clique per clause (a triangle for width 3, an edge for width 2),
-    vertices labeled by literals.  For vertices u, v in different cliques:
-    the same literal connects each of them to the other's clique partners;
-    complementary literals connect u to v and each partner of u to each
-    partner of v.  Returns (graph, target_size, multiplier) with
+    One vertex per literal occurrence, labeled by the literal.  Choosing a
+    vertex makes its literal the only true one in its clause, which sets
+    some variables true and the others false.  Two vertices are adjacent
+    exactly when one of them sets true a variable that the other sets
+    false.  A clause's variables are distinct, so its vertices always
+    conflict: each clause is a clique (a triangle for width 3, an edge for
+    width 2).  Returns (graph, target_size, multiplier) with
 
         count_x3sat(f) == multiplier * count_is_of_size(graph, target_size)
 
     where target_size is the clause count and multiplier is 2^r for the r
     declared variables that appear in no clause.
     """
-    clique_of = []
     labels = {}
-    vertex = 0
-    clique_members = []
+    sets_true = []
+    sets_false = []
     for idx, clause in enumerate(f.clauses, start=1):
         width = len(clause)
         if width not in (2, 3):
@@ -280,39 +281,25 @@ def x3sat_to_graph(f: CnfFormula):
             raise FormulaError(
                 f"clause {idx} uses a variable twice (complementary pair)"
             )
-        members = []
-        for lit in clause:
-            labels[vertex] = lit
-            clique_of.append(idx - 1)
-            members.append(vertex)
-            vertex += 1
-        clique_members.append(members)
+        for chosen in clause:
+            true = false = 0
+            for lit in clause:
+                # The chosen literal becomes true, every partner false.
+                if (lit > 0) == (lit == chosen):
+                    true |= 1 << abs(lit)
+                else:
+                    false |= 1 << abs(lit)
+            labels[len(sets_true)] = chosen
+            sets_true.append(true)
+            sets_false.append(false)
 
-    edges = set()
-    partners = {}
-    for members in clique_members:
-        for u in members:
-            partners[u] = [w for w in members if w != u]
-            for w in members:
-                if u < w:
-                    edges.add((u, w))
-
-    total = vertex
-    for u in range(total):
-        for v in range(u + 1, total):
-            if clique_of[u] == clique_of[v]:
-                continue
-            if labels[u] == labels[v]:
-                for p in partners[v]:
-                    edges.add((min(u, p), max(u, p)))
-                for p in partners[u]:
-                    edges.add((min(v, p), max(v, p)))
-            elif labels[u] == -labels[v]:
-                edges.add((u, v))
-                for p in partners[u]:
-                    for q in partners[v]:
-                        edges.add((min(p, q), max(p, q)))
-
+    total = len(sets_true)
+    edges = [
+        (u, v)
+        for u in range(total)
+        for v in range(u + 1, total)
+        if sets_true[u] & sets_false[v] or sets_false[u] & sets_true[v]
+    ]
     multiplier = 2 ** f.unused_variable_count()
     return Graph(total, edges, labels), len(f.clauses), multiplier
 

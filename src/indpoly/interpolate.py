@@ -13,6 +13,10 @@ is evaluated at the single fixed point x by an oracle, the clone
 correction factor is divided out to recover I(G; x(S_i)), and exact
 Lagrange interpolation returns the coefficient vector.
 
+Every graph takes this one path.  For d = 0, the bound of the empty
+graph, i has no bits, so the only member is S_0 = {}: its clone is the
+graph itself, its shifted point is 0 and its correction factor is 1.
+
 The offset 1 needs no search: a path length s would be unusable only if
 C_s or B_s + C_s = C_(s+1) vanished, and for nondegenerate x neither
 does (see the clonecalc module).
@@ -34,7 +38,7 @@ import subprocess
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clonecalc import _require_nondegenerate, clone_correction_factor, clone_shifted_point
+from .clonecalc import clone_correction_factor, clone_shifted_point
 from .errors import CapacityError, DomainError, OracleError
 from .graphs import CloneSpec, Graph, clique_cover, graph_to_json_dict, is_clique_cover, s_clone
 from .isp import Polynomial, isp_eval
@@ -55,14 +59,9 @@ class CloneFamily:
 
     x: Fraction
     degree: int
-    offset: int
     spacing: int
     sets: tuple
     points: tuple
-
-    def clone_vertex_count(self, i: int, n: int) -> int:
-        """Vertices of the S_i-clone of an n-vertex graph."""
-        return n * self.sets[i].block
 
     def dump_records(self, n: int) -> list:
         """One record per member, for use on an n-vertex graph."""
@@ -71,14 +70,14 @@ class CloneFamily:
                 "i": i,
                 "s_set": list(self.sets[i].entries),
                 "point": format_rational(self.points[i]),
-                "clone_vertices": self.clone_vertex_count(i, n),
+                "clone_vertices": n * self.sets[i].block,
             }
             for i in range(len(self.sets))
         ]
 
 
 def _family_sets(d: int, spacing: int) -> tuple:
-    bits = d.bit_length() - 1  # floor(log2 d) for d >= 1
+    bits = d.bit_length() - 1  # floor(log2 d) for d >= 1; -1 for d = 0
     sets = []
     for i in range(d + 1):
         entries = [_FAMILY_OFFSET + spacing * (2 * j + ((i >> j) & 1)) for j in range(bits + 1)]
@@ -91,14 +90,14 @@ def build_clone_family(x, d: int) -> CloneFamily:
     pairwise distinct shifted points, starting at spacing 1 and doubling on
     any exact collision."""
     x = as_rational(x)
-    if d < 1:
-        raise DomainError(f"family size needs degree bound d >= 1, got {d}")
+    if d < 0:
+        raise DomainError(f"family size needs degree bound d >= 0, got {d}")
     spacing = 1
     for _ in range(_MAX_DOUBLINGS):
         sets = _family_sets(d, spacing)
         points = tuple(clone_shifted_point(x, spec) for spec in sets)
         if len(set(points)) == d + 1:
-            return CloneFamily(x, d, _FAMILY_OFFSET, spacing, sets, points)
+            return CloneFamily(x, d, spacing, sets, points)
         spacing *= 2
     raise AssertionError("spacing escalation failed to separate the points")
 
@@ -146,14 +145,7 @@ class InternalOracle:
 
     kind = "internal_definitional"
 
-    def __init__(self, max_vertices: int | None = None):
-        self.max_vertices = max_vertices
-
     def evaluate(self, g: Graph, x) -> Fraction:
-        if self.max_vertices is not None and g.n > self.max_vertices:
-            raise CapacityError(
-                f"oracle bound {self.max_vertices} exceeded by {g.n}-vertex graph"
-            )
         return isp_eval(g, x)
 
 
@@ -225,12 +217,8 @@ def interpolate_coeffs(g: Graph, x, oracle=None) -> Polynomial:
     ``clique_cover(g)`` and run interpolate_family on it.
 
     Requires nondegenerate x (compose with normalize_point otherwise)."""
-    x = as_rational(x)
-    _require_nondegenerate(x)  # also on the empty graph, which returns early
     if oracle is None:
         oracle = InternalOracle()
-    if g.n == 0:
-        return Polynomial([1])
     return interpolate_family(g, build_clone_family(x, len(clique_cover(g))), oracle)
 
 

@@ -56,7 +56,7 @@ from .graphs import (
     k_clone,
     s_clone,
 )
-from .interpolate import build_clone_family, interpolate_coeffs
+from .interpolate import InternalOracle, build_clone_family, interpolate_family
 from .isp import (
     count_is_of_size,
     isp_coeffs,
@@ -497,7 +497,7 @@ def suite_pipeline(seed: int):
             d = len(clique_cover(g))
             family = build_clone_family(x, d)
             distinct = len(set(family.points)) == d + 1
-            got = interpolate_coeffs(g, x)
+            got = interpolate_family(g, family, InternalOracle())
             expected = isp_coeffs(g)
             ok = distinct and got == expected
             yield {

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from indpoly import CloneSpec, clique_cover, path_graph, s_clone
-from indpoly.cli import main
+from indpoly.cli import _build_parser, main
 from indpoly.verify import SUITES
 
 CLI = [sys.executable, "-m", "indpoly"]
@@ -18,6 +18,24 @@ def run_cli(*args, **kwargs):
 
 def records_of(stdout: str):
     return [json.loads(line) for line in stdout.splitlines() if line.strip()]
+
+
+def conforming_oracle(tmp_path) -> str:
+    """Command of an external oracle that answers with the internal
+    evaluator and appends each request to ``requests.jsonl``."""
+    script = tmp_path / "oracle.py"
+    log = tmp_path / "requests.jsonl"
+    script.write_text(
+        "import json, sys\n"
+        "from indpoly import graph_from_json_dict, isp_eval, format_rational\n"
+        "line = sys.stdin.readline()\n"
+        f"with open({str(log)!r}, 'a') as handle:\n"
+        "    handle.write(line)\n"
+        "request = json.loads(line)\n"
+        "value = isp_eval(graph_from_json_dict(request['graph']), request['point'])\n"
+        "print(json.dumps({'value': format_rational(value)}))\n"
+    )
+    return f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
 
 
 @pytest.fixture
@@ -133,18 +151,23 @@ class TestPolynomialCommands:
             assert entry["clone_vertices"] == s_clone(g, CloneSpec(entry["s_set"])).n
 
     def test_interpolate_with_external_oracle(self, k2_graph, tmp_path):
-        script = tmp_path / "oracle.py"
-        script.write_text(
-            "import json, sys\n"
-            "from indpoly import graph_from_json_dict, isp_eval, format_rational\n"
-            "request = json.loads(sys.stdin.readline())\n"
-            "value = isp_eval(graph_from_json_dict(request['graph']), request['point'])\n"
-            "print(json.dumps({'value': format_rational(value)}))\n"
-        )
-        command = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
-        proc = run_cli("interpolate", k2_graph, "--at", "2/1", "--oracle", command)
+        proc = run_cli("interpolate", k2_graph, "--at", "2/1", "--oracle", conforming_oracle(tmp_path))
         assert proc.returncode == 0
         assert records_of(proc.stdout)[0]["coeffs"] == ["1/1", "2/1"]
+
+    @pytest.mark.parametrize("external", [False, True], ids=["internal", "external"])
+    def test_interpolate_empty_graph_is_a_one_member_family(self, tmp_path, external):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("p is 0 0\n")
+        oracle = ["--oracle", conforming_oracle(tmp_path)] if external else []
+        proc = run_cli("interpolate", str(empty), "--at", "2", *oracle)
+        assert proc.returncode == 0
+        (record,) = records_of(proc.stdout)
+        assert record["coeffs"] == ["1/1"]
+        assert record["family"] == [{"i": 0, "s_set": [], "point": "0/1", "clone_vertices": 0}]
+        if external:
+            requests = records_of((tmp_path / "requests.jsonl").read_text())
+            assert requests == [{"graph": {"n": 0, "edges": []}, "point": "2/1"}]
 
 
 class TestExitCodes:
@@ -235,7 +258,12 @@ class TestVerifyCommand:
             yield {"case": "fabricated failure", "status": "fail"}
 
         monkeypatch.setitem(SUITES, "_fabricated", failing_suite)
-        code = main(["verify", "--suite", "_fabricated", "--dump-dir", str(tmp_path)])
+        # --suite choices are read from SUITES when the cached parser is built.
+        _build_parser.cache_clear()
+        try:
+            code = main(["verify", "--suite", "_fabricated", "--dump-dir", str(tmp_path)])
+        finally:
+            _build_parser.cache_clear()
         assert code == 1
         case, summary = records_of(capsys.readouterr().out)
         assert case["status"] == "fail"
@@ -248,3 +276,15 @@ class TestVerifyCommand:
         assert a.returncode == b.returncode == 0
         # different seeds still pass; reports exist for both
         assert records_of(a.stdout) and records_of(b.stdout)
+
+
+class TestInProcessMain:
+    def test_successive_calls_share_no_state(self, tmp_path, capsys):
+        four = tmp_path / "four.cnf"
+        four.write_text("p cnf 4 1\n1 2 3 0\n")
+        assert main(["count-sat", str(four), "--max-vars", "3"]) == 2
+        assert "capacity" in capsys.readouterr().err
+        assert main(["count-sat", str(four)]) == 0
+        (record,) = records_of(capsys.readouterr().out)
+        assert record["count"] == 14
+        assert _build_parser() is _build_parser()

@@ -285,6 +285,39 @@ class TestX3SatToGraph:
             g, target, multiplier = x3sat_to_graph(f)
             assert count_x3sat(f) == multiplier * count_is_of_size(g, target)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_cross_clique_edges_are_conflicts(self, data):
+        # Independent definition: u and v in different cliques are
+        # non-adjacent iff some assignment of their clauses' variables makes
+        # each one's literal the only true literal of its clause.
+        n = data.draw(st.integers(min_value=3, max_value=8))
+        clauses = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+            variables = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=3, unique=True))
+            signs = data.draw(st.lists(st.booleans(), min_size=len(variables), max_size=len(variables)))
+            clauses.append([v if positive else -v for v, positive in zip(variables, signs)])
+        f = CnfFormula(n, clauses)
+        g, _, _ = x3sat_to_graph(f)
+        owner = [(index, lit) for index, clause in enumerate(f.clauses) for lit in clause]
+
+        def only_true(clause, chosen, values):
+            return all((values[abs(lit)] == (lit > 0)) == (lit == chosen) for lit in clause)
+
+        for u, v in itertools.combinations(range(g.n), 2):
+            (cu, lu), (cv, lv) = owner[u], owner[v]
+            if cu == cv:
+                continue
+            variables = sorted({abs(lit) for lit in f.clauses[cu] + f.clauses[cv]})
+            compatible = any(
+                only_true(f.clauses[cu], lu, values) and only_true(f.clauses[cv], lv, values)
+                for values in (
+                    dict(zip(variables, bits))
+                    for bits in itertools.product((False, True), repeat=len(variables))
+                )
+            )
+            assert g.has_edge(u, v) != compatible
+
     def test_rejects_complementary_pair_in_clause(self):
         with pytest.raises(FormulaError):
             x3sat_to_graph(CnfFormula(2, [[1, -1]]))

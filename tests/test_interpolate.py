@@ -38,8 +38,8 @@ class TestBuildCloneFamily:
     def test_n_1_structure(self):
         family = build_clone_family(2, 1)
         assert len(family.sets) == 2
-        assert family.sets[0].entries == (family.offset,)
-        assert family.sets[1].entries == (family.offset + family.spacing,)
+        assert family.sets[0].entries == (1,)
+        assert family.sets[1].entries == (1 + family.spacing,)
         assert family.points[0] != family.points[1]
 
     def test_size_law(self):
@@ -78,15 +78,18 @@ class TestBuildCloneFamily:
 
     def test_bad_n(self):
         with pytest.raises(DomainError):
-            build_clone_family(2, 0)
+            build_clone_family(2, -1)
+        family = build_clone_family(2, 0)
+        assert [spec.entries for spec in family.sets] == [()]
+        assert family.points == (0,)
 
     def test_offset_is_one_at_integer_eigenvalue_points(self):
         for x in (Fraction(2), Fraction(6)):
-            assert build_clone_family(x, 3).offset == 1
+            assert build_clone_family(x, 3).sets[0].entries == (1, 3)
 
     def test_offset_is_one_at_fractional_point(self):
         for x in (Fraction(1, 2), Fraction(-1, 5)):
-            assert build_clone_family(x, 3).offset == 1
+            assert build_clone_family(x, 3).sets[0].entries == (1, 3)
 
     def test_spacing_is_one(self):
         assert build_clone_family(2, 5).spacing == 1
@@ -148,6 +151,18 @@ class TestInterpolatePipeline:
     def test_empty_graph(self):
         assert interpolate_coeffs(Graph(0), 2) == Polynomial([1])
 
+    def test_empty_graph_is_a_one_member_family(self):
+        queries = []
+
+        class RecordingOracle:
+            def evaluate(self, g, x):
+                queries.append((g.n, x))
+                return isp_eval(g, x)
+
+        family = build_clone_family(Fraction(1, 2), len(clique_cover(Graph(0))))
+        assert interpolate_family(Graph(0), family, RecordingOracle()) == Polynomial([1])
+        assert queries == [(0, Fraction(1, 2))]
+
     def test_matches_direct_coefficients(self):
         rng = random.Random(42)
         for _ in range(8):
@@ -161,8 +176,8 @@ class TestInterpolatePipeline:
 
     @pytest.mark.parametrize("x", [0, Fraction(-1, 4), Fraction(-1, 2)])
     def test_degenerate_point_rejected_on_empty_graph(self, x):
-        # The empty graph returns before any clone family is built, so the
-        # up-front nondegeneracy check is all that rejects these points.
+        # The empty graph's family has the one member S = {}, which adds no
+        # path; its shifted point still checks x, so these points fail.
         with pytest.raises(DegeneratePointError):
             interpolate_coeffs(Graph(0), x)
 
@@ -191,9 +206,12 @@ class TestInterpolatePipeline:
             interpolate_family(path_graph(4), build_clone_family(2, 3), InternalOracle())
 
     def test_oracle_capacity_reported_per_clone(self):
-        oracle = InternalOracle(max_vertices=3)
+        class BoundedOracle:
+            def evaluate(self, g, x):
+                raise CapacityError(f"{g.n}-vertex graph over the bound")
+
         with pytest.raises(CapacityError, match="clone 0"):
-            interpolate_coeffs(complete_graph(3), 2, oracle=oracle)
+            interpolate_coeffs(complete_graph(3), 2, oracle=BoundedOracle())
 
 
 @st.composite
