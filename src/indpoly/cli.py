@@ -164,8 +164,9 @@ def _cmd_interpolate(args) -> dict:
     g = _load_graph(args.graph)
     x = parse_rational(args.at)
     oracle = ExternalOracle(args.oracle) if args.oracle else InternalOracle()
-    family = build_clone_family(x, len(clique_cover(g)))
-    poly = interpolate_family(g, family, oracle)
+    cover = clique_cover(g)
+    family = build_clone_family(x, len(cover))
+    poly = interpolate_family(g, cover, family, oracle)
     return {
         "graph": args.graph,
         "vertices": g.n,

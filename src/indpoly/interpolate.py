@@ -4,10 +4,11 @@ I(G; X) has degree alpha(G), the largest independent set size.  A
 partition of V into d cliques proves alpha(G) <= d, since an independent
 set meets each clique at most once, so evaluating I at d+1 pairwise
 distinct points determines it.  ``graphs.clique_cover`` builds such a
-partition greedily; ``interpolate_family`` checks it exactly before
-trusting its size.  The clone family built here supplies the d+1 points:
-member i is the multiset S_i = {1 + spacing*(2j + bit_j(i))} over the
-bit positions j of i, so distinct indices differ in at least one element
+partition greedily; ``interpolate_family`` is handed the partition
+with the family and checks it exactly before trusting its size.  The
+clone family built here supplies the d+1 points: member i is the
+multiset S_i = {1 + spacing*(2j + bit_j(i))} over the bit positions j
+of i, so distinct indices differ in at least one element
 and the shifted points x(S_i) separate.  Each S-clone of the input graph
 is evaluated at the single fixed point x by an oracle, the clone
 correction factor is divided out to recover I(G; x(S_i)), and exact
@@ -219,19 +220,20 @@ def interpolate_coeffs(g: Graph, x, oracle=None) -> Polynomial:
     Requires nondegenerate x (compose with normalize_point otherwise)."""
     if oracle is None:
         oracle = InternalOracle()
-    return interpolate_family(g, build_clone_family(x, len(clique_cover(g))), oracle)
+    cover = clique_cover(g)
+    return interpolate_family(g, cover, build_clone_family(x, len(cover)), oracle)
 
 
-def interpolate_family(g: Graph, family: CloneFamily, oracle) -> Polynomial:
+def interpolate_family(g: Graph, cover, family: CloneFamily, oracle) -> Polynomial:
     """All coefficients of I(G; X) from a clone family whose degree bound
     is certified for G: evaluate each S-clone at family.x with the oracle,
     divide out the clone correction factor, and interpolate at the shifted
     points.
 
-    The certificate is ``clique_cover(g)``, checked exactly; the family
-    needs at least one point more than it has parts.  Oracle failures and
-    capacity errors are re-raised with the failing clone index."""
-    cover = clique_cover(g)
+    The certificate is ``cover``, a partition of G's vertices into cliques,
+    checked exactly; the family needs at least one point more than it has
+    parts.  Oracle failures and capacity errors are re-raised with the
+    failing clone index."""
     if not is_clique_cover(g, cover):
         raise DomainError(f"degree certificate failed its check: {cover} is not a clique cover")
     if len(family.points) < len(cover) + 1:

@@ -13,6 +13,14 @@ and tested against each other:
   the smallest id; it is found by scanning the host graph's
   static-degree classes from the top, which may stop early because a
   vertex's induced degree never exceeds its static degree.
+  The component search skips host leaves (vertices of degree 1 in the
+  host graph whose neighbour has degree at least 2): a leaf is added to
+  its neighbour's component by bit operations and never searched from,
+  and the leaves whose neighbour is gone are counted as isolated in one
+  step.  This changes only how the components are found, never which
+  they are, so it is not the leaf identity: no leaf is contracted, and
+  each is still counted as an isolated vertex or branched on inside its
+  component.
   ``isp_coeffs`` and ``count_is_of_size`` read all coefficients off one
   evaluation at X = 2^(n+1) (Kronecker substitution: every coefficient
   is a non-negative integer below 2^(n+1), so the value's base-2^(n+1)
@@ -106,32 +114,54 @@ def _recursion_depth(n: int):
         sys.setrecursionlimit(previous)
 
 
-def _components_of(mask: int, masks) -> tuple:
+def _components_of(mask: int, masks, leaves: int) -> tuple:
     """Split the induced subgraph into its connected components with two or
-    more vertices, as bitmasks, and the number of its isolated vertices."""
+    more vertices, as bitmasks, and the number of its isolated vertices.
+
+    ``leaves`` is the mask of host leaves (``_host_leaves``): vertices of
+    degree 1 in the host graph whose neighbour has degree at least 2.  A
+    leaf never starts a search and is never expanded: whenever a search
+    reaches it, its only neighbour is already in the component.  The
+    leaves that no search reaches are those whose neighbour is outside
+    ``mask``; they are counted with the other isolated vertices in one
+    ``bit_count``.  The split is the same as that of a search from every
+    vertex, so this is not the leaf identity: a leaf is still an isolated
+    vertex with factor (1 + X) or a vertex of its component's recursion."""
     comps = []
-    isolated = 0
-    rest = mask
+    inner = ~leaves
+    covered = 0
+    rest = mask & inner
     while rest:
         low = rest & -rest
         frontier = masks[low.bit_length() - 1] & mask
         if not frontier:
-            isolated += 1
             rest ^= low
             continue
         comp = low
         while frontier:
             comp |= frontier
             nxt = 0
-            f = frontier
+            f = frontier & inner
             while f:
                 b = f & -f
                 f ^= b
                 nxt |= masks[b.bit_length() - 1]
             frontier = nxt & mask & ~comp
         comps.append(comp)
+        covered |= comp
         rest &= ~comp
-    return comps, isolated
+    return comps, (mask ^ covered).bit_count()
+
+
+def _host_leaves(masks) -> int:
+    """The host graph's leaves, as a mask: vertices of degree 1 whose
+    neighbour has degree at least 2.  Neither end of a K2 component is a
+    leaf, so every component has a non-leaf vertex to start a search."""
+    leaves = 0
+    for v, nbrs in enumerate(masks):
+        if nbrs.bit_count() == 1 and masks[nbrs.bit_length() - 1].bit_count() >= 2:
+            leaves |= 1 << v
+    return leaves
 
 
 def _degree_classes(masks) -> list:
@@ -174,6 +204,7 @@ def isp_eval(g: Graph, x) -> Fraction:
     p, q = x.numerator, x.denominator
     masks = g.neighbor_masks()
     classes = _degree_classes(masks)
+    leaves = _host_leaves(masks)
     memo = {}
 
     # J(mask) = q^|mask| * I(mask; p/q) keeps the recursion over integers;
@@ -191,7 +222,7 @@ def isp_eval(g: Graph, x) -> Fraction:
         return val
 
     def subgraph_value(mask):
-        comps, isolated = _components_of(mask, masks)
+        comps, isolated = _components_of(mask, masks, leaves)
         result = (q + p) ** isolated
         for comp in comps:
             result *= component_value(comp)
@@ -227,6 +258,7 @@ def count_transversal_is(g: Graph, parts) -> int:
     if not is_clique_cover(g, parts):
         raise DomainError("parts are not a partition of the vertices into cliques")
     masks = g.neighbor_masks()
+    leaves = _host_leaves(masks)
     part_of = [0] * g.n  # each vertex's whole part, as a bitmask
     for part in parts:
         part_mask = sum(1 << v for v in part)
@@ -267,7 +299,7 @@ def count_transversal_is(g: Graph, parts) -> int:
 
     def mask_count(mask):
         result = 1  # each isolated vertex is a whole part: factor 1
-        for comp in _components_of(mask, masks)[0]:
+        for comp in _components_of(mask, masks, leaves)[0]:
             result *= component_count(comp)
             if not result:
                 break

@@ -494,10 +494,10 @@ def suite_pipeline(seed: int):
         n = rng.randint(1, 5)
         g = random_graph(rng, n)
         for x in (Fraction(2), Fraction(1, 2)):
-            d = len(clique_cover(g))
-            family = build_clone_family(x, d)
-            distinct = len(set(family.points)) == d + 1
-            got = interpolate_family(g, family, InternalOracle())
+            cover = clique_cover(g)
+            family = build_clone_family(x, len(cover))
+            distinct = len(set(family.points)) == len(cover) + 1
+            got = interpolate_family(g, cover, family, InternalOracle())
             expected = isp_coeffs(g)
             ok = distinct and got == expected
             yield {

@@ -8,6 +8,11 @@ in ``verify.py``) are not calls and stay allowed.
 A second guard keeps the package free of dependencies: every import is
 relative or names a standard-library module, so no numeric library can
 come back in.
+
+A third guard keeps the definitional evaluators in ``isp.py``
+independent of the identities they are tested against: the module may
+import only ``errors``, ``graphs`` and ``quadfield`` from the package,
+never ``clonecalc``, ``interpolate`` or ``verify``.
 """
 
 import ast
@@ -95,3 +100,40 @@ def test_package_imports_only_stdlib_and_itself():
 def test_cli_import_loads_no_numeric_library():
     probe = "import sys, indpoly.cli; assert 'numpy' not in sys.modules"
     assert subprocess.run([sys.executable, "-c", probe]).returncode == 0
+
+
+DEFINITIONAL_IMPORTS = {"errors", "graphs", "quadfield"}
+
+
+def package_imports(tree):
+    """(line, module) of every relative import in a parsed module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module:
+                found.append((node.lineno, node.module))
+            else:
+                found += [(node.lineno, alias.name) for alias in node.names]
+    return found
+
+
+def non_definitional_imports(tree):
+    return [(line, name) for line, name in package_imports(tree) if name not in DEFINITIONAL_IMPORTS]
+
+
+def test_definitional_guard_catches_identity_modules():
+    source = (
+        "from .clonecalc import path_weights\n"
+        "from .graphs import Graph\n"
+        "from . import interpolate\n"
+        "from .verify import all_graphs\n"
+        "from .errors import DomainError\n"
+    )
+    assert non_definitional_imports(ast.parse(source)) == [(1, "clonecalc"), (3, "interpolate"), (4, "verify")]
+
+
+def test_definitional_evaluators_import_no_identity_module():
+    path = PACKAGE / "isp.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert package_imports(tree)
+    assert non_definitional_imports(tree) == []

@@ -160,7 +160,7 @@ class TestInterpolatePipeline:
                 return isp_eval(g, x)
 
         family = build_clone_family(Fraction(1, 2), len(clique_cover(Graph(0))))
-        assert interpolate_family(Graph(0), family, RecordingOracle()) == Polynomial([1])
+        assert interpolate_family(Graph(0), (), family, RecordingOracle()) == Polynomial([1])
         assert queries == [(0, Fraction(1, 2))]
 
     def test_matches_direct_coefficients(self):
@@ -184,12 +184,12 @@ class TestInterpolatePipeline:
     def test_family_route_matches(self):
         g = path_graph(5)
         family = build_clone_family(Fraction(1, 2), g.n)
-        assert interpolate_family(g, family, InternalOracle()) == isp_coeffs_by_enumeration(g)
+        assert interpolate_family(g, clique_cover(g), family, InternalOracle()) == isp_coeffs_by_enumeration(g)
 
     def test_family_smaller_than_cover_rejected(self):
         # alpha(P4) = 2 and its cover has 2 cliques: a 2-point family is short.
         with pytest.raises(DomainError, match="needs 3"):
-            interpolate_family(path_graph(4), build_clone_family(2, 1), InternalOracle())
+            interpolate_family(path_graph(4), ((0, 1), (2, 3)), build_clone_family(2, 1), InternalOracle())
 
     def test_every_degree_bound_from_cover_to_n_agrees(self):
         for g in (path_graph(4), path_graph(6), complete_graph(3), random_graph(random.Random(44), 7)):
@@ -197,13 +197,12 @@ class TestInterpolatePipeline:
             for x in (Fraction(2), Fraction(1, 2)):
                 for d in range(len(clique_cover(g)), g.n + 1):
                     family = build_clone_family(x, d)
-                    assert interpolate_family(g, family, InternalOracle()) == expected
+                    assert interpolate_family(g, clique_cover(g), family, InternalOracle()) == expected
 
     @pytest.mark.parametrize("bad_cover", [((0, 1, 2, 3),), ((0, 1), (2,)), ((0, 1), (1, 2), (3,))])
-    def test_failed_certificate_never_feeds_interpolation(self, monkeypatch, bad_cover):
-        monkeypatch.setattr(indpoly.interpolate, "clique_cover", lambda g: bad_cover)
+    def test_failed_certificate_never_feeds_interpolation(self, bad_cover):
         with pytest.raises(DomainError, match="certificate"):
-            interpolate_family(path_graph(4), build_clone_family(2, 3), InternalOracle())
+            interpolate_family(path_graph(4), bad_cover, build_clone_family(2, 3), InternalOracle())
 
     def test_oracle_capacity_reported_per_clone(self):
         class BoundedOracle:

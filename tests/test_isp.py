@@ -4,16 +4,18 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import indpoly.isp
 from indpoly import (
     CapacityError,
+    CloneSpec,
     DomainError,
     Graph,
     Polynomial,
     clique_cover,
+    comb,
     complete_graph,
     count_is_of_size,
     count_is_of_size_by_enumeration,
@@ -26,6 +28,7 @@ from indpoly import (
     isp_multivariate,
     k_clone,
     path_graph,
+    s_clone,
     x3sat_to_graph,
 )
 from indpoly.verify import all_graphs, random_graph, random_x3sat
@@ -258,6 +261,54 @@ def graphs_with_isolated_vertices(draw):
     return Graph(n, [(label[u], label[v]) for u, v in core.edges])
 
 
+@st.composite
+def graphs_with_leaves_and_submasks(draw):
+    """A small graph with pendant leaves hung on its vertices (several may
+    share a vertex) and some K2 components, under a random relabelling,
+    plus a random sub-mask (which often leaves a leaf's neighbour out)."""
+    core = draw(small_graphs())
+    edges = list(core.edges)
+    n = core.n
+    if core.n:
+        for anchor in draw(st.lists(st.integers(min_value=0, max_value=core.n - 1), max_size=8)):
+            edges.append((anchor, n))
+            n += 1
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        edges.append((n, n + 1))
+        n += 2
+    label = draw(st.permutations(range(n)))
+    g = Graph(n, [(label[u], label[v]) for u, v in edges])
+    return g, draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+
+
+@st.composite
+def combs(draw):
+    """comb(g, k) for a small g, at most 16 vertices."""
+    g = draw(small_graphs().filter(lambda g: g.n <= 5))
+    return comb(g, draw(st.integers(min_value=1, max_value=16 // max(g.n, 1) - 1)))
+
+
+def _reference_split(mask, masks, leaves):
+    """Plain split: a full search from every vertex, leaves included."""
+    comps = []
+    isolated = 0
+    rest = mask
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            nxt = 0
+            for v in _vertices(frontier):
+                nxt |= masks[v]
+            frontier = nxt & mask & ~comp
+            comp |= frontier
+        if comp.bit_count() == 1:
+            isolated += 1
+        else:
+            comps.append(comp)
+        rest &= ~comp
+    return comps, isolated
+
+
 class TestKernelHelpers:
     @settings(max_examples=200, deadline=None)
     @given(graphs_and_submasks())
@@ -265,16 +316,25 @@ class TestKernelHelpers:
         g, sub = case
         masks = g.neighbor_masks()
         classes = indpoly.isp._degree_classes(masks)
-        comps, _ = indpoly.isp._components_of(sub, masks)
+        comps, _ = indpoly.isp._components_of(sub, masks, indpoly.isp._host_leaves(masks))
         for comp in comps:
             assert indpoly.isp._branch_vertex(comp, masks, classes) == _full_scan_branch_vertex(comp, masks)
 
-    @settings(max_examples=200, deadline=None)
-    @given(graphs_and_submasks())
+    def test_host_leaves(self):
+        # star K_{1,3} plus a K2 (4-5) plus an isolated vertex 6
+        masks = Graph(7, [(0, 1), (0, 2), (0, 3), (4, 5)]).neighbor_masks()
+        assert indpoly.isp._host_leaves(masks) == 0b1110
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_leaves_and_submasks())
+    @example((Graph(4, [(0, 1), (0, 2), (0, 3)]), 0b1110))  # three leaves, centre left out
+    @example((Graph(4, [(0, 3), (1, 3), (2, 3)]), 0b0111))  # leaves below their centre's id
+    @example((Graph(4, [(0, 1), (2, 3)]), 0b1111))  # two K2 components
+    @example((Graph(5, [(0, 4), (1, 4), (2, 3)]), 0b11111))  # leaves and a K2
     def test_components_split_mask_exactly(self, case):
         g, sub = case
         masks = g.neighbor_masks()
-        comps, isolated = indpoly.isp._components_of(sub, masks)
+        comps, isolated = indpoly.isp._components_of(sub, masks, indpoly.isp._host_leaves(masks))
         covered = 0
         for comp in comps:
             assert comp.bit_count() >= 2 and comp & ~sub == 0 and comp & covered == 0
@@ -297,6 +357,38 @@ class TestKernelHelpers:
     @given(graphs_with_isolated_vertices(), st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(3, 7)]))
     def test_eval_with_isolated_vertices_matches_enumeration(self, g, x):
         assert isp_eval(g, x) == isp_multivariate(g, {v: x for v in range(g.n)})
+
+    @settings(max_examples=100, deadline=None)
+    @given(combs(), st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(3, 7)]))
+    def test_eval_on_combs_matches_enumeration(self, g, x):
+        # At x = -1, q + p = 0: a leaf counted as isolated by mistake zeroes the value.
+        assert isp_eval(g, x) == isp_multivariate(g, {v: x for v in range(g.n)})
+
+    def test_leaf_split_keeps_the_recursion(self, monkeypatch):
+        """Same branch nodes and values as a plain full-search split on
+        pendant-heavy clone graphs: the leaf split only searches less."""
+        rng = random.Random(27)
+        calls = [0]
+        branch_vertex = indpoly.isp._branch_vertex
+        leaf_split = indpoly.isp._components_of
+
+        def counted(*args):
+            calls[0] += 1
+            return branch_vertex(*args)
+
+        monkeypatch.setattr(indpoly.isp, "_branch_vertex", counted)
+        for _ in range(12):
+            g = random_graph(rng, rng.randint(2, 5))
+            spec = CloneSpec(rng.sample(range(1, 5), rng.randint(1, 2)))
+            h = comb(k_clone(s_clone(g, spec), 2), 4)
+            x = rng.choice([Fraction(-1, 2), Fraction(3, 7), Fraction(2)])
+            runs = []
+            for split in (leaf_split, _reference_split):
+                monkeypatch.setattr(indpoly.isp, "_components_of", split)
+                calls[0] = 0
+                runs.append((isp_eval(h, x), calls[0]))
+            assert runs[0] == runs[1]
+            assert runs[0][1] > 0
 
 
 @st.composite
