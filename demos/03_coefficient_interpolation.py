@@ -2,12 +2,13 @@
 
 I(G; X) has degree alpha(G).  A partition of V into d cliques proves
 alpha(G) <= d, so d+1 distinct sample points suffice.  Instead of
-moving the point, the clone family moves the graph: member i is a
-multiset S_i built from the binary representation of i, and evaluating
-the S_i-clone at the single fixed point x yields I(G; x(S_i)) after an
-exact division.  The shifted points are pairwise distinct (verified
-exactly during construction), so Lagrange interpolation recovers the
-coefficient vector."""
+moving the point, the clone family moves the graph: member i is the
+singleton S_i = {i}, whose clone hangs a path of length i on every
+vertex, and evaluating it at the single fixed point x yields I(G; r_i)
+after an exact division.  The shifted points r_0 = x,
+r_(i+1) = x/(1 + r_i) are pairwise distinct (checked exactly during
+construction), so Lagrange interpolation recovers the coefficient
+vector."""
 
 from fractions import Fraction
 
@@ -31,7 +32,6 @@ cover = clique_cover(g)
 d = len(cover)
 print(f"clique cover {[list(part) for part in cover]} certifies degree <= d = {d}")
 family = build_clone_family(x, d)
-print(f"path lengths start at 1, spacing = {family.spacing}")
 print(f"{'i':>2}  {'S_i':<12} {'x(S_i)':<12} clone vertices")
 for record in family.dump_records(g.n):
     print(f"{record['i']:>2}  {str(record['s_set']):<12} {record['point']:<12} {record['clone_vertices']}")
@@ -49,7 +49,7 @@ assert recovered == direct
 
 print()
 print("=" * 64)
-print("The clones stay small: polylogarithmic growth per vertex")
+print("The clones grow linearly: one path of length i per vertex")
 print("=" * 64)
 for i, spec in enumerate(family.sets):
     cloned = s_clone(g, spec)

@@ -173,7 +173,7 @@ def _cmd_interpolate(args) -> dict:
         "at": format_rational(x),
         "oracle": oracle.kind,
         "coeffs": poly.to_json_dict()["coeffs"],
-        "family": family.dump_records(g.n),
+        "degree_bound": family.degree,
     }
 
 

@@ -5,30 +5,39 @@ partition of V into d cliques proves alpha(G) <= d, since an independent
 set meets each clique at most once, so evaluating I at d+1 pairwise
 distinct points determines it.  ``graphs.clique_cover`` builds such a
 partition greedily; ``interpolate_family`` is handed the partition
-with the family and checks it exactly before trusting its size.  The
-clone family built here supplies the d+1 points: member i is the
-multiset S_i = {1 + spacing*(2j + bit_j(i))} over the bit positions j
-of i, so distinct indices differ in at least one element
-and the shifted points x(S_i) separate.  Each S-clone of the input graph
-is evaluated at the single fixed point x by an oracle, the clone
-correction factor is divided out to recover I(G; x(S_i)), and exact
+with the family and checks it exactly before trusting its size.
+
+The clone family supplies the d+1 points.  Member i is the singleton
+S_i = {i}: its clone is G itself with one pendant path of length i on
+each vertex, so it has n(i+1) vertices and its 2-core is that of G.
+Each clone is evaluated at the single fixed point x by an oracle, the
+correction factor C_i^n is divided out to recover I(G; r_i), and exact
 Lagrange interpolation returns the coefficient vector.
 
+The shifted points r_i = B_i/C_i follow the path recurrence:
+
+    r_0 = x,   r_(i+1) = x / (1 + r_i),
+
+and 1 + r_i = C_(i+1)/C_i never vanishes for nondegenerate x (see the
+clonecalc module).  The map r -> x/(1 + r) is the Moebius map of the
+matrix [[0, x], [1, 1]], whose eigenvalues t1, t2 are real with
+|t1| > |t2| > 0 for nondegenerate x.  It is therefore conjugate to
+z -> (t2/t1) z with 0 < |t2/t1| < 1: its two fixed points are its only
+periodic points.  If r_i = r_j for some i < j, then r_i would be
+periodic, hence fixed, and so would r_0 = x, since the map is a
+bijection; but x is fixed only when x^2 = 0.  So the d+1 points are
+pairwise distinct and no search is needed.  The construction still
+checks distinctness exactly and raises if it ever fails.
+
 Every graph takes this one path.  For d = 0, the bound of the empty
-graph, i has no bits, so the only member is S_0 = {}: its clone is the
-graph itself, its shifted point is 0 and its correction factor is 1.
+graph, the only member is S_0 = {0}: its clone is the graph itself, its
+shifted point is x and its correction factor is 1.
 
-The offset 1 needs no search: a path length s would be unusable only if
-C_s or B_s + C_s = C_(s+1) vanished, and for nondegenerate x neither
-does (see the clonecalc module).
-
-One spacing rule: the family starts at spacing 1 and doubles only when
-two of the d+1 shifted points collide exactly, so the exact distinctness
-check, not a bound, guarantees correctness.  The paper's worst-case
-spacing bound is not computed.  The check makes it redundant, and it is
-large: at x = 2 it is 84 for n = 3 and 145 for n = 10, which would grow
-the largest clone from 24 to 1020 vertices (n = 3) and from 230 to 21830
-(n = 10), while spacing 1 already separates those points.
+The paper's family has only polylog(n) blow-up per vertex, which its
+hardness reduction needs; exact answers do not.  Its largest clone has
+n*L(L+2) vertices, with L = floor(log2 d) + 1, and L clones of every
+vertex in its 2-core; the singleton clone has n(d+1) vertices and G's own
+2-core, and it is no larger for every d <= 47.
 """
 
 from __future__ import annotations
@@ -49,18 +58,15 @@ from .quadfield import as_rational, format_rational
 # is killed and reported as an OracleError.
 ORACLE_TIMEOUT_S = 600.0
 
-_MAX_DOUBLINGS = 64
-_FAMILY_OFFSET = 1
-
 
 @dataclass(frozen=True)
 class CloneFamily:
-    """The d+1 clone multisets S_0..S_d and their shifted points for one
-    interpolation run, where d = ``degree`` bounds the degree of I(G; X)."""
+    """The d+1 singleton clone multisets S_i = {i} and their shifted points
+    for one interpolation run, where d = ``degree`` bounds the degree of
+    I(G; X)."""
 
     x: Fraction
     degree: int
-    spacing: int
     sets: tuple
     points: tuple
 
@@ -77,30 +83,17 @@ class CloneFamily:
         ]
 
 
-def _family_sets(d: int, spacing: int) -> tuple:
-    bits = d.bit_length() - 1  # floor(log2 d) for d >= 1; -1 for d = 0
-    sets = []
-    for i in range(d + 1):
-        entries = [_FAMILY_OFFSET + spacing * (2 * j + ((i >> j) & 1)) for j in range(bits + 1)]
-        sets.append(CloneSpec(entries))
-    return tuple(sets)
-
-
 def build_clone_family(x, d: int) -> CloneFamily:
-    """Construct the family S_0..S_d for the degree bound d, with exactly
-    pairwise distinct shifted points, starting at spacing 1 and doubling on
-    any exact collision."""
+    """Construct the family S_i = {i} for i = 0..d and its shifted points,
+    checked to be pairwise distinct exactly."""
     x = as_rational(x)
     if d < 0:
         raise DomainError(f"family size needs degree bound d >= 0, got {d}")
-    spacing = 1
-    for _ in range(_MAX_DOUBLINGS):
-        sets = _family_sets(d, spacing)
-        points = tuple(clone_shifted_point(x, spec) for spec in sets)
-        if len(set(points)) == d + 1:
-            return CloneFamily(x, d, spacing, sets, points)
-        spacing *= 2
-    raise AssertionError("spacing escalation failed to separate the points")
+    sets = tuple(CloneSpec([i]) for i in range(d + 1))
+    points = tuple(clone_shifted_point(x, spec) for spec in sets)
+    if len(set(points)) != d + 1:
+        raise AssertionError(f"shifted points of the singleton family collide at x = {x}")
+    return CloneFamily(x, d, sets, points)
 
 
 def lagrange_interpolate(samples) -> Polynomial:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from indpoly import CloneSpec, clique_cover, path_graph, s_clone
+from indpoly import clique_cover, path_graph
 from indpoly.cli import _build_parser, main
 from indpoly.verify import SUITES
 
@@ -137,18 +137,17 @@ class TestPolynomialCommands:
         (record,) = records_of(proc.stdout)
         assert record["coeffs"] == ["1/1", "2/1"]
         assert record["oracle"] == "internal_definitional"
-        # K2 is one clique, so the family has d + 1 = 2 members.
-        assert len(record["family"]) == 2
+        # K2 is one clique, so the degree bound is 1 and the family has 2 members.
+        assert record["degree_bound"] == 1
+        assert "family" not in record
 
     def test_interpolate_family_sized_by_clique_cover(self, p4_graph):
         proc = run_cli("interpolate", p4_graph, "--at", "2")
         assert proc.returncode == 0
         (record,) = records_of(proc.stdout)
         assert record["coeffs"] == ["1/1", "4/1", "3/1"]
-        g = path_graph(4)
-        assert len(record["family"]) == len(clique_cover(g)) + 1 == 3
-        for entry in record["family"]:
-            assert entry["clone_vertices"] == s_clone(g, CloneSpec(entry["s_set"])).n
+        assert record["degree_bound"] == len(clique_cover(path_graph(4))) == 2
+        assert "family" not in record
 
     def test_interpolate_with_external_oracle(self, k2_graph, tmp_path):
         proc = run_cli("interpolate", k2_graph, "--at", "2/1", "--oracle", conforming_oracle(tmp_path))
@@ -164,7 +163,8 @@ class TestPolynomialCommands:
         assert proc.returncode == 0
         (record,) = records_of(proc.stdout)
         assert record["coeffs"] == ["1/1"]
-        assert record["family"] == [{"i": 0, "s_set": [], "point": "0/1", "clone_vertices": 0}]
+        assert record["degree_bound"] == 0
+        assert "family" not in record
         if external:
             requests = records_of((tmp_path / "requests.jsonl").read_text())
             assert requests == [{"graph": {"n": 0, "edges": []}, "point": "2/1"}]

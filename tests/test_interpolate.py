@@ -20,6 +20,7 @@ from indpoly import (
     Polynomial,
     build_clone_family,
     clique_cover,
+    clone_shifted_point,
     complete_graph,
     edgeless_graph,
     interpolate_coeffs,
@@ -28,6 +29,7 @@ from indpoly import (
     isp_coeffs_by_enumeration,
     isp_eval,
     lagrange_interpolate,
+    normalize_point,
     path_graph,
     s_clone,
 )
@@ -38,16 +40,15 @@ class TestBuildCloneFamily:
     def test_n_1_structure(self):
         family = build_clone_family(2, 1)
         assert len(family.sets) == 2
-        assert family.sets[0].entries == (1,)
-        assert family.sets[1].entries == (1 + family.spacing,)
-        assert family.points[0] != family.points[1]
+        assert family.sets[0].entries == (0,)
+        assert family.sets[1].entries == (1,)
+        assert family.points == (2, Fraction(2, 3))
 
     def test_size_law(self):
         for n in (1, 2, 3, 5, 6):
             family = build_clone_family(2, n)
-            expected_size = n.bit_length()
             for spec in family.sets:
-                assert spec.size == expected_size
+                assert spec.size == 1
 
     def test_points_pairwise_distinct(self):
         for x in (Fraction(2), Fraction(1, 2)):
@@ -55,19 +56,30 @@ class TestBuildCloneFamily:
                 family = build_clone_family(x, n)
                 assert len(set(family.points)) == n + 1
 
-    def test_spacing_between_elements(self):
-        family = build_clone_family(Fraction(1, 2), 6)
-        for spec in family.sets:
-            entries = spec.entries
-            for a, b in zip(entries, entries[1:]):
-                assert b - a >= family.spacing
+    def test_offset_is_one_at_integer_eigenvalue_points(self):
+        # Member i's path is one longer than member i-1's, starting from
+        # G itself at r_0 = x; no search moves the family at these points.
+        for x in (Fraction(2), Fraction(6)):
+            family = build_clone_family(x, 4)
+            assert family.points[0] == x
+            for i, spec in enumerate(family.sets):
+                assert spec.entries == (i,)
+
+    def test_offset_is_one_at_fractional_point(self):
+        for x in (Fraction(1, 2), Fraction(-1, 5)):
+            family = build_clone_family(x, 4)
+            assert family.points[0] == x
+            for i, spec in enumerate(family.sets):
+                assert spec.entries == (i,)
 
     def test_dump_records(self):
         family = build_clone_family(2, 2)
-        records = family.dump_records(2)
+        records = family.dump_records(3)
         assert len(records) == 3
         assert records[0].keys() == {"i", "s_set", "point", "clone_vertices"}
-        assert records[1]["clone_vertices"] == 2 * family.sets[1].block
+        for i, record in enumerate(records):
+            assert record["s_set"] == [i]
+            assert record["clone_vertices"] == 3 * (i + 1)
 
     def test_dump_records_count_the_graph_not_the_degree(self):
         g = path_graph(5)  # cover of 3 cliques, so d = 3 < n = 5
@@ -80,20 +92,28 @@ class TestBuildCloneFamily:
         with pytest.raises(DomainError):
             build_clone_family(2, -1)
         family = build_clone_family(2, 0)
-        assert [spec.entries for spec in family.sets] == [()]
-        assert family.points == (0,)
+        assert [spec.entries for spec in family.sets] == [(0,)]
+        assert family.points == (2,)
 
-    def test_offset_is_one_at_integer_eigenvalue_points(self):
-        for x in (Fraction(2), Fraction(6)):
-            assert build_clone_family(x, 3).sets[0].entries == (1, 3)
-
-    def test_offset_is_one_at_fractional_point(self):
-        for x in (Fraction(1, 2), Fraction(-1, 5)):
-            assert build_clone_family(x, 3).sets[0].entries == (1, 3)
-
-    def test_spacing_is_one(self):
-        assert build_clone_family(2, 5).spacing == 1
-        assert build_clone_family(Fraction(1, 2), 3).spacing == 1
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30)).filter(
+            lambda x: x > Fraction(-1, 4) and x != 0
+        ),
+        st.integers(0, 40),
+    )
+    @example(Fraction(2), 40)
+    @example(Fraction(48), 40)
+    @example(Fraction(-6, 25), 40)  # eigenvalues 3/5, 2/5
+    @example(Fraction(-1, 5), 40)
+    def test_points_follow_the_moebius_orbit(self, x, d):
+        points = build_clone_family(x, d).points
+        assert len(set(points)) == d + 1
+        assert points[0] == x
+        for i in range(d):
+            assert points[i + 1] == x / (1 + points[i])
+        for i, point in enumerate(points):
+            assert point == clone_shifted_point(x, [i])
 
     def test_degenerate_rejected(self):
         for n in (1, 4):
@@ -232,6 +252,30 @@ class TestInterpolateAgainstEnumeration:
     @example(edgeless_graph(9), Fraction(-1, 5))
     def test_interpolate_matches_enumeration(self, g, x):
         assert interpolate_coeffs(g, x) == isp_coeffs_by_enumeration(g)
+
+
+class TestCoefficientPin:
+    """Seeded G(n, 0.3) graphs, n <= 10, against subset enumeration."""
+
+    @pytest.mark.parametrize("x", [Fraction(2), Fraction(1, 2), Fraction(-1, 5), Fraction(48)])
+    def test_nondegenerate_points(self, x):
+        rng = random.Random(11)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(0, 10), 0.3)
+            assert interpolate_coeffs(g, x) == isp_coeffs_by_enumeration(g)
+
+    def test_hard_point_through_normalizer(self):
+        plan = normalize_point(Fraction(-1, 2))
+
+        class PlanOracle:
+            def evaluate(self, g, x):
+                assert x == plan.target_point
+                return isp_eval(plan.apply(g), plan.original_point) / plan.factor(g.n)
+
+        rng = random.Random(11)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(0, 10), 0.3)
+            assert interpolate_coeffs(g, plan.target_point, oracle=PlanOracle()) == isp_coeffs_by_enumeration(g)
 
 
 def _write_oracle_script(tmp_path, body: str) -> str:
