@@ -29,6 +29,18 @@ bijection; but x is fixed only when x^2 = 0.  So the d+1 points are
 pairwise distinct and no search is needed.  The construction still
 checks distinctness exactly and raises if it ever fails.
 
+One pass of the transfer recurrence (B, C) <- (x*C, B + C) from
+(B_0, C_0) = (x, 1) yields every member's point r_i = B_i/C_i and scale
+C_i.  Interpolation then runs over the integers.  With each point in
+lowest terms, r_i = b_i/c_i, the node polynomial
+M(X) = prod_j (c_j X - b_j) has integer coefficients, and exact synthetic
+division by (c_i X - b_i) gives the integer basis polynomial
+P_i = prod_(j != i) (c_j X - b_j).  It takes the value h_i / c_i^d at r_i,
+where h_i = prod_(j != i) (c_j b_i - b_j c_i) is a nonzero integer, so the
+interpolant is sum_i w_i P_i with w_i = y_i c_i^d / h_i.  Over one common
+denominator L of the weights that sum is a sum of integer products, and
+each coefficient costs a single division by L.
+
 Every graph takes this one path.  For d = 0, the bound of the empty
 graph, the only member is S_0 = {0}: its clone is the graph itself, its
 shifted point is x and its correction factor is 1.
@@ -43,12 +55,13 @@ vertex in its 2-core; the singleton clone has n(d+1) vertices and G's own
 from __future__ import annotations
 
 import json
+import math
 import shlex
 import subprocess
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clonecalc import clone_correction_factor, clone_shifted_point
+from .clonecalc import _require_nondegenerate
 from .errors import CapacityError, DomainError, OracleError
 from .graphs import CloneSpec, Graph, clique_cover, graph_to_json_dict, is_clique_cover, s_clone
 from .isp import Polynomial, isp_eval
@@ -61,14 +74,16 @@ ORACLE_TIMEOUT_S = 600.0
 
 @dataclass(frozen=True)
 class CloneFamily:
-    """The d+1 singleton clone multisets S_i = {i} and their shifted points
-    for one interpolation run, where d = ``degree`` bounds the degree of
-    I(G; X)."""
+    """The d+1 singleton clone multisets S_i = {i}, their shifted points
+    r_i = B_i/C_i and their scales C_i for one interpolation run, where
+    d = ``degree`` bounds the degree of I(G; X).  On an n-vertex graph
+    member i's correction factor is ``scales[i] ** n``."""
 
     x: Fraction
     degree: int
     sets: tuple
     points: tuple
+    scales: tuple
 
     def dump_records(self, n: int) -> list:
         """One record per member, for use on an n-vertex graph."""
@@ -84,16 +99,24 @@ class CloneFamily:
 
 
 def build_clone_family(x, d: int) -> CloneFamily:
-    """Construct the family S_i = {i} for i = 0..d and its shifted points,
-    checked to be pairwise distinct exactly."""
+    """Construct the family S_i = {i} for i = 0..d, its shifted points and
+    scales in one run of the transfer recurrence, with the points checked
+    to be pairwise distinct exactly."""
     x = as_rational(x)
     if d < 0:
         raise DomainError(f"family size needs degree bound d >= 0, got {d}")
-    sets = tuple(CloneSpec([i]) for i in range(d + 1))
-    points = tuple(clone_shifted_point(x, spec) for spec in sets)
+    _require_nondegenerate(x)
+    points = []
+    scales = []
+    b, c = x, Fraction(1)
+    for _ in range(d + 1):
+        points.append(b / c)
+        scales.append(c)
+        b, c = x * c, b + c
     if len(set(points)) != d + 1:
         raise AssertionError(f"shifted points of the singleton family collide at x = {x}")
-    return CloneFamily(x, d, sets, points)
+    sets = tuple(CloneSpec([i]) for i in range(d + 1))
+    return CloneFamily(x, d, sets, tuple(points), tuple(scales))
 
 
 def lagrange_interpolate(samples) -> Polynomial:
@@ -106,30 +129,45 @@ def lagrange_interpolate(samples) -> Polynomial:
     if len(set(points)) != len(points):
         raise DomainError("interpolation points must be pairwise distinct")
 
-    # Master polynomial prod (X - p_i), then one synthetic division per
-    # sample yields the numerator basis polynomials.
-    master = [Fraction(1)]
-    for p in points:
-        master = [Fraction(0)] + master
-        for j in range(len(master) - 1):
-            master[j] -= master[j + 1] * p
+    # Node polynomial M(X) = prod (c_j X - b_j) over the points b_j/c_j.
+    nodes = [(p.numerator, p.denominator) for p in points]
+    master = [1]
+    for b, c in nodes:
+        shifted = [0] + [c * m for m in master]
+        for k, m in enumerate(master):
+            shifted[k] -= b * m
+        master = shifted
 
-    count = len(pairs)
-    acc = [Fraction(0)] * count
-    for p, value in pairs:
-        basis = [Fraction(0)] * count
-        basis[count - 1] = master[count]
-        for j in range(count - 1, 0, -1):
-            basis[j - 1] = master[j] + basis[j] * p
-        denom = Fraction(0)
-        power = Fraction(1)
-        for c in basis:
-            denom += c * power
-            power *= p
-        scale = value / denom
-        for j in range(count):
-            acc[j] += scale * basis[j]
-    return Polynomial(acc)
+    d = len(pairs) - 1
+    bases = []
+    weights = []
+    for (b, c), (_, value) in zip(nodes, pairs):
+        # P = M / (cX - b) by synthetic division from the top; every
+        # quotient is exact since P = prod over j != i of (c_j X - b_j).
+        basis = [0] * (d + 1)
+        carry = 0
+        for k in range(d + 1, 0, -1):
+            basis[k - 1], rest = divmod(master[k] + carry, c)
+            if rest:
+                raise AssertionError(f"node polynomial is not divisible by {c}X - {b}")
+            carry = b * basis[k - 1]
+        if master[0] + carry:
+            raise AssertionError(f"node polynomial does not vanish at {b}/{c}")
+        # P(b/c) = h / c^d with h = prod over j != i of (c_j b - b_j c) != 0.
+        h = 1
+        for bj, cj in nodes:
+            if (bj, cj) != (b, c):
+                h *= cj * b - bj * c
+        bases.append(basis)
+        weights.append(value * c**d / h)
+
+    common = math.lcm(*(w.denominator for w in weights))
+    acc = [0] * (d + 1)
+    for basis, w in zip(bases, weights):
+        scale = w.numerator * (common // w.denominator)
+        for k, coeff in enumerate(basis):
+            acc[k] += scale * coeff
+    return Polynomial(Fraction(a, common) for a in acc)
 
 
 class InternalOracle:
@@ -226,7 +264,10 @@ def interpolate_family(g: Graph, cover, family: CloneFamily, oracle) -> Polynomi
     The certificate is ``cover``, a partition of G's vertices into cliques,
     checked exactly; the family needs at least one point more than it has
     parts.  Oracle failures and capacity errors are re-raised with the
-    failing clone index."""
+    failing clone index.  Answers that interpolate to anything but a
+    count of independent sets (integers a_k with a_0 = 1 and
+    0 <= a_k <= C(n, k)) raise ``OracleError`` naming the first bad
+    coefficient."""
     if not is_clique_cover(g, cover):
         raise DomainError(f"degree certificate failed its check: {cover} is not a clique cover")
     if len(family.points) < len(cover) + 1:
@@ -240,5 +281,14 @@ def interpolate_family(g: Graph, cover, family: CloneFamily, oracle) -> Polynomi
             raw = oracle.evaluate(s_clone(g, spec), family.x)
         except (OracleError, CapacityError) as exc:
             raise type(exc)(f"clone {i} (S = {list(spec.entries)}): {exc}") from exc
-        samples.append((family.points[i], raw / clone_correction_factor(family.x, spec, g.n)))
-    return lagrange_interpolate(samples)
+        samples.append((family.points[i], raw / family.scales[i] ** g.n))
+    poly = lagrange_interpolate(samples)
+    for k, a in enumerate(poly.coeffs):
+        low, high = int(k == 0), math.comb(g.n, k)
+        if a.denominator != 1 or not low <= a <= high:
+            raise OracleError(
+                f"oracle answers are inconsistent: they interpolate to coefficient "
+                f"a_{k} = {format_rational(a)}, not an integer in [{low}, {high}] "
+                f"for this {g.n}-vertex graph"
+            )
+    return poly

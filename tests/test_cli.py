@@ -219,6 +219,22 @@ class TestExitCodes:
     def test_io_error_missing_file(self):
         assert run_cli("count-sat", "/nonexistent/file.cnf").returncode == 3
 
+    def test_inconsistent_oracle_answers(self, k2_graph, tmp_path):
+        script = tmp_path / "off_by_one.py"
+        script.write_text(
+            "import json, sys\n"
+            "from indpoly import graph_from_json_dict, isp_eval, format_rational\n"
+            "request = json.loads(sys.stdin.readline())\n"
+            "value = isp_eval(graph_from_json_dict(request['graph']), request['point']) + 1\n"
+            "print(json.dumps({'value': format_rational(value)}))\n"
+        )
+        command = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+        proc = run_cli("interpolate", k2_graph, "--at", "2", "--oracle", command)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "inconsistent" in proc.stderr
+        assert "a_0 = 2/3" in proc.stderr
+
     def test_oracle_protocol_error(self, k2_graph):
         proc = run_cli("interpolate", k2_graph, "--at", "2/1", "--oracle", "echo garbage")
         assert proc.returncode == 3

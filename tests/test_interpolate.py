@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import shlex
 import sys
 from fractions import Fraction
@@ -20,6 +21,7 @@ from indpoly import (
     Polynomial,
     build_clone_family,
     clique_cover,
+    clone_correction_factor,
     clone_shifted_point,
     complete_graph,
     edgeless_graph,
@@ -107,13 +109,16 @@ class TestBuildCloneFamily:
     @example(Fraction(-6, 25), 40)  # eigenvalues 3/5, 2/5
     @example(Fraction(-1, 5), 40)
     def test_points_follow_the_moebius_orbit(self, x, d):
-        points = build_clone_family(x, d).points
+        family = build_clone_family(x, d)
+        points = family.points
         assert len(set(points)) == d + 1
         assert points[0] == x
         for i in range(d):
             assert points[i + 1] == x / (1 + points[i])
         for i, point in enumerate(points):
             assert point == clone_shifted_point(x, [i])
+            for n in range(6):
+                assert family.scales[i] ** n == clone_correction_factor(x, [i], n)
 
     def test_degenerate_rejected(self):
         for n in (1, 4):
@@ -124,6 +129,38 @@ class TestBuildCloneFamily:
         for n in (1, 3):
             with pytest.raises(DegeneratePointError):
                 build_clone_family(Fraction(-1, 2), n)
+
+
+def reference_lagrange(samples) -> Polynomial:
+    """Lagrange interpolation in Fraction arithmetic throughout, as an
+    independent reference for the integer form."""
+    pairs = [(Fraction(p), Fraction(v)) for p, v in samples]
+    points = [p for p, _ in pairs]
+
+    # Master polynomial prod (X - p_i), then one synthetic division per
+    # sample yields the numerator basis polynomials.
+    master = [Fraction(1)]
+    for p in points:
+        master = [Fraction(0)] + master
+        for j in range(len(master) - 1):
+            master[j] -= master[j + 1] * p
+
+    count = len(pairs)
+    acc = [Fraction(0)] * count
+    for p, value in pairs:
+        basis = [Fraction(0)] * count
+        basis[count - 1] = master[count]
+        for j in range(count - 1, 0, -1):
+            basis[j - 1] = master[j] + basis[j] * p
+        denom = Fraction(0)
+        power = Fraction(1)
+        for c in basis:
+            denom += c * power
+            power *= p
+        scale = value / denom
+        for j in range(count):
+            acc[j] += scale * basis[j]
+    return Polynomial(acc)
 
 
 class TestLagrange:
@@ -156,6 +193,28 @@ class TestLagrange:
             points = rng.sample(range(-20, 20), degree + 1)
             samples = [(Fraction(p), poly.evaluate(p)) for p in points]
             assert lagrange_interpolate(samples) == poly
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30)), min_size=1, max_size=9, unique=True
+        ).flatmap(
+            lambda points: st.lists(
+                st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4)),
+                min_size=len(points),
+                max_size=len(points),
+            ).map(lambda values: list(zip(points, values)))
+        )
+    )
+    @example([(Fraction(-50), Fraction(1)), (Fraction(50), Fraction(-1))])
+    @example([(Fraction(-1, 29), Fraction(3, 7)), (Fraction(1, 30), Fraction(0)), (Fraction(0), Fraction(-5))])
+    @example([(Fraction(k, 7), Fraction(k * k - 3, 11)) for k in range(-4, 5)])
+    def test_property_exact_through_every_sample(self, samples):
+        poly = lagrange_interpolate(samples)
+        assert poly.degree < len(samples)
+        for p, value in samples:
+            assert poly.evaluate(p) == value
+        assert poly == reference_lagrange(samples)
 
 
 class TestInterpolatePipeline:
@@ -196,8 +255,9 @@ class TestInterpolatePipeline:
 
     @pytest.mark.parametrize("x", [0, Fraction(-1, 4), Fraction(-1, 2)])
     def test_degenerate_point_rejected_on_empty_graph(self, x):
-        # The empty graph's family has the one member S = {}, which adds no
-        # path; its shifted point still checks x, so these points fail.
+        # The empty graph's family has the one member S_0 = {0}, whose clone
+        # is the graph itself at shifted point x; building the family still
+        # checks x, so these points fail.
         with pytest.raises(DegeneratePointError):
             interpolate_coeffs(Graph(0), x)
 
@@ -223,6 +283,36 @@ class TestInterpolatePipeline:
     def test_failed_certificate_never_feeds_interpolation(self, bad_cover):
         with pytest.raises(DomainError, match="certificate"):
             interpolate_family(path_graph(4), bad_cover, build_clone_family(2, 3), InternalOracle())
+
+    def test_off_by_one_oracle_rejected(self):
+        class OffByOneOracle:
+            def evaluate(self, g, x):
+                return isp_eval(g, x) + 1
+
+        with pytest.raises(OracleError, match=r"coefficient a_0 = 2/3, not an integer in \[1, 1\]"):
+            interpolate_coeffs(complete_graph(2), 2, oracle=OffByOneOracle())
+
+    @pytest.mark.parametrize(
+        "coeffs, bad",
+        [
+            ([2, 2], "a_0 = 2/1, not an integer in [1, 1]"),
+            ([1, Fraction(1, 2)], "a_1 = 1/2, not an integer in [0, 2]"),
+            ([1, -1], "a_1 = -1/1, not an integer in [0, 2]"),
+            ([1, 3], "a_1 = 3/1, not an integer in [0, 2]"),
+        ],
+    )
+    def test_answers_that_are_not_counts_rejected(self, coeffs, bad):
+        # Answers consistent with the polynomial `coeffs` on every clone of
+        # K2: member i (2(i + 1) vertices) gets C_i^2 * q(r_i).
+        q = Polynomial(coeffs)
+
+        class PolynomialOracle:
+            def evaluate(self, g, x):
+                i = g.n // 2 - 1
+                return clone_correction_factor(x, [i], 2) * q.evaluate(clone_shifted_point(x, [i]))
+
+        with pytest.raises(OracleError, match=re.escape(bad)):
+            interpolate_coeffs(complete_graph(2), Fraction(1, 2), oracle=PolynomialOracle())
 
     def test_oracle_capacity_reported_per_clone(self):
         class BoundedOracle:
