@@ -2,13 +2,12 @@
 
 I(G; X) has degree alpha(G).  A partition of V into d cliques proves
 alpha(G) <= d, so d+1 distinct sample points suffice.  Instead of
-moving the point, the clone family moves the graph: member i is the
-singleton S_i = {i}, whose clone hangs a path of length i on every
-vertex, and evaluating it at the single fixed point x yields I(G; r_i)
-after an exact division.  The shifted points r_0 = x,
-r_(i+1) = x/(1 + r_i) are pairwise distinct (checked exactly during
-construction), so Lagrange interpolation recovers the coefficient
-vector."""
+moving the point, the clone family moves the graph: member k is the
+comb that hangs k leaves on every vertex, and evaluating it at the
+single fixed point x yields I(G; r_k) after an exact division by
+(1 + x)^(kn).  The shifted points r_k = x/(1 + x)^k are pairwise
+distinct (checked exactly during construction), so Lagrange
+interpolation recovers the coefficient vector."""
 
 from fractions import Fraction
 
@@ -16,10 +15,10 @@ from indpoly import (
     Graph,
     build_clone_family,
     clique_cover,
+    comb,
     format_rational,
     interpolate_coeffs,
     isp_coeffs,
-    s_clone,
 )
 
 g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
@@ -32,9 +31,9 @@ cover = clique_cover(g)
 d = len(cover)
 print(f"clique cover {[list(part) for part in cover]} certifies degree <= d = {d}")
 family = build_clone_family(x, d)
-print(f"{'i':>2}  {'S_i':<12} {'x(S_i)':<12} clone vertices")
+print(f"{'k':>2}  {'leaves':<8} {'r_k':<12} clone vertices")
 for record in family.dump_records(g.n):
-    print(f"{record['i']:>2}  {str(record['s_set']):<12} {record['point']:<12} {record['clone_vertices']}")
+    print(f"{record['i']:>2}  {record['leaves']:<8} {record['point']:<12} {record['clone_vertices']}")
 
 print()
 print("=" * 64)
@@ -49,11 +48,11 @@ assert recovered == direct
 
 print()
 print("=" * 64)
-print("The clones grow linearly: one path of length i per vertex")
+print("The clones grow linearly: k leaves per vertex")
 print("=" * 64)
-for i, spec in enumerate(family.sets):
-    cloned = s_clone(g, spec)
-    print(f"  S_{i}: clone has {cloned.n} vertices ({cloned.n // g.n} per original)")
+for k in range(family.degree + 1):
+    cloned = comb(g, k)
+    print(f"  comb {k}: {cloned.n} vertices ({cloned.n // g.n} per original)")
 
 print()
 print("=" * 64)

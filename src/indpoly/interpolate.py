@@ -7,48 +7,49 @@ distinct points determines it.  ``graphs.clique_cover`` builds such a
 partition greedily; ``interpolate_family`` is handed the partition
 with the family and checks it exactly before trusting its size.
 
-The clone family supplies the d+1 points.  Member i is the singleton
-S_i = {i}: its clone is G itself with one pendant path of length i on
-each vertex, so it has n(i+1) vertices and its 2-core is that of G.
-Each clone is evaluated at the single fixed point x by an oracle, the
-correction factor C_i^n is divided out to recover I(G; r_i), and exact
-Lagrange interpolation returns the coefficient vector.
+The clone family supplies the d+1 points.  Member k is the comb
+``graphs.comb(g, k)``: G with k pendant leaves on every vertex.  An
+independent set S of G extends to the comb by any set of leaves of the
+vertices outside S, so
 
-The shifted points r_i = B_i/C_i follow the path recurrence:
+    I(G o comb_k; x) = (1 + x)^(kn) * I(G; x / (1 + x)^k).
 
-    r_0 = x,   r_(i+1) = x / (1 + r_i),
+Each comb is evaluated at the single fixed point x by an oracle, the
+correction factor s_k^n with scale s_k = (1 + x)^k is divided out to
+recover I(G; r_k) at r_k = x / (1 + x)^k, and exact Lagrange
+interpolation returns the coefficient vector.  One multiplicative pass
+yields every member's point and scale.
 
-and 1 + r_i = C_(i+1)/C_i never vanishes for nondegenerate x (see the
-clonecalc module).  The map r -> x/(1 + r) is the Moebius map of the
-matrix [[0, x], [1, 1]], whose eigenvalues t1, t2 are real with
-|t1| > |t2| > 0 for nondegenerate x.  It is therefore conjugate to
-z -> (t2/t1) z with 0 < |t2/t1| < 1: its two fixed points are its only
-periodic points.  If r_i = r_j for some i < j, then r_i would be
-periodic, hence fixed, and so would r_0 = x, since the map is a
-bijection; but x is fixed only when x^2 = 0.  So the d+1 points are
-pairwise distinct and no search is needed.  The construction still
-checks distinctness exactly and raises if it ever fails.
+The points are pairwise distinct.  For nondegenerate x (x > -1/4 and
+x != 0, see the clonecalc module) 1 + x > 3/4 and 1 + x != 1, so
+(1 + x)^k is strictly monotone in k, and x != 0.  No search is needed;
+the construction still checks distinctness exactly and raises if it
+ever fails.  Combs alone would serve every x outside {0, -1, -2}; the
+accepted domain stays that of the path reduction.
 
-One pass of the transfer recurrence (B, C) <- (x*C, B + C) from
-(B_0, C_0) = (x, 1) yields every member's point r_i = B_i/C_i and scale
-C_i.  Interpolation then runs over the integers.  With each point in
-lowest terms, r_i = b_i/c_i, the node polynomial
-M(X) = prod_j (c_j X - b_j) has integer coefficients, and exact synthetic
-division by (c_i X - b_i) gives the integer basis polynomial
-P_i = prod_(j != i) (c_j X - b_j).  It takes the value h_i / c_i^d at r_i,
-where h_i = prod_(j != i) (c_j b_i - b_j c_i) is a nonzero integer, so the
+Member k has n(k+1) vertices, and its 2-core is that of G, since the
+leaves peel away.  Every added vertex is a leaf on an original vertex,
+so a host leaf, which the kernel's component search skips and never
+branches on (unless k = 1 and the original vertex is isolated in G).
+
+Interpolation runs over the integers.  With each point in lowest terms,
+r_i = b_i/c_i, the node polynomial M(X) = prod_j (c_j X - b_j) has
+integer coefficients, and exact synthetic division by (c_i X - b_i)
+gives the integer basis polynomial P_i = prod_(j != i) (c_j X - b_j).  It
+takes the value h_i / c_i^d at r_i, where
+h_i = prod_(j != i) (c_j b_i - b_j c_i) is a nonzero integer, so the
 interpolant is sum_i w_i P_i with w_i = y_i c_i^d / h_i.  Over one common
 denominator L of the weights that sum is a sum of integer products, and
 each coefficient costs a single division by L.
 
 Every graph takes this one path.  For d = 0, the bound of the empty
-graph, the only member is S_0 = {0}: its clone is the graph itself, its
-shifted point is x and its correction factor is 1.
+graph, the only member is comb 0: the graph itself, at point x with
+correction factor 1.
 
 The paper's family has only polylog(n) blow-up per vertex, which its
 hardness reduction needs; exact answers do not.  Its largest clone has
 n*L(L+2) vertices, with L = floor(log2 d) + 1, and L clones of every
-vertex in its 2-core; the singleton clone has n(d+1) vertices and G's own
+vertex in its 2-core; the largest comb has n(d+1) vertices and G's own
 2-core, and it is no larger for every d <= 47.
 """
 
@@ -63,7 +64,7 @@ from fractions import Fraction
 
 from .clonecalc import _require_nondegenerate
 from .errors import CapacityError, DomainError, OracleError
-from .graphs import CloneSpec, Graph, clique_cover, graph_to_json_dict, is_clique_cover, s_clone
+from .graphs import Graph, clique_cover, comb, graph_to_json_dict, is_clique_cover
 from .isp import Polynomial, isp_eval
 from .quadfield import as_rational, format_rational
 
@@ -74,49 +75,43 @@ ORACLE_TIMEOUT_S = 600.0
 
 @dataclass(frozen=True)
 class CloneFamily:
-    """The d+1 singleton clone multisets S_i = {i}, their shifted points
-    r_i = B_i/C_i and their scales C_i for one interpolation run, where
-    d = ``degree`` bounds the degree of I(G; X).  On an n-vertex graph
-    member i's correction factor is ``scales[i] ** n``."""
+    """The d+1 combs k = 0..d, their shifted points r_k = x/(1 + x)^k and
+    their scales (1 + x)^k for one interpolation run, where d = ``degree``
+    bounds the degree of I(G; X).  On an n-vertex graph member k is
+    ``comb(g, k)`` and its correction factor is ``scales[k] ** n``."""
 
     x: Fraction
     degree: int
-    sets: tuple
     points: tuple
     scales: tuple
 
     def dump_records(self, n: int) -> list:
         """One record per member, for use on an n-vertex graph."""
         return [
-            {
-                "i": i,
-                "s_set": list(self.sets[i].entries),
-                "point": format_rational(self.points[i]),
-                "clone_vertices": n * self.sets[i].block,
-            }
-            for i in range(len(self.sets))
+            {"i": i, "leaves": i, "point": format_rational(point), "clone_vertices": n * (i + 1)}
+            for i, point in enumerate(self.points)
         ]
 
 
 def build_clone_family(x, d: int) -> CloneFamily:
-    """Construct the family S_i = {i} for i = 0..d, its shifted points and
-    scales in one run of the transfer recurrence, with the points checked
-    to be pairwise distinct exactly."""
+    """Construct the combs k = 0..d, their shifted points and scales in one
+    multiplicative pass, with the points checked to be pairwise distinct
+    exactly."""
     x = as_rational(x)
     if d < 0:
         raise DomainError(f"family size needs degree bound d >= 0, got {d}")
     _require_nondegenerate(x)
+    step = 1 + x
     points = []
     scales = []
-    b, c = x, Fraction(1)
+    point, scale = x, Fraction(1)
     for _ in range(d + 1):
-        points.append(b / c)
-        scales.append(c)
-        b, c = x * c, b + c
+        points.append(point)
+        scales.append(scale)
+        point, scale = point / step, scale * step
     if len(set(points)) != d + 1:
-        raise AssertionError(f"shifted points of the singleton family collide at x = {x}")
-    sets = tuple(CloneSpec([i]) for i in range(d + 1))
-    return CloneFamily(x, d, sets, tuple(points), tuple(scales))
+        raise AssertionError(f"shifted points of the comb family collide at x = {x}")
+    return CloneFamily(x, d, tuple(points), tuple(scales))
 
 
 def lagrange_interpolate(samples) -> Polynomial:
@@ -172,7 +167,7 @@ def lagrange_interpolate(samples) -> Polynomial:
 
 class InternalOracle:
     """The definitional branching evaluator of this package, behind the
-    oracle interface.  Never uses the clone/path shift identities, so the
+    oracle interface.  Never uses the clone, path or comb identities, so the
     pipeline genuinely exercises them."""
 
     kind = "internal_definitional"
@@ -257,8 +252,8 @@ def interpolate_coeffs(g: Graph, x, oracle=None) -> Polynomial:
 
 def interpolate_family(g: Graph, cover, family: CloneFamily, oracle) -> Polynomial:
     """All coefficients of I(G; X) from a clone family whose degree bound
-    is certified for G: evaluate each S-clone at family.x with the oracle,
-    divide out the clone correction factor, and interpolate at the shifted
+    is certified for G: evaluate each comb at family.x with the oracle,
+    divide out its correction factor, and interpolate at the shifted
     points.
 
     The certificate is ``cover``, a partition of G's vertices into cliques,
@@ -276,12 +271,12 @@ def interpolate_family(g: Graph, cover, family: CloneFamily, oracle) -> Polynomi
             f"the {len(cover)}-clique cover of this {g.n}-vertex graph needs {len(cover) + 1}"
         )
     samples = []
-    for i, spec in enumerate(family.sets):
+    for i, (point, scale) in enumerate(zip(family.points, family.scales)):
         try:
-            raw = oracle.evaluate(s_clone(g, spec), family.x)
+            raw = oracle.evaluate(comb(g, i), family.x)
         except (OracleError, CapacityError) as exc:
-            raise type(exc)(f"clone {i} (S = {list(spec.entries)}): {exc}") from exc
-        samples.append((family.points[i], raw / family.scales[i] ** g.n))
+            raise type(exc)(f"clone {i} ({i} leaves per vertex): {exc}") from exc
+        samples.append((point, raw / scale**g.n))
     poly = lagrange_interpolate(samples)
     for k, a in enumerate(poly.coeffs):
         low, high = int(k == 0), math.comb(g.n, k)

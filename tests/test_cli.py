@@ -1,13 +1,14 @@
 import json
+import random
 import shlex
 import subprocess
 import sys
 
 import pytest
 
-from indpoly import clique_cover, path_graph
+from indpoly import clique_cover, comb, format_rational, graph_to_json_dict, isp_coeffs, path_graph
 from indpoly.cli import _build_parser, main
-from indpoly.verify import SUITES
+from indpoly.verify import SUITES, random_graph
 
 CLI = [sys.executable, "-m", "indpoly"]
 
@@ -168,6 +169,30 @@ class TestPolynomialCommands:
         if external:
             requests = records_of((tmp_path / "requests.jsonl").read_text())
             assert requests == [{"graph": {"n": 0, "edges": []}, "point": "2/1"}]
+
+    def test_interpolate_queries_comb_i_in_order(self, tmp_path):
+        # The external-oracle contract: query i is on comb(g, i), G with i
+        # leaves on every vertex, at the given point.
+        g = random_graph(random.Random(46), 8, 0.3)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph_to_json_dict(g)))
+        proc = run_cli("interpolate", str(path), "--at", "1/2", "--oracle", conforming_oracle(tmp_path))
+        assert proc.returncode == 0 and proc.stderr == ""
+        requests = records_of((tmp_path / "requests.jsonl").read_text())
+        assert len(requests) == len(clique_cover(g)) + 1
+        for i, request in enumerate(requests):
+            assert request == {"graph": graph_to_json_dict(comb(g, i)), "point": "1/2"}
+        (record,) = records_of(proc.stdout)
+        del record["timing_ms"]
+        assert record == {
+            "at": "1/2",
+            "coeffs": [format_rational(c) for c in isp_coeffs(g).coeffs],
+            "command": "interpolate",
+            "degree_bound": len(clique_cover(g)),
+            "graph": str(path),
+            "oracle": "external_command",
+            "vertices": 8,
+        }
 
 
 class TestExitCodes:

@@ -21,10 +21,10 @@ from indpoly import (
     Polynomial,
     build_clone_family,
     clique_cover,
-    clone_correction_factor,
-    clone_shifted_point,
+    comb,
     complete_graph,
     edgeless_graph,
+    format_rational,
     interpolate_coeffs,
     interpolate_family,
     isp_coeffs,
@@ -38,19 +38,38 @@ from indpoly import (
 from indpoly.verify import random_graph
 
 
+def grid_graph(rows: int, cols: int) -> Graph:
+    def vertex(r, c):
+        return r * cols + c
+
+    edges = [(vertex(r, c), vertex(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(vertex(r, c), vertex(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, edges)
+
+
+class RecordingOracle:
+    """The internal evaluator, keeping every (graph, point) query."""
+
+    def __init__(self):
+        self.queries = []
+
+    def evaluate(self, g, x):
+        self.queries.append((g, x))
+        return isp_eval(g, x)
+
+
 class TestBuildCloneFamily:
     def test_n_1_structure(self):
         family = build_clone_family(2, 1)
-        assert len(family.sets) == 2
-        assert family.sets[0].entries == (0,)
-        assert family.sets[1].entries == (1,)
         assert family.points == (2, Fraction(2, 3))
+        assert family.scales == (1, 3)
 
     def test_size_law(self):
-        for n in (1, 2, 3, 5, 6):
-            family = build_clone_family(2, n)
-            for spec in family.sets:
-                assert spec.size == 1
+        g = path_graph(3)
+        for d in (1, 2, 3, 5, 6):
+            family = build_clone_family(2, d)
+            for record in family.dump_records(g.n):
+                assert record["clone_vertices"] == comb(g, record["leaves"]).n == g.n * (record["i"] + 1)
 
     def test_points_pairwise_distinct(self):
         for x in (Fraction(2), Fraction(1, 2)):
@@ -59,43 +78,46 @@ class TestBuildCloneFamily:
                 assert len(set(family.points)) == n + 1
 
     def test_offset_is_one_at_integer_eigenvalue_points(self):
-        # Member i's path is one longer than member i-1's, starting from
-        # G itself at r_0 = x; no search moves the family at these points.
+        # Member k has one leaf per vertex more than member k-1, starting
+        # from G itself at r_0 = x; no search moves the family.
         for x in (Fraction(2), Fraction(6)):
             family = build_clone_family(x, 4)
             assert family.points[0] == x
-            for i, spec in enumerate(family.sets):
-                assert spec.entries == (i,)
+            for k in range(4):
+                assert family.points[k + 1] == family.points[k] / (1 + x)
 
     def test_offset_is_one_at_fractional_point(self):
         for x in (Fraction(1, 2), Fraction(-1, 5)):
             family = build_clone_family(x, 4)
             assert family.points[0] == x
-            for i, spec in enumerate(family.sets):
-                assert spec.entries == (i,)
+            for k in range(4):
+                assert family.points[k + 1] == family.points[k] / (1 + x)
 
     def test_dump_records(self):
         family = build_clone_family(2, 2)
         records = family.dump_records(3)
         assert len(records) == 3
-        assert records[0].keys() == {"i", "s_set", "point", "clone_vertices"}
+        assert records[0].keys() == {"i", "leaves", "point", "clone_vertices"}
         for i, record in enumerate(records):
-            assert record["s_set"] == [i]
+            assert record["i"] == record["leaves"] == i
+            assert record["point"] == format_rational(Fraction(2, 3**i))
             assert record["clone_vertices"] == 3 * (i + 1)
 
     def test_dump_records_count_the_graph_not_the_degree(self):
         g = path_graph(5)  # cover of 3 cliques, so d = 3 < n = 5
         family = build_clone_family(2, len(clique_cover(g)))
         assert family.degree == 3
-        for record, spec in zip(family.dump_records(g.n), family.sets):
-            assert record["clone_vertices"] == s_clone(g, spec).n
+        records = family.dump_records(g.n)
+        assert len(records) == 4
+        for k, record in enumerate(records):
+            assert record["clone_vertices"] == comb(g, k).n
 
     def test_bad_n(self):
         with pytest.raises(DomainError):
             build_clone_family(2, -1)
         family = build_clone_family(2, 0)
-        assert [spec.entries for spec in family.sets] == [(0,)]
         assert family.points == (2,)
+        assert family.scales == (1,)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -106,19 +128,23 @@ class TestBuildCloneFamily:
     )
     @example(Fraction(2), 40)
     @example(Fraction(48), 40)
-    @example(Fraction(-6, 25), 40)  # eigenvalues 3/5, 2/5
+    @example(Fraction(-6, 25), 40)  # 1 + x < 1: the points grow with k
     @example(Fraction(-1, 5), 40)
-    def test_points_follow_the_moebius_orbit(self, x, d):
+    def test_points_and_scales_follow_the_comb_identity(self, x, d):
         family = build_clone_family(x, d)
-        points = family.points
+        points, scales = family.points, family.scales
         assert len(set(points)) == d + 1
-        assert points[0] == x
-        for i in range(d):
-            assert points[i + 1] == x / (1 + points[i])
-        for i, point in enumerate(points):
-            assert point == clone_shifted_point(x, [i])
+        for k in range(d + 1):
+            assert points[k] == x / (1 + x) ** k
             for n in range(6):
-                assert family.scales[i] ** n == clone_correction_factor(x, [i], n)
+                assert scales[k] ** n == (1 + x) ** (k * n)
+        # I(comb(G, k); x) = scale_k^n * I(G; r_k), with the right side
+        # enumerated on G, so the kernel never runs on the comb there.
+        rng = random.Random(f"{x} {d}")
+        g = random_graph(rng, rng.randint(0, 7))
+        poly = isp_coeffs_by_enumeration(g)
+        for k in range(min(d, 4) + 1):
+            assert isp_eval(comb(g, k), x) == scales[k] ** g.n * poly.evaluate(points[k])
 
     def test_degenerate_rejected(self):
         for n in (1, 4):
@@ -231,16 +257,31 @@ class TestInterpolatePipeline:
         assert interpolate_coeffs(Graph(0), 2) == Polynomial([1])
 
     def test_empty_graph_is_a_one_member_family(self):
-        queries = []
-
-        class RecordingOracle:
-            def evaluate(self, g, x):
-                queries.append((g.n, x))
-                return isp_eval(g, x)
-
+        oracle = RecordingOracle()
         family = build_clone_family(Fraction(1, 2), len(clique_cover(Graph(0))))
-        assert interpolate_family(Graph(0), (), family, RecordingOracle()) == Polynomial([1])
-        assert queries == [(0, Fraction(1, 2))]
+        assert interpolate_family(Graph(0), (), family, oracle) == Polynomial([1])
+        assert oracle.queries == [(Graph(0), Fraction(1, 2))]
+
+    def test_members_hang_only_leaves_on_original_vertices(self):
+        # Member k is G with k leaves on every vertex: each vertex past n
+        # has one neighbour, an original vertex, so no pendant paths.
+        g = random_graph(random.Random(45), 9, 0.3)
+        cover = clique_cover(g)
+        oracle = RecordingOracle()
+        assert interpolate_family(g, cover, build_clone_family(2, len(cover)), oracle) == isp_coeffs(g)
+        assert len(oracle.queries) == len(cover) + 1
+        for k, (clone, _) in enumerate(oracle.queries):
+            assert clone.n == g.n * (k + 1)
+            assert [(u, v) for u, v in clone.edges if v < g.n] == list(g.edges)
+            for v in range(g.n, clone.n):
+                (u,) = clone.neighbors(v)
+                assert u < g.n
+            for u in range(g.n):
+                assert clone.degree(u) == g.degree(u) + k
+
+    def test_six_by_six_grid(self):
+        grid = grid_graph(6, 6)
+        assert interpolate_coeffs(grid, 2) == isp_coeffs(grid)
 
     def test_matches_direct_coefficients(self):
         rng = random.Random(42)
@@ -255,9 +296,9 @@ class TestInterpolatePipeline:
 
     @pytest.mark.parametrize("x", [0, Fraction(-1, 4), Fraction(-1, 2)])
     def test_degenerate_point_rejected_on_empty_graph(self, x):
-        # The empty graph's family has the one member S_0 = {0}, whose clone
-        # is the graph itself at shifted point x; building the family still
-        # checks x, so these points fail.
+        # The empty graph's family has the one member comb 0, the graph
+        # itself at shifted point x; building the family still checks x,
+        # so these points fail.
         with pytest.raises(DegeneratePointError):
             interpolate_coeffs(Graph(0), x)
 
@@ -302,14 +343,14 @@ class TestInterpolatePipeline:
         ],
     )
     def test_answers_that_are_not_counts_rejected(self, coeffs, bad):
-        # Answers consistent with the polynomial `coeffs` on every clone of
-        # K2: member i (2(i + 1) vertices) gets C_i^2 * q(r_i).
+        # Answers consistent with the polynomial `coeffs` on every comb of
+        # K2: member k (2(k + 1) vertices) gets (1 + x)^(2k) * q(x/(1 + x)^k).
         q = Polynomial(coeffs)
 
         class PolynomialOracle:
             def evaluate(self, g, x):
-                i = g.n // 2 - 1
-                return clone_correction_factor(x, [i], 2) * q.evaluate(clone_shifted_point(x, [i]))
+                k = g.n // 2 - 1
+                return (1 + x) ** (2 * k) * q.evaluate(x / (1 + x) ** k)
 
         with pytest.raises(OracleError, match=re.escape(bad)):
             interpolate_coeffs(complete_graph(2), Fraction(1, 2), oracle=PolynomialOracle())
@@ -319,7 +360,7 @@ class TestInterpolatePipeline:
             def evaluate(self, g, x):
                 raise CapacityError(f"{g.n}-vertex graph over the bound")
 
-        with pytest.raises(CapacityError, match="clone 0"):
+        with pytest.raises(CapacityError, match=re.escape("clone 0 (0 leaves per vertex): 3-vertex")):
             interpolate_coeffs(complete_graph(3), 2, oracle=BoundedOracle())
 
 
