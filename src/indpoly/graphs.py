@@ -4,6 +4,14 @@ All graphs are immutable: transformations return new graphs.  Vertices are
 0-based integers below ``vertex_count``.  An optional ``labels`` map carries
 DIMACS-style signed literals on vertices (used by the SAT reduction).
 
+A graph stores the form it was built from and derives the other on first
+use, caching it.  ``Graph(n, edges)`` validates and stores the sorted edge
+tuple; its per-vertex neighbour bitmasks are built when first asked for.
+The transformations ``s_clone``, ``k_clone`` and ``comb`` build the
+neighbour masks directly, and their edge tuple is derived only when
+something reads ``edges`` (serialising the graph, say), never to evaluate
+it.  Equality and hashing compare masks, so they derive no edges.
+
 Vertex numbering of ``s_clone`` (the back-mapping contract):
 for each original vertex ``a`` there is a block of ``total + size`` result
 vertices starting at ``a * (total + size)``, where the clone multiset S is
@@ -23,7 +31,7 @@ from .errors import DomainError, GraphFormatError
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with optional vertex labels."""
 
-    __slots__ = ("n", "edges", "labels", "_masks")
+    __slots__ = ("n", "labels", "_edges", "_masks")
 
     def __init__(self, n: int, edges=(), labels=None):
         if n < 0:
@@ -36,7 +44,7 @@ class Graph:
                 raise DomainError(f"edge ({u}, {v}) out of range for n={n}")
             normalized.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(normalized)))
+        object.__setattr__(self, "_edges", tuple(sorted(normalized)))
         object.__setattr__(self, "labels", dict(labels) if labels else None)
         object.__setattr__(self, "_masks", None)
         if self.labels is not None:
@@ -44,12 +52,34 @@ class Graph:
                 if not 0 <= v < n:
                     raise DomainError(f"label on unknown vertex {v}")
 
+    @classmethod
+    def _from_masks(cls, masks) -> Graph:
+        """Unlabelled graph with the given neighbour masks, unchecked: the
+        caller guarantees they are symmetric, loop-free and below 1 << n.
+        Only this module's transformations call it."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", len(masks))
+        object.__setattr__(g, "_edges", None)
+        object.__setattr__(g, "labels", None)
+        object.__setattr__(g, "_masks", tuple(masks))
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     @property
     def vertex_count(self) -> int:
         return self.n
+
+    @property
+    def edges(self) -> tuple:
+        """Ascending (u, v) pairs with u < v, derived from the masks on
+        first use when the graph was built from them."""
+        edges = self._edges
+        if edges is None:
+            edges = _edges_of(self._masks)
+            object.__setattr__(self, "_edges", edges)
+        return edges
 
     @property
     def edge_count(self) -> int:
@@ -60,7 +90,7 @@ class Graph:
         masks = self._masks
         if masks is None:
             lst = [0] * self.n
-            for u, v in self.edges:
+            for u, v in self._edges:
                 lst[u] |= 1 << v
                 lst[v] |= 1 << u
             masks = tuple(lst)
@@ -90,15 +120,20 @@ class Graph:
             return NotImplemented
         return (
             self.n == other.n
-            and self.edges == other.edges
+            and self.neighbor_masks() == other.neighbor_masks()
             and (self.labels or {}) == (other.labels or {})
         )
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.neighbor_masks()))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self.edges)})"
+
+
+def _edges_of(masks) -> tuple:
+    """The ascending (u, v), u < v, of the graph with these neighbour masks."""
+    return tuple((u, v) for u, nbrs in enumerate(masks) for v in _vertices_of(nbrs & -(2 << u)))
 
 
 def complete_graph(n: int) -> Graph:
@@ -178,30 +213,29 @@ def s_clone(g: Graph, spec: CloneSpec) -> Graph:
         spec = CloneSpec(spec)
     block = spec.block
     size = spec.size
-    n_out = g.n * block
-    edges = []
-
-    # Per-block offsets: clone i sits at offset i; its path starts after all
-    # clones plus the paths of earlier clones.
-    path_start = []
-    offset = size
-    for s in spec.entries:
-        path_start.append(offset)
-        offset += s
-
-    for a in range(g.n):
+    # One block's own adjacency, relative to the block's first vertex: a
+    # clone is joined to the first vertex of its path, and each path
+    # vertex to its predecessor and successor.
+    heads = []
+    chains = []
+    start = size
+    for i, s in enumerate(spec.entries):
+        heads.append(1 << start if s else 0)
+        prev = i
+        for v in range(start, start + s):
+            chains.append(1 << prev | (2 << v if v < start + s - 1 else 0))
+            prev = v
+        start += s
+    clones = [((1 << size) - 1) << b * block for b in range(g.n)]  # the clones of b
+    masks = []
+    for a, nbrs in enumerate(g.neighbor_masks()):
         base = a * block
-        for i, s in enumerate(spec.entries):
-            prev = base + i
-            for j in range(s):
-                nxt = base + path_start[i] + j
-                edges.append((prev, nxt))
-                prev = nxt
-    for u, v in g.edges:
-        for i in range(size):
-            for j in range(size):
-                edges.append((u * block + i, v * block + j))
-    return Graph(n_out, edges)
+        spread = 0
+        for b in _vertices_of(nbrs):
+            spread |= clones[b]
+        masks += [spread | head << base for head in heads]
+        masks += [chain << base for chain in chains]
+    return Graph._from_masks(masks)
 
 
 def s_clone_origin(spec: CloneSpec, vertex: int) -> tuple:
@@ -254,11 +288,12 @@ def comb(g: Graph, k: int) -> Graph:
     vertex-major."""
     if k < 0:
         raise DomainError(f"leaf count must be >= 0, got {k}")
-    edges = list(g.edges)
-    for v in range(g.n):
-        for j in range(k):
-            edges.append((v, g.n + v * k + j))
-    return Graph(g.n + g.n * k, edges)
+    n = g.n
+    run = (1 << k) - 1
+    masks = [nbrs | run << n + v * k for v, nbrs in enumerate(g.neighbor_masks())]
+    for v in range(n):
+        masks += [1 << v] * k
+    return Graph._from_masks(masks)
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:

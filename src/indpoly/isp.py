@@ -20,7 +20,9 @@ and tested against each other:
   step.  This changes only how the components are found, never which
   they are, so it is not the leaf identity: no leaf is contracted, and
   each is still counted as an isolated vertex or branched on inside its
-  component.
+  component.  The degree classes and the host leaves are the only
+  per-call setup; both come from one pass over the host degrees
+  (``_host_structure``).
   ``isp_coeffs`` and ``count_is_of_size`` read all coefficients off one
   evaluation at X = 2^(n+1) (Kronecker substitution: every coefficient
   is a non-negative integer below 2^(n+1), so the value's base-2^(n+1)
@@ -118,7 +120,7 @@ def _components_of(mask: int, masks, leaves: int) -> tuple:
     """Split the induced subgraph into its connected components with two or
     more vertices, as bitmasks, and the number of its isolated vertices.
 
-    ``leaves`` is the mask of host leaves (``_host_leaves``): vertices of
+    ``leaves`` is the mask of host leaves (``_host_structure``): vertices of
     degree 1 in the host graph whose neighbour has degree at least 2.  A
     leaf never starts a search and is never expanded: whenever a search
     reaches it, its only neighbour is already in the component.  The
@@ -153,25 +155,24 @@ def _components_of(mask: int, masks, leaves: int) -> tuple:
     return comps, (mask ^ covered).bit_count()
 
 
-def _host_leaves(masks) -> int:
-    """The host graph's leaves, as a mask: vertices of degree 1 whose
-    neighbour has degree at least 2.  Neither end of a K2 component is a
-    leaf, so every component has a non-leaf vertex to start a search."""
-    leaves = 0
-    for v, nbrs in enumerate(masks):
-        if nbrs.bit_count() == 1 and masks[nbrs.bit_length() - 1].bit_count() >= 2:
-            leaves |= 1 << v
-    return leaves
+def _host_structure(masks) -> tuple:
+    """The host graph's static structure, in one pass over its degrees:
+    ``(classes, leaves)``.
 
-
-def _degree_classes(masks) -> list:
-    """The host graph's vertices grouped by degree, as (degree, vertex mask)
-    pairs in descending order of degree."""
+    ``classes`` groups the vertices by degree, as (degree, vertex mask)
+    pairs in descending order of degree.  ``leaves`` is the mask of host
+    leaves: vertices of degree 1 whose neighbour has degree at least 2.
+    Neither end of a K2 component is a leaf, so every component has a
+    non-leaf vertex to start a search."""
+    degrees = list(map(int.bit_count, masks))
     classes = {}
-    for v, nbrs in enumerate(masks):
-        d = nbrs.bit_count()
-        classes[d] = classes.get(d, 0) | 1 << v
-    return sorted(classes.items(), reverse=True)
+    leaves = 0
+    for v, d in enumerate(degrees):
+        bit = 1 << v
+        classes[d] = classes.get(d, 0) | bit
+        if d == 1 and degrees[masks[v].bit_length() - 1] >= 2:
+            leaves |= bit
+    return sorted(classes.items(), reverse=True), leaves
 
 
 def _branch_vertex(comp: int, masks, classes) -> int:
@@ -203,8 +204,7 @@ def isp_eval(g: Graph, x) -> Fraction:
     x = as_rational(x)
     p, q = x.numerator, x.denominator
     masks = g.neighbor_masks()
-    classes = _degree_classes(masks)
-    leaves = _host_leaves(masks)
+    classes, leaves = _host_structure(masks)
     memo = {}
 
     # J(mask) = q^|mask| * I(mask; p/q) keeps the recursion over integers;
@@ -258,7 +258,7 @@ def count_transversal_is(g: Graph, parts) -> int:
     if not is_clique_cover(g, parts):
         raise DomainError("parts are not a partition of the vertices into cliques")
     masks = g.neighbor_masks()
-    leaves = _host_leaves(masks)
+    leaves = _host_structure(masks)[1]
     part_of = [0] * g.n  # each vertex's whole part, as a bitmask
     for part in parts:
         part_mask = sum(1 << v for v in part)

@@ -30,6 +30,41 @@ from indpoly import (
 from indpoly.verify import random_clone_spec, random_graph
 
 
+def reference_s_clone(g: Graph, spec: CloneSpec) -> Graph:
+    """s_clone as an edge list through the checking constructor: the
+    independent reference for the mask construction."""
+    block = spec.block
+    size = spec.size
+    edges = []
+    path_start = []
+    offset = size
+    for s in spec.entries:
+        path_start.append(offset)
+        offset += s
+    for a in range(g.n):
+        base = a * block
+        for i, s in enumerate(spec.entries):
+            prev = base + i
+            for j in range(s):
+                nxt = base + path_start[i] + j
+                edges.append((prev, nxt))
+                prev = nxt
+    for u, v in g.edges:
+        for i in range(size):
+            for j in range(size):
+                edges.append((u * block + i, v * block + j))
+    return Graph(g.n * block, edges)
+
+
+def reference_comb(g: Graph, k: int) -> Graph:
+    """comb as an edge list through the checking constructor."""
+    edges = list(g.edges)
+    for v in range(g.n):
+        for j in range(k):
+            edges.append((v, g.n + v * k + j))
+    return Graph(g.n + g.n * k, edges)
+
+
 class TestGraphBasics:
     def test_construction_normalizes_edges(self):
         g = Graph(3, [(2, 0), (0, 1)])
@@ -51,6 +86,11 @@ class TestGraphBasics:
         g = Graph(1)
         with pytest.raises(AttributeError):
             g.n = 5
+
+    def test_merges_reversed_and_repeated_edges(self):
+        g = Graph(3, [(1, 0), (0, 1), (2, 1), (1, 2)])
+        assert g.edges == ((0, 1), (1, 2))
+        assert g.edge_count == 2
 
     def test_builders(self):
         assert complete_graph(3).edge_count == 3
@@ -324,8 +364,8 @@ class TestGraphFormats:
 
 
 @st.composite
-def unlabelled_graphs(draw):
-    n = draw(st.integers(min_value=0, max_value=12))
+def unlabelled_graphs(draw, max_n=12):
+    n = draw(st.integers(min_value=0, max_value=max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return Graph(n, edges)
@@ -341,6 +381,82 @@ class TestFormatRoundTripProperties:
     @given(unlabelled_graphs())
     def test_json_round_trip(self, g):
         assert graph_from_json_dict(graph_to_json_dict(g)) == g
+
+
+def _same_graph(got: Graph, want: Graph):
+    assert got.n == want.n
+    assert got.edges == want.edges
+    assert got.neighbor_masks() == want.neighbor_masks()
+    assert got == want and want == got
+    assert hash(got) == hash(want)
+    assert graph_to_text(got) == graph_to_text(want)
+    assert graph_to_json_dict(got) == graph_to_json_dict(want)
+
+
+class TestMaskBuiltTransformations:
+    """The transformations build neighbour masks; the references build the
+    same graphs from edge lists through the checking constructor."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(unlabelled_graphs(max_n=8), st.integers(min_value=0, max_value=4))
+    def test_comb_equals_edge_list_construction(self, g, k):
+        _same_graph(comb(g, k), reference_comb(g, k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(unlabelled_graphs(max_n=8), st.lists(st.integers(min_value=0, max_value=4), max_size=4))
+    def test_s_clone_equals_edge_list_construction(self, g, entries):
+        spec = CloneSpec(entries)
+        cloned = s_clone(g, spec)
+        _same_graph(cloned, reference_s_clone(g, spec))
+        # the numbering contract: s_clone_origin is a bijection onto
+        # (vertex, clone, position) and every edge joins clones of adjacent
+        # vertices or consecutive positions on one clone's path
+        origins = [s_clone_origin(spec, v) for v in range(cloned.n)]
+        assert len(set(origins)) == cloned.n
+        for u, v in cloned.edges:
+            (a, i, p), (b, j, q) = origins[u], origins[v]
+            if p == q == 0:
+                assert g.has_edge(a, b)
+            else:
+                assert (a, i) == (b, j) and abs(p - q) == 1
+
+
+class TestGraphForms:
+    """A graph built from masks and one built from the same edges agree on
+    everything a caller can ask."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(unlabelled_graphs(max_n=8))
+    def test_mask_built_agrees_with_edge_built(self, g):
+        from_masks = Graph._from_masks(g.neighbor_masks())
+        from_edges = Graph(g.n, g.edges)
+        assert from_masks == from_edges and hash(from_masks) == hash(from_edges)
+        assert from_masks.edges == from_edges.edges
+        assert from_masks.edge_count == from_edges.edge_count
+        for u in range(g.n):
+            assert from_masks.degree(u) == from_edges.degree(u)
+            assert from_masks.neighbors(u) == from_edges.neighbors(u)
+            for v in range(g.n):
+                assert from_masks.has_edge(u, v) == from_edges.has_edge(u, v)
+        if g.n >= 2:
+            toggled = Graph(g.n, set(g.edges) ^ {(0, 1)})
+            assert from_masks != toggled and toggled != from_masks
+            assert comb(from_masks, 1) != comb(toggled, 1)
+
+    def test_mask_built_edges_are_derived_once(self):
+        g = comb(path_graph(3), 2)
+        assert g.edges is g.edges
+
+    def test_mask_built_is_immutable(self):
+        g = comb(complete_graph(3), 1)
+        for name in ("n", "edges", "labels", "_masks", "_edges"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
+
+    def test_mask_built_differs_from_labelled(self):
+        g = Graph(2, [(0, 1)], labels={0: 1, 1: -2})
+        assert comb(g, 0) != g
+        assert comb(g, 0) == Graph(2, [(0, 1)])
 
 
 class TestCliqueCover:

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import indpoly.graphs
 import indpoly.interpolate
+import indpoly.isp
 from indpoly import (
     CapacityError,
     DegeneratePointError,
@@ -385,6 +387,18 @@ class TestInterpolateAgainstEnumeration:
         assert interpolate_coeffs(g, x) == isp_coeffs_by_enumeration(g)
 
 
+class PlanOracle:
+    """I(G; plan.target_point) through a normaliser plan: transform G,
+    evaluate at the plan's original point, divide out the plan's factor."""
+
+    def __init__(self, plan):
+        self.plan = plan
+
+    def evaluate(self, g, x):
+        assert x == self.plan.target_point
+        return isp_eval(self.plan.apply(g), self.plan.original_point) / self.plan.factor(g.n)
+
+
 class TestCoefficientPin:
     """Seeded G(n, 0.3) graphs, n <= 10, against subset enumeration."""
 
@@ -397,16 +411,55 @@ class TestCoefficientPin:
 
     def test_hard_point_through_normalizer(self):
         plan = normalize_point(Fraction(-1, 2))
-
-        class PlanOracle:
-            def evaluate(self, g, x):
-                assert x == plan.target_point
-                return isp_eval(plan.apply(g), plan.original_point) / plan.factor(g.n)
-
         rng = random.Random(11)
         for _ in range(40):
             g = random_graph(rng, rng.randint(0, 10), 0.3)
-            assert interpolate_coeffs(g, plan.target_point, oracle=PlanOracle()) == isp_coeffs_by_enumeration(g)
+            assert interpolate_coeffs(g, plan.target_point, oracle=PlanOracle(plan)) == isp_coeffs_by_enumeration(g)
+
+
+class TestMemberWork:
+    """Clone members are built as neighbour masks, and the kernel does the
+    same work on them as on the edge-list construction: no member derives
+    its edge tuple, and the branch-node counts on seeded G(9, 0.3) graphs
+    are the ones recorded when members were built from edge lists."""
+
+    BRANCH_NODES = {
+        "x2": [68, 74, 63, 60, 60, 71],
+        "hard": [368, 379, 358, 450, 450, 473],
+    }
+
+    def test_same_recursion_no_edge_derivation(self, monkeypatch):
+        derivations = [0]
+        branches = [0]
+        edges_of = indpoly.graphs._edges_of
+        branch_vertex = indpoly.isp._branch_vertex
+
+        def counted_edges(masks):
+            derivations[0] += 1
+            return edges_of(masks)
+
+        def counted_branch(*args):
+            branches[0] += 1
+            return branch_vertex(*args)
+
+        monkeypatch.setattr(indpoly.graphs, "_edges_of", counted_edges)
+        monkeypatch.setattr(indpoly.isp, "_branch_vertex", counted_branch)
+        plan = normalize_point(Fraction(-1, 2))
+        runs = {
+            "x2": lambda g: interpolate_coeffs(g, 2),
+            "hard": lambda g: interpolate_coeffs(g, plan.target_point, oracle=PlanOracle(plan)),
+        }
+        rng = random.Random(14)
+        graphs = [random_graph(rng, 9, 0.3) for _ in range(6)]
+        for name, run in runs.items():
+            counts = []
+            for g in graphs:
+                branches[0] = 0
+                assert run(g) == isp_coeffs_by_enumeration(g)
+                counts.append(branches[0])
+            assert counts == self.BRANCH_NODES[name]
+        assert derivations[0] == 0
+        assert comb(graphs[0], 1).edges and derivations[0] == 1  # the counter sees derivations
 
 
 def _write_oracle_script(tmp_path, body: str) -> str:

@@ -315,15 +315,45 @@ class TestKernelHelpers:
     def test_branch_vertex_matches_full_scan(self, case):
         g, sub = case
         masks = g.neighbor_masks()
-        classes = indpoly.isp._degree_classes(masks)
-        comps, _ = indpoly.isp._components_of(sub, masks, indpoly.isp._host_leaves(masks))
+        classes, leaves = indpoly.isp._host_structure(masks)
+        comps, _ = indpoly.isp._components_of(sub, masks, leaves)
         for comp in comps:
             assert indpoly.isp._branch_vertex(comp, masks, classes) == _full_scan_branch_vertex(comp, masks)
 
     def test_host_leaves(self):
         # star K_{1,3} plus a K2 (4-5) plus an isolated vertex 6
         masks = Graph(7, [(0, 1), (0, 2), (0, 3), (4, 5)]).neighbor_masks()
-        assert indpoly.isp._host_leaves(masks) == 0b1110
+        classes, leaves = indpoly.isp._host_structure(masks)
+        assert leaves == 0b1110
+        assert classes == [(3, 0b1), (1, 0b111110), (0, 0b1000000)]
+
+    @pytest.mark.parametrize(
+        "g, classes, leaves",
+        [
+            (Graph(0), [], 0),
+            (edgeless_graph(3), [(0, 0b111)], 0),
+            (Graph(4, [(0, 1), (2, 3)]), [(1, 0b1111)], 0),  # two K2 components
+            (path_graph(3), [(2, 0b010), (1, 0b101)], 0b101),
+        ],
+    )
+    def test_host_structure_small_cases(self, g, classes, leaves):
+        assert indpoly.isp._host_structure(g.neighbor_masks()) == (classes, leaves)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_with_leaves_and_submasks())
+    def test_host_structure_matches_definition(self, case):
+        g = case[0]
+        masks = g.neighbor_masks()
+        classes, leaves = indpoly.isp._host_structure(masks)
+        by_degree = {}
+        for v in range(g.n):
+            by_degree.setdefault(g.degree(v), []).append(v)
+        assert classes == [
+            (d, sum(1 << v for v in by_degree[d])) for d in sorted(by_degree, reverse=True)
+        ]
+        assert leaves == sum(
+            1 << v for v in range(g.n) if g.degree(v) == 1 and g.degree(g.neighbors(v)[0]) >= 2
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(graphs_with_leaves_and_submasks())
@@ -334,7 +364,7 @@ class TestKernelHelpers:
     def test_components_split_mask_exactly(self, case):
         g, sub = case
         masks = g.neighbor_masks()
-        comps, isolated = indpoly.isp._components_of(sub, masks, indpoly.isp._host_leaves(masks))
+        comps, isolated = indpoly.isp._components_of(sub, masks, indpoly.isp._host_structure(masks)[1])
         covered = 0
         for comp in comps:
             assert comp.bit_count() >= 2 and comp & ~sub == 0 and comp & covered == 0
