@@ -267,10 +267,18 @@ def x3sat_to_graph(f: CnfFormula):
 
     where target_size is the clause count and multiplier is 2^r for the r
     declared variables that appear in no clause.
+
+    The graph is built from neighbour masks: one mask per variable and
+    truth value holds the vertices that set the variable that way, and a
+    vertex's neighbours are the OR of the opposite masks over its 2 or 3
+    variables.
     """
     labels = {}
-    sets_true = []
-    sets_false = []
+    # by_setting[2 * var + 1] holds the vertices that set var true and
+    # by_setting[2 * var] those that set it false, so key ^ 1 is the
+    # opposite setting.
+    by_setting = [0] * (2 * f.variable_count + 2)
+    settings = []  # per vertex, the keys of the settings it makes
     for idx, clause in enumerate(f.clauses, start=1):
         width = len(clause)
         if width not in (2, 3):
@@ -282,26 +290,22 @@ def x3sat_to_graph(f: CnfFormula):
                 f"clause {idx} uses a variable twice (complementary pair)"
             )
         for chosen in clause:
-            true = false = 0
-            for lit in clause:
-                # The chosen literal becomes true, every partner false.
-                if (lit > 0) == (lit == chosen):
-                    true |= 1 << abs(lit)
-                else:
-                    false |= 1 << abs(lit)
-            labels[len(sets_true)] = chosen
-            sets_true.append(true)
-            sets_false.append(false)
+            bit = 1 << len(settings)
+            # The chosen literal becomes true, every partner false.
+            keys = [2 * abs(lit) + ((lit > 0) == (lit == chosen)) for lit in clause]
+            for key in keys:
+                by_setting[key] |= bit
+            labels[len(settings)] = chosen
+            settings.append(keys)
 
-    total = len(sets_true)
-    edges = [
-        (u, v)
-        for u in range(total)
-        for v in range(u + 1, total)
-        if sets_true[u] & sets_false[v] or sets_false[u] & sets_true[v]
-    ]
+    masks = []
+    for keys in settings:
+        nbrs = 0
+        for key in keys:
+            nbrs |= by_setting[key ^ 1]
+        masks.append(nbrs)
     multiplier = 2 ** f.unused_variable_count()
-    return Graph(total, edges, labels), len(f.clauses), multiplier
+    return Graph._from_masks(masks, labels), len(f.clauses), multiplier
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,11 @@ DIMACS-style signed literals on vertices (used by the SAT reduction).
 A graph stores the form it was built from and derives the other on first
 use, caching it.  ``Graph(n, edges)`` validates and stores the sorted edge
 tuple; its per-vertex neighbour bitmasks are built when first asked for.
-The transformations ``s_clone``, ``k_clone`` and ``comb`` build the
-neighbour masks directly, and their edge tuple is derived only when
-something reads ``edges`` (serialising the graph, say), never to evaluate
-it.  Equality and hashing compare masks, so they derive no edges.
+The transformations ``s_clone``, ``k_clone`` and ``comb`` (and the SAT
+reduction's ``x3sat_to_graph``) build the neighbour masks directly, and
+their edge tuple is derived only when something reads ``edges``
+(serialising the graph, say), never to evaluate it.  Equality and
+hashing compare masks, so they derive no edges.
 
 Vertex numbering of ``s_clone`` (the back-mapping contract):
 for each original vertex ``a`` there is a block of ``total + size`` result
@@ -53,14 +54,15 @@ class Graph:
                     raise DomainError(f"label on unknown vertex {v}")
 
     @classmethod
-    def _from_masks(cls, masks) -> Graph:
-        """Unlabelled graph with the given neighbour masks, unchecked: the
-        caller guarantees they are symmetric, loop-free and below 1 << n.
-        Only this module's transformations call it."""
+    def _from_masks(cls, masks, labels=None) -> Graph:
+        """Graph with the given neighbour masks and optional labels,
+        unchecked: the caller guarantees the masks are symmetric, loop-free
+        and below 1 << n, and labels only vertices below n.  This module's
+        transformations and ``cnf.x3sat_to_graph`` call it."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", len(masks))
         object.__setattr__(g, "_edges", None)
-        object.__setattr__(g, "labels", None)
+        object.__setattr__(g, "labels", dict(labels) if labels else None)
         object.__setattr__(g, "_masks", tuple(masks))
         return g
 
@@ -351,11 +353,14 @@ def is_clique_cover(g: Graph, parts) -> bool:
     for part in parts:
         if not part:
             return False
-        for i, v in enumerate(part):
+        whole = 0
+        for v in part:
             if not (isinstance(v, int) and 0 <= v < g.n) or seen >> v & 1:
                 return False
             seen |= 1 << v
-            if any(not masks[v] >> u & 1 for u in part[:i]):
+            whole |= 1 << v
+        for v in part:  # v is adjacent to every other member
+            if whole & ~masks[v] != 1 << v:
                 return False
     return seen == (1 << g.n) - 1
 

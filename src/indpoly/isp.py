@@ -33,7 +33,9 @@ A third route, ``count_transversal_is``, counts only the independent sets
 that meet every part of a given clique partition exactly once (these are
 the independent sets of size t for a partition into t cliques, the count
 the #X3SAT -> #IS reduction asks for).  It branches on a part, not a
-vertex, and needs no big integers.
+vertex, and needs no big integers.  A pick can leave another part with
+one live vertex; that vertex is forced and is taken in the same loop,
+with no branch, memo entry or component split of its own.
 
 The branching routes have no hard vertex bound (cost is exponential only
 in the 2-core, so pendant-heavy graphs stay cheap); the enumeration
@@ -251,7 +253,10 @@ def count_transversal_is(g: Graph, parts) -> int:
 
     The recursion branches on the live part with the fewest live vertices.
     Choosing v removes v's part and v's neighbours, and a choice dies as
-    soon as another part has no live vertex left.  A component of the live
+    soon as another part has no live vertex left.  A part that loses all
+    but one live vertex forces that vertex, which is chosen in turn in the
+    same loop; the remaining live vertices are split into components only
+    once nothing more is forced.  A component of the live
     vertices is a union of whole live parts and is counted on its own,
     memoised on its vertex mask; an isolated live vertex is a whole part
     and contributes the factor 1."""
@@ -280,18 +285,30 @@ def count_transversal_is(g: Graph, parts) -> int:
                     break
             rest ^= live
         val = 0
+        others = comp & ~branch
         choices = branch
         while choices:
             b = choices & -choices
             choices ^= b
-            nbrs = masks[b.bit_length() - 1] & comp
-            left = comp & ~(branch | nbrs)
-            hit = nbrs & ~branch  # only parts that lost a neighbour of v can empty
-            while hit:
-                part = part_of[(hit & -hit).bit_length() - 1]
-                if not part & left:
+            left = others
+            take = b
+            while take:
+                t = take & -take
+                take ^= t
+                hit = masks[t.bit_length() - 1] & left
+                left &= ~(hit | t)
+                # Only parts that lost a neighbour of t can empty or be
+                # left with one live vertex, which is then forced.
+                while hit:
+                    part = part_of[(hit & -hit).bit_length() - 1]
+                    live = part & left
+                    if not live:
+                        break
+                    if not live & (live - 1):
+                        take |= live
+                    hit &= ~part
+                if hit:  # a part emptied: the choice dies
                     break
-                hit &= ~part
             else:
                 val += mask_count(left)
         memo[comp] = val

@@ -10,10 +10,12 @@ from indpoly import (
     CapacityError,
     CnfFormula,
     FormulaError,
+    Graph,
     count_is_of_size,
     count_sat,
     count_sat_via_independent_sets,
     count_x3sat,
+    graph_to_text,
     parse_dimacs,
     reduce_to_graph,
     reduce_to_x3sat,
@@ -26,6 +28,60 @@ from indpoly.verify import (
     random_3cnf,
     random_x3sat,
 )
+
+
+def reference_x3sat_to_graph(f: CnfFormula):
+    """x3sat_to_graph as a pairwise conflict test over all vertex pairs,
+    built through the checking constructor: the independent reference for
+    the per-variable mask construction."""
+    labels = {}
+    sets_true = []
+    sets_false = []
+    for idx, clause in enumerate(f.clauses, start=1):
+        width = len(clause)
+        if width not in (2, 3):
+            raise FormulaError(
+                f"clause {idx} has width {width}; X3SAT needs width 2 or 3"
+            )
+        if len({abs(lit) for lit in clause}) != width:
+            raise FormulaError(
+                f"clause {idx} uses a variable twice (complementary pair)"
+            )
+        for chosen in clause:
+            true = false = 0
+            for lit in clause:
+                if (lit > 0) == (lit == chosen):
+                    true |= 1 << abs(lit)
+                else:
+                    false |= 1 << abs(lit)
+            labels[len(sets_true)] = chosen
+            sets_true.append(true)
+            sets_false.append(false)
+
+    total = len(sets_true)
+    edges = [
+        (u, v)
+        for u in range(total)
+        for v in range(u + 1, total)
+        if sets_true[u] & sets_false[v] or sets_false[u] & sets_true[v]
+    ]
+    multiplier = 2 ** f.unused_variable_count()
+    return Graph(total, edges, labels), len(f.clauses), multiplier
+
+
+@st.composite
+def x3sat_instances(draw):
+    """Formulas x3sat_to_graph accepts: n = 0..10 declared variables (some
+    possibly unused) and up to 10 clauses of 2 or 3 distinct variables."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    if n < 2:
+        return CnfFormula(n, [])
+    clauses = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        variables = draw(st.lists(st.integers(1, n), min_size=2, max_size=3, unique=True))
+        signs = draw(st.lists(st.booleans(), min_size=len(variables), max_size=len(variables)))
+        clauses.append([v if positive else -v for v, positive in zip(variables, signs)])
+    return CnfFormula(n, clauses)
 
 
 class TestCnfFormula:
@@ -317,6 +373,20 @@ class TestX3SatToGraph:
                 )
             )
             assert g.has_edge(u, v) != compatible
+
+    @settings(max_examples=200, deadline=None)
+    @given(x3sat_instances())
+    def test_equals_pairwise_construction(self, f):
+        g, target, multiplier = x3sat_to_graph(f)
+        want, want_target, want_multiplier = reference_x3sat_to_graph(f)
+        assert g.n == want.n
+        assert g.edges == want.edges
+        assert g.neighbor_masks() == want.neighbor_masks()
+        assert g.labels == want.labels
+        assert g == want and want == g
+        assert hash(g) == hash(want)
+        assert graph_to_text(g) == graph_to_text(want)
+        assert (target, multiplier) == (want_target, want_multiplier)
 
     def test_rejects_complementary_pair_in_clause(self):
         with pytest.raises(FormulaError):

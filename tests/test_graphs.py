@@ -443,6 +443,19 @@ class TestGraphForms:
             assert from_masks != toggled and toggled != from_masks
             assert comb(from_masks, 1) != comb(toggled, 1)
 
+    @settings(max_examples=100, deadline=None)
+    @given(unlabelled_graphs(max_n=8), st.data())
+    def test_labelled_mask_built_agrees_with_edge_built(self, g, data):
+        literal = st.integers(min_value=-9, max_value=9).filter(bool)
+        labels = data.draw(st.dictionaries(st.integers(0, g.n - 1), literal)) if g.n else {}
+        from_masks = Graph._from_masks(g.neighbor_masks(), labels)
+        from_edges = Graph(g.n, g.edges, labels)
+        _same_graph(from_masks, from_edges)
+        if labels:
+            labels.clear()  # the graph keeps its own copy
+            assert from_masks.labels == from_edges.labels != {}
+            assert from_masks != Graph(g.n, g.edges)
+
     def test_mask_built_edges_are_derived_once(self):
         g = comb(path_graph(3), 2)
         assert g.edges is g.edges

@@ -439,9 +439,24 @@ def partitioned_graphs(draw):
 
 def _ladder(parts: int):
     """P_(2k) split into its k consecutive edges: the picks are some left
-    ends then only right ends, so there are k + 1 transversals, and every
-    choice leaves one connected remainder (recursion depth k)."""
+    ends then only right ends, so there are k + 1 transversals.  A right
+    end removes the next part's left end, so every later pick is forced
+    and taken without recursing; only the chain of left-end picks, each
+    leaving one connected remainder, recurses (depth k)."""
     return path_graph(2 * parts), tuple((2 * i, 2 * i + 1) for i in range(parts))
+
+
+def _count_component_splits(monkeypatch):
+    """Wrap ``_components_of`` so that the returned list counts its calls."""
+    calls = []
+    split = indpoly.isp._components_of
+
+    def counted(*args):
+        calls.append(None)
+        return split(*args)
+
+    monkeypatch.setattr(indpoly.isp, "_components_of", counted)
+    return calls
 
 
 class TestTransversalCount:
@@ -457,15 +472,52 @@ class TestTransversalCount:
         cover = clique_cover(g)
         assert count_transversal_is(g, cover) == count_is_of_size(g, len(cover))
 
-    def test_on_reduction_graphs(self):
+    def test_on_reduction_graphs(self, monkeypatch):
         rng = random.Random(26)
+        cases = []
         for _ in range(40):
             f = random_x3sat(rng, max_total_width=15)
             g, target, _ = x3sat_to_graph(f)
             widths = [len(c) for c in f.clauses]
             starts = [sum(widths[:i]) for i in range(len(widths))]
             parts = tuple(tuple(range(s, s + w)) for s, w in zip(starts, widths))
-            assert count_transversal_is(g, parts) == count_is_of_size(g, target)
+            cases.append((g, parts, count_is_of_size(g, target)))
+        splits = _count_component_splits(monkeypatch)
+        for g, parts, want in cases:
+            assert count_transversal_is(g, parts) == want
+        # Forced picks are taken without a component split; branching on
+        # each forced pick as on any other part takes 156 splits.
+        assert len(splits) == 111
+
+    def test_adjacent_forced_singletons(self):
+        # Either pick in (0, 1) removes 2 and 4, which forces 3 and 5;
+        # they are adjacent, so taking 3 empties (4, 5).
+        edges = [(0, 1), (2, 3), (4, 5), (0, 2), (0, 4), (1, 2), (1, 4), (3, 5)]
+        g, parts = Graph(6, edges), ((0, 1), (2, 3), (4, 5))
+        assert count_transversal_is(g, parts) == 0 == count_is_of_size_by_enumeration(g, 3)
+
+    def test_forced_pick_empties_third_part(self):
+        # Either pick in (0, 1) removes 2, which forces 3; 3 is adjacent
+        # to all of (4, 5).
+        edges = [(0, 1), (2, 3), (4, 5), (0, 2), (1, 2), (3, 4), (3, 5)]
+        g, parts = Graph(6, edges), ((0, 1), (2, 3), (4, 5))
+        assert count_transversal_is(g, parts) == 0 == count_is_of_size_by_enumeration(g, 3)
+        # Freeing 1 from 2 leaves (2, 4) and (2, 5) after picking 1.
+        g = Graph(6, [e for e in edges if e != (1, 2)])
+        assert count_transversal_is(g, parts) == 2 == count_is_of_size_by_enumeration(g, 3)
+
+    @pytest.mark.parametrize("k", [2, 3, 50])
+    def test_forced_chain_runs_to_the_end(self, monkeypatch, k):
+        # Parts (0, 1), (2, 3), ..., (2k - 2, 2k - 1).  Both 0 and 1 remove
+        # 2, and each forced right end 2i + 1 removes the next left end
+        # 2i + 2, so each pick forces the whole chain: 2 transversals, and
+        # the only splits are the first one and one of the empty remainder
+        # per pick.
+        edges = [(0, 1), (1, 2)] + [(i, i + 1) for i in range(2, 2 * k - 1)] + [(0, 2)]
+        g, parts = Graph(2 * k, edges), tuple((2 * i, 2 * i + 1) for i in range(k))
+        splits = _count_component_splits(monkeypatch)
+        assert count_transversal_is(g, parts) == 2
+        assert len(splits) == 3
 
     def test_small_cases(self):
         assert count_transversal_is(Graph(0), ()) == 1
