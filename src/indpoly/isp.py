@@ -19,9 +19,17 @@ and tested against each other:
   and the leaves whose neighbour is gone are counted as isolated in one
   step.  This changes only how the components are found, never which
   they are, so it is not the leaf identity: no leaf is contracted, and
-  each is still counted as an isolated vertex or branched on inside its
-  component.  The degree classes and the host leaves are the only
-  per-call setup; both come from one pass over the host degrees
+  each is still counted as an isolated vertex or a vertex of its
+  component.  A component with one non-leaf vertex c is c and t >= 1 of
+  its leaves (a star), and is finished with the branch on c that the
+  recursion would take: at x = p/q, q^(t+1) I = q (q + p)^t + p q^t, the
+  first term with c deleted and the t leaves isolated, the second with
+  N[c] deleted.  That is the recursion's own step, not the leaf
+  identity: no weight changes and no leaf is contracted; only the
+  branch-vertex scan, two splits and a memo entry are skipped.  A
+  component that reaches the scan then has two non-leaf vertices, where
+  no leaf has the maximum induced degree, so the host leaves and the
+  degree classes of the other vertices are the only per-call setup
   (``_host_structure``).
   ``isp_coeffs`` and ``count_is_of_size`` read all coefficients off one
   evaluation at X = 2^(n+1) (Kronecker substitution: every coefficient
@@ -49,7 +57,8 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, compress
 
 from .errors import CapacityError, DomainError
 from .graphs import Graph, is_clique_cover
@@ -122,7 +131,7 @@ def _components_of(mask: int, masks, leaves: int) -> tuple:
     """Split the induced subgraph into its connected components with two or
     more vertices, as bitmasks, and the number of its isolated vertices.
 
-    ``leaves`` is the mask of host leaves (``_host_structure``): vertices of
+    ``leaves`` is the mask of host leaves (``_host_leaves``): vertices of
     degree 1 in the host graph whose neighbour has degree at least 2.  A
     leaf never starts a search and is never expanded: whenever a search
     reaches it, its only neighbour is already in the component.  The
@@ -130,7 +139,7 @@ def _components_of(mask: int, masks, leaves: int) -> tuple:
     ``mask``; they are counted with the other isolated vertices in one
     ``bit_count``.  The split is the same as that of a search from every
     vertex, so this is not the leaf identity: a leaf is still an isolated
-    vertex with factor (1 + X) or a vertex of its component's recursion."""
+    vertex with factor (1 + X) or a vertex of its component."""
     comps = []
     inner = ~leaves
     covered = 0
@@ -157,23 +166,41 @@ def _components_of(mask: int, masks, leaves: int) -> tuple:
     return comps, (mask ^ covered).bit_count()
 
 
-def _host_structure(masks) -> tuple:
-    """The host graph's static structure, in one pass over its degrees:
-    ``(classes, leaves)``.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # flag bytes as binary digits
 
-    ``classes`` groups the vertices by degree, as (degree, vertex mask)
-    pairs in descending order of degree.  ``leaves`` is the mask of host
-    leaves: vertices of degree 1 whose neighbour has degree at least 2.
-    Neither end of a K2 component is a leaf, so every component has a
-    non-leaf vertex to start a search."""
-    degrees = list(map(int.bit_count, masks))
+
+def _host_leaves(masks) -> int:
+    """Mask of host leaves: vertices of degree 1 whose neighbour has degree
+    at least 2.  Neither end of a K2 component is a leaf, so every
+    component has a non-leaf vertex to start a search.
+
+    A vertex of degree 1 fails the test exactly when its neighbour has
+    degree 1 too, that is when it is a neighbour of a degree-1 vertex.  So
+    the mask is the degree-1 vertices minus their neighbourhoods, built
+    from one flag per vertex with no per-vertex bit operation."""
+    single = bytes([m.bit_count() == 1 for m in masks])
+    ones = int(b"0" + single[::-1].translate(_DIGITS), 2)
+    return ones & ~reduce(int.__or__, compress(masks, single), 0)
+
+
+def _host_structure(masks) -> tuple:
+    """The host graph's static structure: ``(classes, leaves)``.
+
+    ``leaves`` is the mask of host leaves (``_host_leaves``).  ``classes``
+    groups the other vertices by degree, as (degree, vertex mask) pairs in
+    descending order of degree.  Leaves are left out because ``isp_eval``
+    finishes every component with one non-leaf vertex itself: a component
+    with two non-leaf vertices and a leaf has three or more vertices, so
+    some vertex beats the leaf's induced degree of 1."""
+    leaves = _host_leaves(masks)
     classes = {}
-    leaves = 0
-    for v, d in enumerate(degrees):
+    rest = ((1 << len(masks)) - 1) ^ leaves
+    while rest:
+        v = rest.bit_length() - 1
         bit = 1 << v
-        classes[d] = classes.get(d, 0) | bit
-        if d == 1 and degrees[masks[v].bit_length() - 1] >= 2:
-            leaves |= bit
+        rest ^= bit
+        degree = masks[v].bit_count()
+        classes[degree] = classes.get(degree, 0) | bit
     return sorted(classes.items(), reverse=True), leaves
 
 
@@ -182,7 +209,9 @@ def _branch_vertex(comp: int, masks, classes) -> int:
 
     A vertex's degree in ``comp`` is at most its degree in the host graph,
     so the degree classes are scanned from the top and the scan stops at
-    the first class whose degree is below the best found."""
+    the first class whose degree is below the best found.  The classes
+    hold no host leaves, which is exact only for a component with two
+    non-leaf vertices (``_host_structure``)."""
     best_v = -1
     best_deg = -1
     for degree, members in classes:
@@ -207,11 +236,18 @@ def isp_eval(g: Graph, x) -> Fraction:
     p, q = x.numerator, x.denominator
     masks = g.neighbor_masks()
     classes, leaves = _host_structure(masks)
+    full = (1 << g.n) - 1
+    non_leaves = full ^ leaves
     memo = {}
 
     # J(mask) = q^|mask| * I(mask; p/q) keeps the recursion over integers;
     # an isolated vertex contributes J = q + p.
     def component_value(comp):
+        centre = comp & non_leaves
+        if not centre & (centre - 1):
+            # c and t of its leaves: the branch on c, the leaves isolated
+            t = comp.bit_count() - 1
+            return q * (q + p) ** t + p * q ** t
         val = memo.get(comp)
         if val is not None:
             return val
@@ -230,7 +266,6 @@ def isp_eval(g: Graph, x) -> Fraction:
             result *= component_value(comp)
         return result
 
-    full = (1 << g.n) - 1
     with _recursion_depth(g.n):
         return Fraction(subgraph_value(full), q ** g.n)
 
@@ -263,7 +298,7 @@ def count_transversal_is(g: Graph, parts) -> int:
     if not is_clique_cover(g, parts):
         raise DomainError("parts are not a partition of the vertices into cliques")
     masks = g.neighbor_masks()
-    leaves = _host_structure(masks)[1]
+    leaves = _host_leaves(masks)
     part_of = [0] * g.n  # each vertex's whole part, as a bitmask
     for part in parts:
         part_mask = sum(1 << v for v in part)

@@ -418,32 +418,50 @@ class TestCoefficientPin:
 
 
 class TestMemberWork:
-    """Clone members are built as neighbour masks, and the kernel does the
-    same work on them as on the edge-list construction: no member derives
-    its edge tuple, and the branch-node counts on seeded G(9, 0.3) graphs
-    are the ones recorded when members were built from edge lists."""
+    """Clone members are built as neighbour masks and no member derives its
+    edge tuple.  The kernel's work on seeded G(9, 0.3) graphs is pinned as
+    branch nodes and component splits per graph.  A component with one
+    non-leaf vertex (a star on its host leaves) is finished without a
+    branch node, so every branch node has two non-leaf vertices.  When
+    stars were branched on, the branch nodes were x2 [68, 74, 63, 60, 60,
+    71] and hard [368, 379, 358, 450, 450, 473], and the splits x2 [141,
+    153, 131, 126, 126, 148] and hard [741, 763, 721, 906, 906, 952]."""
 
     BRANCH_NODES = {
-        "x2": [68, 74, 63, 60, 60, 71],
-        "hard": [368, 379, 358, 450, 450, 473],
+        "x2": [40, 50, 34, 31, 30, 35],
+        "hard": [136, 148, 126, 120, 120, 142],
+    }
+    COMPONENT_SPLITS = {
+        "x2": [85, 105, 73, 68, 66, 76],
+        "hard": [277, 301, 257, 246, 246, 290],
     }
 
     def test_same_recursion_no_edge_derivation(self, monkeypatch):
         derivations = [0]
         branches = [0]
+        splits = [0]
+        star_branches = []
         edges_of = indpoly.graphs._edges_of
         branch_vertex = indpoly.isp._branch_vertex
+        components_of = indpoly.isp._components_of
 
         def counted_edges(masks):
             derivations[0] += 1
             return edges_of(masks)
 
-        def counted_branch(*args):
+        def counted_branch(comp, masks, classes):
             branches[0] += 1
-            return branch_vertex(*args)
+            if (comp & ~indpoly.isp._host_leaves(masks)).bit_count() < 2:
+                star_branches.append(comp)
+            return branch_vertex(comp, masks, classes)
+
+        def counted_split(*args):
+            splits[0] += 1
+            return components_of(*args)
 
         monkeypatch.setattr(indpoly.graphs, "_edges_of", counted_edges)
         monkeypatch.setattr(indpoly.isp, "_branch_vertex", counted_branch)
+        monkeypatch.setattr(indpoly.isp, "_components_of", counted_split)
         plan = normalize_point(Fraction(-1, 2))
         runs = {
             "x2": lambda g: interpolate_coeffs(g, 2),
@@ -452,12 +470,15 @@ class TestMemberWork:
         rng = random.Random(14)
         graphs = [random_graph(rng, 9, 0.3) for _ in range(6)]
         for name, run in runs.items():
-            counts = []
+            work = {"branch": [], "split": []}
             for g in graphs:
-                branches[0] = 0
+                branches[0] = splits[0] = 0
                 assert run(g) == isp_coeffs_by_enumeration(g)
-                counts.append(branches[0])
-            assert counts == self.BRANCH_NODES[name]
+                work["branch"].append(branches[0])
+                work["split"].append(splits[0])
+            assert work["branch"] == self.BRANCH_NODES[name]
+            assert work["split"] == self.COMPONENT_SPLITS[name]
+        assert star_branches == []
         assert derivations[0] == 0
         assert comb(graphs[0], 1).edges and derivations[0] == 1  # the counter sees derivations
 

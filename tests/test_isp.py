@@ -288,6 +288,28 @@ def combs(draw):
     return comb(g, draw(st.integers(min_value=1, max_value=16 // max(g.n, 1) - 1)))
 
 
+@st.composite
+def stars(draw):
+    """K_{1,t}, t = 1..12, under a random relabelling, so the centre's id
+    may be above its leaves' (K_{1,1} is a K2: no leaf, branched on)."""
+    t = draw(st.integers(min_value=1, max_value=12))
+    label = draw(st.permutations(range(t + 1)))
+    return Graph(t + 1, [(label[0], label[i]) for i in range(1, t + 1)])
+
+
+@st.composite
+def combs_with_isolated_vertices(draw):
+    """comb(g, k), at most 14 vertices, for a g with isolated vertices: with
+    k = 1 each isolated vertex of g becomes a K2, with k >= 2 a star."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    core = draw(st.integers(min_value=0, max_value=n - 1))  # the rest stay isolated
+    pairs = [(u, v) for u in range(core) for v in range(u + 1, core)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    label = draw(st.permutations(range(n)))
+    g = Graph(n, [(label[u], label[v]) for (u, v), keep in zip(pairs, chosen) if keep])
+    return comb(g, draw(st.integers(min_value=1, max_value=14 // n - 1)))
+
+
 def _reference_split(mask, masks, leaves):
     """Plain split: a full search from every vertex, leaves included."""
     comps = []
@@ -311,21 +333,23 @@ def _reference_split(mask, masks, leaves):
 
 class TestKernelHelpers:
     @settings(max_examples=200, deadline=None)
-    @given(graphs_and_submasks())
+    @given(st.one_of(graphs_and_submasks(), graphs_with_leaves_and_submasks()))
     def test_branch_vertex_matches_full_scan(self, case):
+        # isp_eval branches only on components with two non-leaf vertices
         g, sub = case
         masks = g.neighbor_masks()
         classes, leaves = indpoly.isp._host_structure(masks)
         comps, _ = indpoly.isp._components_of(sub, masks, leaves)
         for comp in comps:
-            assert indpoly.isp._branch_vertex(comp, masks, classes) == _full_scan_branch_vertex(comp, masks)
+            if (comp & ~leaves).bit_count() >= 2:
+                assert indpoly.isp._branch_vertex(comp, masks, classes) == _full_scan_branch_vertex(comp, masks)
 
     def test_host_leaves(self):
         # star K_{1,3} plus a K2 (4-5) plus an isolated vertex 6
         masks = Graph(7, [(0, 1), (0, 2), (0, 3), (4, 5)]).neighbor_masks()
         classes, leaves = indpoly.isp._host_structure(masks)
-        assert leaves == 0b1110
-        assert classes == [(3, 0b1), (1, 0b111110), (0, 0b1000000)]
+        assert leaves == indpoly.isp._host_leaves(masks) == 0b1110
+        assert classes == [(3, 0b1), (1, 0b110000), (0, 0b1000000)]
 
     @pytest.mark.parametrize(
         "g, classes, leaves",
@@ -333,7 +357,8 @@ class TestKernelHelpers:
             (Graph(0), [], 0),
             (edgeless_graph(3), [(0, 0b111)], 0),
             (Graph(4, [(0, 1), (2, 3)]), [(1, 0b1111)], 0),  # two K2 components
-            (path_graph(3), [(2, 0b010), (1, 0b101)], 0b101),
+            (path_graph(3), [(2, 0b010)], 0b101),
+            (Graph(3, [(0, 2), (1, 2)]), [(2, 0b100)], 0b011),  # leaves below their centre's id
         ],
     )
     def test_host_structure_small_cases(self, g, classes, leaves):
@@ -345,15 +370,16 @@ class TestKernelHelpers:
         g = case[0]
         masks = g.neighbor_masks()
         classes, leaves = indpoly.isp._host_structure(masks)
+        assert leaves == indpoly.isp._host_leaves(masks) == sum(
+            1 << v for v in range(g.n) if g.degree(v) == 1 and g.degree(g.neighbors(v)[0]) >= 2
+        )
         by_degree = {}
         for v in range(g.n):
-            by_degree.setdefault(g.degree(v), []).append(v)
+            if not leaves >> v & 1:
+                by_degree.setdefault(g.degree(v), []).append(v)
         assert classes == [
             (d, sum(1 << v for v in by_degree[d])) for d in sorted(by_degree, reverse=True)
         ]
-        assert leaves == sum(
-            1 << v for v in range(g.n) if g.degree(v) == 1 and g.degree(g.neighbors(v)[0]) >= 2
-        )
 
     @settings(max_examples=300, deadline=None)
     @given(graphs_with_leaves_and_submasks())
@@ -393,6 +419,37 @@ class TestKernelHelpers:
     def test_eval_on_combs_matches_enumeration(self, g, x):
         # At x = -1, q + p = 0: a leaf counted as isolated by mistake zeroes the value.
         assert isp_eval(g, x) == isp_multivariate(g, {v: x for v in range(g.n)})
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            stars(),
+            combs_with_isolated_vertices(),
+            graphs_with_leaves_and_submasks().map(lambda case: case[0]).filter(lambda g: g.n <= 14),
+        ),
+        st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(3, 7), Fraction(2)]),
+    )
+    def test_star_step_matches_enumeration(self, g, x):
+        # At x = -1, q + p = 0: a star's first term vanishes, the second is -1.
+        assert isp_eval(g, x) == isp_multivariate(g, {v: x for v in range(g.n)})
+
+    @pytest.mark.parametrize("t", range(2, 9))
+    def test_stars_are_not_branched_on(self, monkeypatch, t):
+        calls = []
+        branch_vertex = indpoly.isp._branch_vertex
+
+        def counted(comp, masks, classes):
+            calls.append(comp)
+            return branch_vertex(comp, masks, classes)
+
+        monkeypatch.setattr(indpoly.isp, "_branch_vertex", counted)
+        splits = _count_component_splits(monkeypatch)
+        star = Graph(t + 1, [(i, t) for i in range(t)])  # centre t, leaves 0..t-1
+        assert isp_eval(star, Fraction(3, 7)) == Fraction(10, 7) ** t + Fraction(3, 7)
+        assert calls == [] and len(splits) == 1
+        # comb(edgeless, 1) is t K2s: neither end is a leaf, so each is branched on
+        assert isp_eval(comb(edgeless_graph(t), 1), Fraction(3, 7)) == Fraction(13, 7) ** t
+        assert len(calls) == t
 
     def test_leaf_split_keeps_the_recursion(self, monkeypatch):
         """Same branch nodes and values as a plain full-search split on
