@@ -13,24 +13,25 @@ and tested against each other:
   the smallest id; it is found by scanning the host graph's
   static-degree classes from the top, which may stop early because a
   vertex's induced degree never exceeds its static degree.
-  The component search skips host leaves (vertices of degree 1 in the
-  host graph whose neighbour has degree at least 2): a leaf is added to
-  its neighbour's component by bit operations and never searched from,
-  and the leaves whose neighbour is gone are counted as isolated in one
-  step.  This changes only how the components are found, never which
-  they are, so it is not the leaf identity: no leaf is contracted, and
-  each is still counted as an isolated vertex or a vertex of its
-  component.  A component with one non-leaf vertex c is c and t >= 1 of
-  its leaves (a star), and is finished with the branch on c that the
-  recursion would take: at x = p/q, q^(t+1) I = q (q + p)^t + p q^t, the
-  first term with c deleted and the t leaves isolated, the second with
-  N[c] deleted.  That is the recursion's own step, not the leaf
-  identity: no weight changes and no leaf is contracted; only the
-  branch-vertex scan, two splits and a memo entry are skipped.  A
-  component that reaches the scan then has two non-leaf vertices, where
-  no leaf has the maximum induced degree, so the host leaves and the
-  degree classes of the other vertices are the only per-call setup
-  (``_host_structure``).
+  The split runs inside the recursion: each component is multiplied in
+  as soon as the search closes it.  The search skips host leaves
+  (vertices of degree 1 in the host graph whose neighbour has degree at
+  least 2): a leaf is added to its neighbour's component by bit
+  operations and never searched from, and the leaves whose neighbour is
+  gone are counted as isolated in one step.  This changes only how the
+  components are found, never which they are, so it is not the leaf
+  identity: no leaf is contracted, and each is still counted as an
+  isolated vertex or a vertex of its component.  A search from a vertex
+  c whose live neighbours are all leaves has found a star, c and t >= 1
+  of its leaves, and finishes it with the branch on c that the recursion
+  would take: at x = p/q, q^(t+1) I = q (q + p)^t + p q^t, the first term
+  with c deleted and the t leaves isolated, the second with N[c] deleted
+  (computed once per t in a call).  That is the recursion's own step,
+  not the leaf identity: no weight changes and no leaf is contracted;
+  only the branch-vertex scan, two splits and a memo entry are skipped.
+  Every other component has two non-leaf vertices, where no leaf has the
+  maximum induced degree, so the host leaves and the degree classes of
+  the other vertices are the only per-call setup (``_host_structure``).
   ``isp_coeffs`` and ``count_is_of_size`` read all coefficients off one
   evaluation at X = 2^(n+1) (Kronecker substitution: every coefficient
   is a non-negative integer below 2^(n+1), so the value's base-2^(n+1)
@@ -41,7 +42,9 @@ A third route, ``count_transversal_is``, counts only the independent sets
 that meet every part of a given clique partition exactly once (these are
 the independent sets of size t for a partition into t cliques, the count
 the #X3SAT -> #IS reduction asks for).  It branches on a part, not a
-vertex, and needs no big integers.  A pick can leave another part with
+vertex: the part with the most live vertices next to it, so that
+components split early, as in component-caching #SAT counters.  It needs
+no big integers.  A pick can leave another part with
 one live vertex; that vertex is forced and is taken in the same loop,
 with no branch, memo entry or component split of its own.
 
@@ -130,6 +133,8 @@ def _recursion_depth(n: int):
 def _components_of(mask: int, masks, leaves: int) -> tuple:
     """Split the induced subgraph into its connected components with two or
     more vertices, as bitmasks, and the number of its isolated vertices.
+    This is the transversal counter's split; ``isp_eval`` runs the same
+    search inline and multiplies each component in as it closes.
 
     ``leaves`` is the mask of host leaves (``_host_leaves``): vertices of
     degree 1 in the host graph whose neighbour has degree at least 2.  A
@@ -239,15 +244,11 @@ def isp_eval(g: Graph, x) -> Fraction:
     full = (1 << g.n) - 1
     non_leaves = full ^ leaves
     memo = {}
+    stars = {}  # J of a star on t leaves, by t
 
     # J(mask) = q^|mask| * I(mask; p/q) keeps the recursion over integers;
     # an isolated vertex contributes J = q + p.
-    def component_value(comp):
-        centre = comp & non_leaves
-        if not centre & (centre - 1):
-            # c and t of its leaves: the branch on c, the leaves isolated
-            t = comp.bit_count() - 1
-            return q * (q + p) ** t + p * q ** t
+    def component_value(comp):  # two or more non-leaf vertices
         val = memo.get(comp)
         if val is not None:
             return val
@@ -260,11 +261,40 @@ def isp_eval(g: Graph, x) -> Fraction:
         return val
 
     def subgraph_value(mask):
-        comps, isolated = _components_of(mask, masks, leaves)
-        result = (q + p) ** isolated
-        for comp in comps:
+        # The split of _components_of, each component multiplied in as the
+        # search closes it.
+        result = 1
+        covered = 0
+        rest = mask & non_leaves
+        while rest:
+            low = rest & -rest
+            frontier = masks[low.bit_length() - 1] & mask
+            if not frontier & non_leaves:
+                rest ^= low
+                if frontier:
+                    # low and t of its leaves: the branch on low, the
+                    # leaves isolated
+                    t = frontier.bit_count()
+                    val = stars.get(t)
+                    if val is None:
+                        val = stars[t] = q * (q + p) ** t + p * q ** t
+                    result *= val
+                    covered |= low | frontier
+                continue
+            comp = low
+            while frontier:
+                comp |= frontier
+                nxt = 0
+                f = frontier & non_leaves
+                while f:
+                    b = f & -f
+                    f ^= b
+                    nxt |= masks[b.bit_length() - 1]
+                frontier = nxt & mask & ~comp
             result *= component_value(comp)
-        return result
+            covered |= comp
+            rest &= ~comp
+        return result * (q + p) ** (mask ^ covered).bit_count()
 
     with _recursion_depth(g.n):
         return Fraction(subgraph_value(full), q ** g.n)
@@ -286,7 +316,10 @@ def count_transversal_is(g: Graph, parts) -> int:
     partition ``parts`` exactly once: the independent sets of size
     len(parts), since no independent set meets a clique twice.
 
-    The recursion branches on the live part with the fewest live vertices.
+    The recursion branches on the live part with the most live vertices
+    outside it next to one of its vertices (the part's neighbour union is
+    built once a call), ties going to the fewest live vertices, then to the
+    lowest vertex, so that components split early.
     Choosing v removes v's part and v's neighbours, and a choice dies as
     soon as another part has no live vertex left.  A part that loses all
     but one live vertex forces that vertex, which is chosen in turn in the
@@ -300,25 +333,31 @@ def count_transversal_is(g: Graph, parts) -> int:
     masks = g.neighbor_masks()
     leaves = _host_leaves(masks)
     part_of = [0] * g.n  # each vertex's whole part, as a bitmask
+    around = [0] * g.n  # the neighbours of each vertex's part outside it
     for part in parts:
         part_mask = sum(1 << v for v in part)
+        near = reduce(int.__or__, [masks[v] for v in part], 0) & ~part_mask
         for v in part:
             part_of[v] = part_mask
+            around[v] = near
     memo = {}
 
     def component_count(comp):
         val = memo.get(comp)
         if val is not None:
             return val
-        branch = comp
+        branch = 0
+        best = size = -1
         rest = comp
         while rest:
-            live = part_of[(rest & -rest).bit_length() - 1] & comp
-            if live.bit_count() < branch.bit_count():
-                branch = live
-                if not live & (live - 1):
-                    break
+            v = (rest & -rest).bit_length() - 1
+            live = part_of[v] & comp
             rest ^= live
+            score = (around[v] & comp).bit_count()
+            if score > best or (score == best and live.bit_count() < size):
+                branch = live
+                best = score
+                size = live.bit_count()
         val = 0
         others = comp & ~branch
         choices = branch

@@ -11,8 +11,10 @@ come back in.
 
 A third guard keeps the definitional evaluators in ``isp.py``
 independent of the identities they are tested against: the module may
-import only ``errors``, ``graphs`` and ``quadfield`` from the package,
-never ``clonecalc``, ``interpolate`` or ``verify``.
+import only ``errors``, ``quadfield``, and ``Graph`` and
+``is_clique_cover`` from ``graphs``.  So neither ``clonecalc``,
+``interpolate`` or ``verify`` nor the gadget builders of ``graphs``
+(``comb``, ``s_clone``, ``k_clone``, ``attach_path``) can reach it.
 """
 
 import ast
@@ -102,23 +104,39 @@ def test_cli_import_loads_no_numeric_library():
     assert subprocess.run([sys.executable, "-c", probe]).returncode == 0
 
 
-DEFINITIONAL_IMPORTS = {"errors", "graphs", "quadfield"}
+# module -> the names it may give, or None for any name
+DEFINITIONAL_IMPORTS = {"errors": None, "quadfield": None, "graphs": {"Graph", "is_clique_cover"}}
 
 
 def package_imports(tree):
-    """(line, module) of every relative import in a parsed module."""
+    """(line, module, names) of every relative import in a parsed module;
+    ``names`` is None for an import of the whole module."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level > 0:
             if node.module:
-                found.append((node.lineno, node.module))
+                found.append((node.lineno, node.module, {alias.name for alias in node.names}))
             else:
-                found += [(node.lineno, alias.name) for alias in node.names]
+                found += [(node.lineno, alias.name, None) for alias in node.names]
     return found
 
 
 def non_definitional_imports(tree):
-    return [(line, name) for line, name in package_imports(tree) if name not in DEFINITIONAL_IMPORTS]
+    """(line, module) of every import outside ``DEFINITIONAL_IMPORTS``, and
+    (line, "module.name") of every name a restricted module may not give."""
+    found = []
+    for line, module, names in package_imports(tree):
+        if module not in DEFINITIONAL_IMPORTS:
+            found.append((line, module))
+            continue
+        allowed = DEFINITIONAL_IMPORTS[module]
+        if allowed is None:
+            continue
+        if names is None:
+            found.append((line, module))
+        else:
+            found += [(line, f"{module}.{name}") for name in sorted(names - allowed)]
+    return found
 
 
 def test_definitional_guard_catches_identity_modules():
@@ -130,6 +148,23 @@ def test_definitional_guard_catches_identity_modules():
         "from .errors import DomainError\n"
     )
     assert non_definitional_imports(ast.parse(source)) == [(1, "clonecalc"), (3, "interpolate"), (4, "verify")]
+
+
+def test_definitional_guard_catches_gadget_builders():
+    source = (
+        "from .graphs import Graph, comb, is_clique_cover\n"
+        "from .graphs import s_clone as clone, k_clone\n"
+        "from .graphs import attach_path\n"
+        "from . import graphs\n"
+        "from .quadfield import as_rational\n"
+    )
+    assert non_definitional_imports(ast.parse(source)) == [
+        (1, "graphs.comb"),
+        (2, "graphs.k_clone"),
+        (2, "graphs.s_clone"),
+        (3, "graphs.attach_path"),
+        (4, "graphs"),
+    ]
 
 
 def test_definitional_evaluators_import_no_identity_module():

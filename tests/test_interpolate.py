@@ -436,14 +436,12 @@ class TestMemberWork:
         "hard": [277, 301, 257, 246, 246, 290],
     }
 
-    def test_same_recursion_no_edge_derivation(self, monkeypatch):
+    def test_same_recursion_no_edge_derivation(self, monkeypatch, component_splits):
         derivations = [0]
         branches = [0]
-        splits = [0]
         star_branches = []
         edges_of = indpoly.graphs._edges_of
         branch_vertex = indpoly.isp._branch_vertex
-        components_of = indpoly.isp._components_of
 
         def counted_edges(masks):
             derivations[0] += 1
@@ -455,13 +453,8 @@ class TestMemberWork:
                 star_branches.append(comp)
             return branch_vertex(comp, masks, classes)
 
-        def counted_split(*args):
-            splits[0] += 1
-            return components_of(*args)
-
         monkeypatch.setattr(indpoly.graphs, "_edges_of", counted_edges)
         monkeypatch.setattr(indpoly.isp, "_branch_vertex", counted_branch)
-        monkeypatch.setattr(indpoly.isp, "_components_of", counted_split)
         plan = normalize_point(Fraction(-1, 2))
         runs = {
             "x2": lambda g: interpolate_coeffs(g, 2),
@@ -472,10 +465,11 @@ class TestMemberWork:
         for name, run in runs.items():
             work = {"branch": [], "split": []}
             for g in graphs:
-                branches[0] = splits[0] = 0
+                branches[0] = 0
+                component_splits.clear()
                 assert run(g) == isp_coeffs_by_enumeration(g)
                 work["branch"].append(branches[0])
-                work["split"].append(splits[0])
+                work["split"].append(len(component_splits))
             assert work["branch"] == self.BRANCH_NODES[name]
             assert work["split"] == self.COMPONENT_SPLITS[name]
         assert star_branches == []

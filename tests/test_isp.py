@@ -310,6 +310,35 @@ def combs_with_isolated_vertices(draw):
     return comb(g, draw(st.integers(min_value=1, max_value=14 // n - 1)))
 
 
+@st.composite
+def star_unions(draw):
+    """A disjoint union, in a random order, of stars K_{1,t} (t = 1..6, the
+    centre's id above or below all of its leaves), K2s, isolated vertices
+    and small graphs with leaves, at most 14 vertices in all."""
+    edges = []
+    n = 0
+    for kind in draw(st.lists(st.sampled_from(["star", "k2", "isolated", "graph"]), max_size=6)):
+        if kind == "star":
+            t = draw(st.integers(min_value=1, max_value=6))
+            centre = n if draw(st.booleans()) else n + t
+            piece = Graph(t + 1, [(centre - n, i) for i in range(t + 1) if i != centre - n])
+        elif kind == "k2":
+            piece = complete_graph(2)
+        elif kind == "isolated":
+            piece = Graph(1)
+        else:
+            piece = draw(graphs_with_leaves_and_submasks())[0]
+        if n + piece.n > 14:
+            break
+        edges += [(n + u, n + v) for u, v in piece.edges]
+        n += piece.n
+    return Graph(n, edges)
+
+
+def _host_leaf_mask(g):
+    return sum(1 << v for v in range(g.n) if g.degree(v) == 1 and g.degree(g.neighbors(v)[0]) >= 2)
+
+
 def _reference_split(mask, masks, leaves):
     """Plain split: a full search from every vertex, leaves included."""
     comps = []
@@ -329,6 +358,35 @@ def _reference_split(mask, masks, leaves):
             comps.append(comp)
         rest &= ~comp
     return comps, isolated
+
+
+def _reference_eval(g, x):
+    """The recursion of ``isp_eval`` from plain parts: a full search split
+    (``_reference_split``) and a full-scan branch vertex, branching on every
+    component, stars included.  Returns the value and the branch nodes on
+    components with two or more non-leaf vertices (the ones ``isp_eval``
+    branches on) and on stars."""
+    masks = g.neighbor_masks()
+    leaves = _host_leaf_mask(g)
+    memo = {}
+    nodes = {"branched": 0, "star": 0}
+
+    def value(mask):
+        comps, isolated = _reference_split(mask, masks, leaves)
+        result = (1 + x) ** isolated
+        for comp in comps:
+            result *= component(comp)
+        return result
+
+    def component(comp):
+        if comp not in memo:
+            nodes["branched" if (comp & ~leaves).bit_count() >= 2 else "star"] += 1
+            v = _full_scan_branch_vertex(comp, masks)
+            without = comp & ~(1 << v)
+            memo[comp] = value(without) + x * value(without & ~masks[v])
+        return memo[comp]
+
+    return value((1 << g.n) - 1), nodes
 
 
 class TestKernelHelpers:
@@ -370,9 +428,7 @@ class TestKernelHelpers:
         g = case[0]
         masks = g.neighbor_masks()
         classes, leaves = indpoly.isp._host_structure(masks)
-        assert leaves == indpoly.isp._host_leaves(masks) == sum(
-            1 << v for v in range(g.n) if g.degree(v) == 1 and g.degree(g.neighbors(v)[0]) >= 2
-        )
+        assert leaves == indpoly.isp._host_leaves(masks) == _host_leaf_mask(g)
         by_degree = {}
         for v in range(g.n):
             if not leaves >> v & 1:
@@ -420,21 +476,24 @@ class TestKernelHelpers:
         # At x = -1, q + p = 0: a leaf counted as isolated by mistake zeroes the value.
         assert isp_eval(g, x) == isp_multivariate(g, {v: x for v in range(g.n)})
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=250, deadline=None)
     @given(
         st.one_of(
             stars(),
+            star_unions(),
             combs_with_isolated_vertices(),
             graphs_with_leaves_and_submasks().map(lambda case: case[0]).filter(lambda g: g.n <= 14),
         ),
         st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(3, 7), Fraction(2)]),
     )
+    @example(Graph(7, [(0, 1), (0, 2), (5, 3), (5, 4)]), Fraction(-1))  # centres below and above
     def test_star_step_matches_enumeration(self, g, x):
-        # At x = -1, q + p = 0: a star's first term vanishes, the second is -1.
+        # At x = -1, q + p = 0: a star's first term vanishes, the second is
+        # -1, and a leaf counted as isolated by mistake zeroes the value.
         assert isp_eval(g, x) == isp_multivariate(g, {v: x for v in range(g.n)})
 
     @pytest.mark.parametrize("t", range(2, 9))
-    def test_stars_are_not_branched_on(self, monkeypatch, t):
+    def test_stars_are_not_branched_on(self, monkeypatch, component_splits, t):
         calls = []
         branch_vertex = indpoly.isp._branch_vertex
 
@@ -443,39 +502,40 @@ class TestKernelHelpers:
             return branch_vertex(comp, masks, classes)
 
         monkeypatch.setattr(indpoly.isp, "_branch_vertex", counted)
-        splits = _count_component_splits(monkeypatch)
         star = Graph(t + 1, [(i, t) for i in range(t)])  # centre t, leaves 0..t-1
         assert isp_eval(star, Fraction(3, 7)) == Fraction(10, 7) ** t + Fraction(3, 7)
-        assert calls == [] and len(splits) == 1
+        assert calls == [] and len(component_splits) == 1
         # comb(edgeless, 1) is t K2s: neither end is a leaf, so each is branched on
         assert isp_eval(comb(edgeless_graph(t), 1), Fraction(3, 7)) == Fraction(13, 7) ** t
         assert len(calls) == t
 
     def test_leaf_split_keeps_the_recursion(self, monkeypatch):
-        """Same branch nodes and values as a plain full-search split on
-        pendant-heavy clone graphs: the leaf split only searches less."""
+        """Same value and branch nodes as a plain recursion with a full
+        search split and a full-scan branch vertex, on pendant-heavy clone
+        graphs: the inline leaf split only searches less, and a star is
+        finished with the branch the plain recursion takes on it."""
         rng = random.Random(27)
         calls = [0]
         branch_vertex = indpoly.isp._branch_vertex
-        leaf_split = indpoly.isp._components_of
 
         def counted(*args):
             calls[0] += 1
             return branch_vertex(*args)
 
         monkeypatch.setattr(indpoly.isp, "_branch_vertex", counted)
+        stars = 0
         for _ in range(12):
             g = random_graph(rng, rng.randint(2, 5))
             spec = CloneSpec(rng.sample(range(1, 5), rng.randint(1, 2)))
             h = comb(k_clone(s_clone(g, spec), 2), 4)
             x = rng.choice([Fraction(-1, 2), Fraction(3, 7), Fraction(2)])
-            runs = []
-            for split in (leaf_split, _reference_split):
-                monkeypatch.setattr(indpoly.isp, "_components_of", split)
-                calls[0] = 0
-                runs.append((isp_eval(h, x), calls[0]))
-            assert runs[0] == runs[1]
-            assert runs[0][1] > 0
+            calls[0] = 0
+            value = isp_eval(h, x)
+            want, nodes = _reference_eval(h, x)
+            assert (value, calls[0]) == (want, nodes["branched"])
+            assert calls[0] > 0
+            stars += nodes["star"]
+        assert stars > 0
 
 
 @st.composite
@@ -503,17 +563,17 @@ def _ladder(parts: int):
     return path_graph(2 * parts), tuple((2 * i, 2 * i + 1) for i in range(parts))
 
 
-def _count_component_splits(monkeypatch):
-    """Wrap ``_components_of`` so that the returned list counts its calls."""
-    calls = []
-    split = indpoly.isp._components_of
-
-    def counted(*args):
-        calls.append(None)
-        return split(*args)
-
-    monkeypatch.setattr(indpoly.isp, "_components_of", counted)
-    return calls
+def _reference_branch_part(comp, g, parts):
+    """Reference rule: the live part with the most live vertices outside it
+    next to one of its vertices, then the fewest live vertices, then the
+    lowest live vertex."""
+    candidates = []
+    for part in parts:
+        live = sum(1 << v for v in part) & comp
+        if live:
+            near = {w for v in part for w in g.neighbors(v) if w not in part and comp >> w & 1}
+            candidates.append((-len(near), live.bit_count(), _vertices(live)[0], live))
+    return min(candidates)[3]
 
 
 class TestTransversalCount:
@@ -529,7 +589,7 @@ class TestTransversalCount:
         cover = clique_cover(g)
         assert count_transversal_is(g, cover) == count_is_of_size(g, len(cover))
 
-    def test_on_reduction_graphs(self, monkeypatch):
+    def test_on_reduction_graphs(self, component_splits):
         rng = random.Random(26)
         cases = []
         for _ in range(40):
@@ -539,12 +599,35 @@ class TestTransversalCount:
             starts = [sum(widths[:i]) for i in range(len(widths))]
             parts = tuple(tuple(range(s, s + w)) for s, w in zip(starts, widths))
             cases.append((g, parts, count_is_of_size(g, target)))
-        splits = _count_component_splits(monkeypatch)
+        component_splits.clear()
         for g, parts, want in cases:
             assert count_transversal_is(g, parts) == want
         # Forced picks are taken without a component split; branching on
-        # each forced pick as on any other part takes 156 splits.
-        assert len(splits) == 111
+        # each forced pick as on any other part takes 156 splits, and
+        # branching on the part with the fewest live vertices 111.
+        assert len(component_splits) == 107
+
+    @settings(max_examples=150, deadline=None)
+    @given(partitioned_graphs())
+    def test_branches_on_the_most_connected_part(self, case):
+        # The part each branched component chose, read off the frame as
+        # component_count returns (a memo hit returns before choosing).
+        g, parts = case
+        inner = [c for c in count_transversal_is.__code__.co_consts if getattr(c, "co_name", None) == "component_count"]
+        chosen = []
+
+        def profile(frame, event, arg):
+            if event == "return" and frame.f_code is inner[0] and "branch" in frame.f_locals:
+                chosen.append((frame.f_locals["comp"], frame.f_locals["branch"]))
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            count_transversal_is(g, parts)
+        finally:
+            sys.setprofile(previous)
+        for comp, branch in chosen:
+            assert branch == _reference_branch_part(comp, g, parts)
 
     def test_adjacent_forced_singletons(self):
         # Either pick in (0, 1) removes 2 and 4, which forces 3 and 5;
@@ -564,17 +647,18 @@ class TestTransversalCount:
         assert count_transversal_is(g, parts) == 2 == count_is_of_size_by_enumeration(g, 3)
 
     @pytest.mark.parametrize("k", [2, 3, 50])
-    def test_forced_chain_runs_to_the_end(self, monkeypatch, k):
+    def test_forced_chain_runs_to_the_end(self, component_splits, k):
         # Parts (0, 1), (2, 3), ..., (2k - 2, 2k - 1).  Both 0 and 1 remove
         # 2, and each forced right end 2i + 1 removes the next left end
-        # 2i + 2, so each pick forces the whole chain: 2 transversals, and
-        # the only splits are the first one and one of the empty remainder
-        # per pick.
+        # 2i + 2: 2 transversals.  (2, 3) has the most live neighbours and
+        # is branched on first: 2 empties (0, 1), 3 forces the rest of the
+        # chain and leaves (0, 1), whose two picks leave nothing.  So the
+        # splits are the first one, the one of (0, 1), and one of the empty
+        # remainder per pick (3 when (0, 1), the smallest part, came first).
         edges = [(0, 1), (1, 2)] + [(i, i + 1) for i in range(2, 2 * k - 1)] + [(0, 2)]
         g, parts = Graph(2 * k, edges), tuple((2 * i, 2 * i + 1) for i in range(k))
-        splits = _count_component_splits(monkeypatch)
         assert count_transversal_is(g, parts) == 2
-        assert len(splits) == 3
+        assert len(component_splits) == 4
 
     def test_small_cases(self):
         assert count_transversal_is(Graph(0), ()) == 1
