@@ -10,11 +10,11 @@ and tested against each other:
   rational point by ``isp_eval``.  Isolated vertices are counted, not
   branched on: k of them contribute the factor (1 + X)^k.  The branch
   vertex of a larger component has maximum induced degree, ties going to
-  the smallest id; it is found by scanning the host graph's
-  static-degree classes from the top, which may stop early because a
-  vertex's induced degree never exceeds its static degree.
+  the smallest id.
   The split runs inside the recursion: each component is multiplied in
-  as soon as the search closes it.  The search skips host leaves
+  as soon as the search closes it, and the search that closes it has
+  already taken the induced degree of each vertex it expanded, so it
+  picks the branch vertex too.  The search skips host leaves
   (vertices of degree 1 in the host graph whose neighbour has degree at
   least 2): a leaf is added to its neighbour's component by bit
   operations and never searched from, and the leaves whose neighbour is
@@ -28,10 +28,12 @@ and tested against each other:
   with c deleted and the t leaves isolated, the second with N[c] deleted
   (computed once per t in a call).  That is the recursion's own step,
   not the leaf identity: no weight changes and no leaf is contracted;
-  only the branch-vertex scan, two splits and a memo entry are skipped.
+  only the branch-vertex choice, two splits and a memo entry are skipped.
   Every other component has two non-leaf vertices, where no leaf has the
-  maximum induced degree, so the host leaves and the degree classes of
-  the other vertices are the only per-call setup (``_host_structure``).
+  maximum induced degree (a leaf's neighbour has another neighbour in the
+  component), so the search, which never expands a leaf, sees every
+  candidate.  The host-leaf mask (``_host_leaves``) is the only per-call
+  setup.
   ``isp_coeffs`` and ``count_is_of_size`` read all coefficients off one
   evaluation at X = 2^(n+1) (Kronecker substitution: every coefficient
   is a non-negative integer below 2^(n+1), so the value's base-2^(n+1)
@@ -188,81 +190,30 @@ def _host_leaves(masks) -> int:
     return ones & ~reduce(int.__or__, compress(masks, single), 0)
 
 
-def _host_structure(masks) -> tuple:
-    """The host graph's static structure: ``(classes, leaves)``.
-
-    ``leaves`` is the mask of host leaves (``_host_leaves``).  ``classes``
-    groups the other vertices by degree, as (degree, vertex mask) pairs in
-    descending order of degree.  Leaves are left out because ``isp_eval``
-    finishes every component with one non-leaf vertex itself: a component
-    with two non-leaf vertices and a leaf has three or more vertices, so
-    some vertex beats the leaf's induced degree of 1."""
-    leaves = _host_leaves(masks)
-    classes = {}
-    rest = ((1 << len(masks)) - 1) ^ leaves
-    while rest:
-        v = rest.bit_length() - 1
-        bit = 1 << v
-        rest ^= bit
-        degree = masks[v].bit_count()
-        classes[degree] = classes.get(degree, 0) | bit
-    return sorted(classes.items(), reverse=True), leaves
-
-
-def _branch_vertex(comp: int, masks, classes) -> int:
-    """Maximum induced degree, ties broken by smallest vertex id.
-
-    A vertex's degree in ``comp`` is at most its degree in the host graph,
-    so the degree classes are scanned from the top and the scan stops at
-    the first class whose degree is below the best found.  The classes
-    hold no host leaves, which is exact only for a component with two
-    non-leaf vertices (``_host_structure``)."""
-    best_v = -1
-    best_deg = -1
-    for degree, members in classes:
-        if degree < best_deg:
-            break
-        m = comp & members
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            deg = (masks[v] & comp).bit_count()
-            if deg > best_deg or (deg == best_deg and v < best_v):
-                best_deg = deg
-                best_v = v
-    return best_v
-
-
 def isp_eval(g: Graph, x) -> Fraction:
     """Evaluate the independent set polynomial of g at a rational point
     by the branching recursion (homogenized to pure integer arithmetic)."""
     x = as_rational(x)
     p, q = x.numerator, x.denominator
     masks = g.neighbor_masks()
-    classes, leaves = _host_structure(masks)
     full = (1 << g.n) - 1
-    non_leaves = full ^ leaves
+    non_leaves = full ^ _host_leaves(masks)
     memo = {}
     stars = {}  # J of a star on t leaves, by t
 
     # J(mask) = q^|mask| * I(mask; p/q) keeps the recursion over integers;
     # an isolated vertex contributes J = q + p.
-    def component_value(comp):  # two or more non-leaf vertices
-        val = memo.get(comp)
-        if val is not None:
-            return val
-        v = _branch_vertex(comp, masks, classes)
-        vbit = 1 << v
-        without = comp ^ vbit
-        closed = masks[v] & comp
-        val = q * subgraph_value(without) + p * q ** closed.bit_count() * subgraph_value(without & ~closed)
+    def component_value(comp, v, nbrs, degree):  # branch on v; nbrs = masks[v] & comp
+        without = comp ^ (1 << v)
+        val = q * subgraph_value(without) + p * q ** degree * subgraph_value(without & ~nbrs)
         memo[comp] = val
         return val
 
     def subgraph_value(mask):
         # The split of _components_of, each component multiplied in as the
-        # search closes it.
+        # search closes it.  The search also picks the branch vertex among
+        # the vertices it expands, low (the component's smallest non-leaf
+        # id) first: maximum live degree, ties to the smallest id.
         result = 1
         covered = 0
         rest = mask & non_leaves
@@ -282,6 +233,9 @@ def isp_eval(g: Graph, x) -> Fraction:
                     covered |= low | frontier
                 continue
             comp = low
+            best = low.bit_length() - 1
+            best_nbrs = frontier
+            best_deg = frontier.bit_count()
             while frontier:
                 comp |= frontier
                 nxt = 0
@@ -289,9 +243,17 @@ def isp_eval(g: Graph, x) -> Fraction:
                 while f:
                     b = f & -f
                     f ^= b
-                    nxt |= masks[b.bit_length() - 1]
-                frontier = nxt & mask & ~comp
-            result *= component_value(comp)
+                    v = b.bit_length() - 1
+                    nbrs = masks[v] & mask
+                    nxt |= nbrs
+                    deg = nbrs.bit_count()
+                    if deg > best_deg or (deg == best_deg and v < best):
+                        best, best_nbrs, best_deg = v, nbrs, deg
+                frontier = nxt & ~comp
+            val = memo.get(comp)
+            if val is None:
+                val = component_value(comp, best, best_nbrs, best_deg)
+            result *= val
             covered |= comp
             rest &= ~comp
         return result * (q + p) ** (mask ^ covered).bit_count()

@@ -1,5 +1,6 @@
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -15,25 +16,48 @@ def pytest_configure(config):
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
 
-@pytest.fixture
-def component_splits():
-    """A list that gains an entry for each component split in ``isp``: a
-    call of ``_components_of`` (the transversal counter's split) or of
-    ``isp_eval``'s inner ``subgraph_value``, which splits inline.  The
-    calls are seen by a profile hook, restored afterwards, so ``src/``
-    needs no hook of its own."""
-    inline = [c for c in indpoly.isp.isp_eval.__code__.co_consts if getattr(c, "co_name", None) == "subgraph_value"]
-    assert len(inline) == 1
-    codes = {indpoly.isp._components_of.__code__, inline[0]}
+def _inner(function, name):
+    """The code object of ``function``'s nested function ``name``."""
+    inner = [c for c in function.__code__.co_consts if getattr(c, "co_name", None) == name]
+    assert len(inner) == 1
+    return inner[0]
+
+
+@contextmanager
+def _first_arguments(codes):
+    """A list that gains the first argument of each call of a function whose
+    code is in ``codes``.  The calls are seen by a profile hook, which
+    passes every event on to the hook it replaces and is removed
+    afterwards, so the fixtures below nest and ``src/`` needs no hook of
+    its own."""
     calls = []
+    previous = sys.getprofile()
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in codes:
-            calls.append(frame.f_code.co_name)
+            calls.append(frame.f_locals[frame.f_code.co_varnames[0]])
+        if previous is not None:
+            previous(frame, event, arg)
 
-    previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         yield calls
     finally:
         sys.setprofile(previous)
+
+
+@pytest.fixture
+def component_splits():
+    """The masks of the component splits in ``isp``, one per split: a call
+    of ``_components_of`` (the transversal counter's split) or of
+    ``isp_eval``'s inner ``subgraph_value``, which splits inline."""
+    with _first_arguments({indpoly.isp._components_of.__code__, _inner(indpoly.isp.isp_eval, "subgraph_value")}) as calls:
+        yield calls
+
+
+@pytest.fixture
+def branch_nodes():
+    """The components ``isp_eval`` branches on, one per branch node: a call
+    of its inner ``component_value``, which only a memo miss reaches."""
+    with _first_arguments({_inner(indpoly.isp.isp_eval, "component_value")}) as calls:
+        yield calls

@@ -436,25 +436,23 @@ class TestMemberWork:
         "hard": [277, 301, 257, 246, 246, 290],
     }
 
-    def test_same_recursion_no_edge_derivation(self, monkeypatch, component_splits):
+    def test_same_recursion_no_edge_derivation(self, monkeypatch, branch_nodes, component_splits):
         derivations = [0]
-        branches = [0]
-        star_branches = []
+        hosts = []  # (index of the host's first branch node, its leaf mask)
         edges_of = indpoly.graphs._edges_of
-        branch_vertex = indpoly.isp._branch_vertex
+        host_leaves = indpoly.isp._host_leaves
 
         def counted_edges(masks):
             derivations[0] += 1
             return edges_of(masks)
 
-        def counted_branch(comp, masks, classes):
-            branches[0] += 1
-            if (comp & ~indpoly.isp._host_leaves(masks)).bit_count() < 2:
-                star_branches.append(comp)
-            return branch_vertex(comp, masks, classes)
+        def recorded_leaves(masks):
+            leaves = host_leaves(masks)
+            hosts.append((len(branch_nodes), leaves))
+            return leaves
 
         monkeypatch.setattr(indpoly.graphs, "_edges_of", counted_edges)
-        monkeypatch.setattr(indpoly.isp, "_branch_vertex", counted_branch)
+        monkeypatch.setattr(indpoly.isp, "_host_leaves", recorded_leaves)
         plan = normalize_point(Fraction(-1, 2))
         runs = {
             "x2": lambda g: interpolate_coeffs(g, 2),
@@ -462,14 +460,20 @@ class TestMemberWork:
         }
         rng = random.Random(14)
         graphs = [random_graph(rng, 9, 0.3) for _ in range(6)]
+        star_branches = []
         for name, run in runs.items():
             work = {"branch": [], "split": []}
             for g in graphs:
-                branches[0] = 0
+                branch_nodes.clear()
                 component_splits.clear()
+                hosts.clear()
                 assert run(g) == isp_coeffs_by_enumeration(g)
-                work["branch"].append(branches[0])
+                work["branch"].append(len(branch_nodes))
                 work["split"].append(len(component_splits))
+                assert hosts[0][0] == 0  # every branch node belongs to a host
+                ends = [start for start, _ in hosts[1:]] + [len(branch_nodes)]
+                for (start, leaves), end in zip(hosts, ends):
+                    star_branches += [c for c in branch_nodes[start:end] if (c & ~leaves).bit_count() < 2]
             assert work["branch"] == self.BRANCH_NODES[name]
             assert work["split"] == self.COMPONENT_SPLITS[name]
         assert star_branches == []

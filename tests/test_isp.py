@@ -139,14 +139,33 @@ class TestIspEval:
         assert sys.getrecursionlimit() == before
 
     def test_restores_recursion_limit_on_error(self, monkeypatch):
-        def fail(*args):
-            raise RuntimeError("interrupted")
+        class FailingMasks(tuple):
+            # _host_leaves iterates; only the recursion indexes
+            reads = 0
 
-        monkeypatch.setattr(indpoly.isp, "_branch_vertex", fail)
+            def __getitem__(self, v):
+                FailingMasks.reads += 1
+                if FailingMasks.reads > 1000:
+                    raise RuntimeError("interrupted")
+                return tuple.__getitem__(self, v)
+
+        g = path_graph(400)
+        masks = FailingMasks(g.neighbor_masks())
+        monkeypatch.setattr(Graph, "neighbor_masks", lambda self: masks)
         before = sys.getrecursionlimit()
-        with pytest.raises(RuntimeError):
-            isp_eval(path_graph(400), 2)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            isp_eval(g, 2)
+        assert FailingMasks.reads > 1000
         assert sys.getrecursionlimit() == before
+
+    def test_grids_match_oeis(self, branch_nodes):
+        # OEIS A006506: the independent sets of the k x k grid graph, an
+        # independent count for 2-cores with no leaves.
+        for k, want in enumerate([2, 7, 63, 1234, 55447, 5598861, 1280128950], 1):
+            edges = [(v, v + 1) for v in range(k * k) if (v + 1) % k] + [(v, v + k) for v in range(k * k - k)]
+            branch_nodes.clear()
+            assert isp_eval(Graph(k * k, edges), 1) == want
+        assert len(branch_nodes) == 1363
 
 
 class TestIspMultivariate:
@@ -393,21 +412,37 @@ class TestKernelHelpers:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(graphs_and_submasks(), graphs_with_leaves_and_submasks()))
     def test_branch_vertex_matches_full_scan(self, case):
-        # isp_eval branches only on components with two non-leaf vertices
+        # The branch vertex of each branched component, read off the frame
+        # as component_value is called (only a memo miss reaches it), on
+        # the graph's edges inside the sub-mask: the vertices outside it
+        # stay as isolated vertices.
         g, sub = case
+        g = Graph(g.n, [(u, v) for u, v in g.edges if sub >> u & 1 and sub >> v & 1])
         masks = g.neighbor_masks()
-        classes, leaves = indpoly.isp._host_structure(masks)
-        comps, _ = indpoly.isp._components_of(sub, masks, leaves)
-        for comp in comps:
-            if (comp & ~leaves).bit_count() >= 2:
-                assert indpoly.isp._branch_vertex(comp, masks, classes) == _full_scan_branch_vertex(comp, masks)
+        leaves = indpoly.isp._host_leaves(masks)
+        inner = [c for c in isp_eval.__code__.co_consts if getattr(c, "co_name", None) == "component_value"]
+        chosen = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is inner[0]:
+                chosen.append(tuple(frame.f_locals[name] for name in ("comp", "v", "nbrs", "degree")))
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            isp_eval(g, Fraction(3, 7))
+        finally:
+            sys.setprofile(previous)
+        for comp, v, nbrs, degree in chosen:
+            assert (comp & ~leaves).bit_count() >= 2
+            assert v == _full_scan_branch_vertex(comp, masks)
+            assert nbrs == masks[v] & comp and degree == nbrs.bit_count()
+        assert len(chosen) == len(set(comp for comp, *_ in chosen))
 
     def test_host_leaves(self):
         # star K_{1,3} plus a K2 (4-5) plus an isolated vertex 6
         masks = Graph(7, [(0, 1), (0, 2), (0, 3), (4, 5)]).neighbor_masks()
-        classes, leaves = indpoly.isp._host_structure(masks)
-        assert leaves == indpoly.isp._host_leaves(masks) == 0b1110
-        assert classes == [(3, 0b1), (1, 0b110000), (0, 0b1000000)]
+        assert indpoly.isp._host_leaves(masks) == 0b1110
 
     @pytest.mark.parametrize(
         "g, classes, leaves",
@@ -420,22 +455,22 @@ class TestKernelHelpers:
         ],
     )
     def test_host_structure_small_cases(self, g, classes, leaves):
-        assert indpoly.isp._host_structure(g.neighbor_masks()) == (classes, leaves)
+        # The host structure the kernel sets up: the leaf mask, and the
+        # vertices it may search from and branch on (the rest), here grouped
+        # by host degree, highest first.
+        masks = g.neighbor_masks()
+        found = indpoly.isp._host_leaves(masks)
+        by_degree = {}
+        for v in _vertices(((1 << g.n) - 1) ^ found):
+            by_degree[masks[v].bit_count()] = by_degree.get(masks[v].bit_count(), 0) | 1 << v
+        assert found == leaves
+        assert sorted(by_degree.items(), reverse=True) == classes
 
     @settings(max_examples=200, deadline=None)
     @given(graphs_with_leaves_and_submasks())
-    def test_host_structure_matches_definition(self, case):
+    def test_host_leaves_matches_definition(self, case):
         g = case[0]
-        masks = g.neighbor_masks()
-        classes, leaves = indpoly.isp._host_structure(masks)
-        assert leaves == indpoly.isp._host_leaves(masks) == _host_leaf_mask(g)
-        by_degree = {}
-        for v in range(g.n):
-            if not leaves >> v & 1:
-                by_degree.setdefault(g.degree(v), []).append(v)
-        assert classes == [
-            (d, sum(1 << v for v in by_degree[d])) for d in sorted(by_degree, reverse=True)
-        ]
+        assert indpoly.isp._host_leaves(g.neighbor_masks()) == _host_leaf_mask(g)
 
     @settings(max_examples=300, deadline=None)
     @given(graphs_with_leaves_and_submasks())
@@ -446,7 +481,7 @@ class TestKernelHelpers:
     def test_components_split_mask_exactly(self, case):
         g, sub = case
         masks = g.neighbor_masks()
-        comps, isolated = indpoly.isp._components_of(sub, masks, indpoly.isp._host_structure(masks)[1])
+        comps, isolated = indpoly.isp._components_of(sub, masks, indpoly.isp._host_leaves(masks))
         covered = 0
         for comp in comps:
             assert comp.bit_count() >= 2 and comp & ~sub == 0 and comp & covered == 0
@@ -493,47 +528,31 @@ class TestKernelHelpers:
         assert isp_eval(g, x) == isp_multivariate(g, {v: x for v in range(g.n)})
 
     @pytest.mark.parametrize("t", range(2, 9))
-    def test_stars_are_not_branched_on(self, monkeypatch, component_splits, t):
-        calls = []
-        branch_vertex = indpoly.isp._branch_vertex
-
-        def counted(comp, masks, classes):
-            calls.append(comp)
-            return branch_vertex(comp, masks, classes)
-
-        monkeypatch.setattr(indpoly.isp, "_branch_vertex", counted)
+    def test_stars_are_not_branched_on(self, branch_nodes, component_splits, t):
         star = Graph(t + 1, [(i, t) for i in range(t)])  # centre t, leaves 0..t-1
         assert isp_eval(star, Fraction(3, 7)) == Fraction(10, 7) ** t + Fraction(3, 7)
-        assert calls == [] and len(component_splits) == 1
+        assert branch_nodes == [] and len(component_splits) == 1
         # comb(edgeless, 1) is t K2s: neither end is a leaf, so each is branched on
         assert isp_eval(comb(edgeless_graph(t), 1), Fraction(3, 7)) == Fraction(13, 7) ** t
-        assert len(calls) == t
+        assert len(branch_nodes) == t
 
-    def test_leaf_split_keeps_the_recursion(self, monkeypatch):
+    def test_leaf_split_keeps_the_recursion(self, branch_nodes):
         """Same value and branch nodes as a plain recursion with a full
         search split and a full-scan branch vertex, on pendant-heavy clone
         graphs: the inline leaf split only searches less, and a star is
         finished with the branch the plain recursion takes on it."""
         rng = random.Random(27)
-        calls = [0]
-        branch_vertex = indpoly.isp._branch_vertex
-
-        def counted(*args):
-            calls[0] += 1
-            return branch_vertex(*args)
-
-        monkeypatch.setattr(indpoly.isp, "_branch_vertex", counted)
         stars = 0
         for _ in range(12):
             g = random_graph(rng, rng.randint(2, 5))
             spec = CloneSpec(rng.sample(range(1, 5), rng.randint(1, 2)))
             h = comb(k_clone(s_clone(g, spec), 2), 4)
             x = rng.choice([Fraction(-1, 2), Fraction(3, 7), Fraction(2)])
-            calls[0] = 0
+            branch_nodes.clear()
             value = isp_eval(h, x)
             want, nodes = _reference_eval(h, x)
-            assert (value, calls[0]) == (want, nodes["branched"])
-            assert calls[0] > 0
+            assert (value, len(branch_nodes)) == (want, nodes["branched"])
+            assert branch_nodes
             stars += nodes["star"]
         assert stars > 0
 
