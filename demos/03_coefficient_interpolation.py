@@ -6,14 +6,14 @@ moving the point, the clone family moves the graph: member k is the
 comb that hangs k leaves on every vertex, and evaluating it at the
 single fixed point x yields I(G; r_k) after an exact division by
 (1 + x)^(kn).  The shifted points r_k = x/(1 + x)^k are pairwise
-distinct (checked exactly during construction), so Lagrange
-interpolation recovers the coefficient vector."""
+distinct for every x outside {0, -1, -2}, so Lagrange interpolation
+recovers the coefficient vector, at x = 2 as at x = -1/2."""
 
 from fractions import Fraction
 
 from indpoly import (
+    DegeneratePointError,
     Graph,
-    build_clone_family,
     clique_cover,
     comb,
     format_rational,
@@ -30,10 +30,9 @@ print("=" * 64)
 cover = clique_cover(g)
 d = len(cover)
 print(f"clique cover {[list(part) for part in cover]} certifies degree <= d = {d}")
-family = build_clone_family(x, d)
 print(f"{'k':>2}  {'leaves':<8} {'r_k':<12} clone vertices")
-for record in family.dump_records(g.n):
-    print(f"{record['i']:>2}  {record['leaves']:<8} {record['point']:<12} {record['clone_vertices']}")
+for k in range(d + 1):
+    print(f"{k:>2}  {k:<8} {format_rational(x / (1 + x) ** k):<12} {comb(g, k).n}")
 
 print()
 print("=" * 64)
@@ -50,7 +49,7 @@ print()
 print("=" * 64)
 print("The clones grow linearly: k leaves per vertex")
 print("=" * 64)
-for k in range(family.degree + 1):
+for k in range(d + 1):
     cloned = comb(g, k)
     print(f"  comb {k}: {cloned.n} vertices ({cloned.n // g.n} per original)")
 
@@ -59,10 +58,26 @@ print("=" * 64)
 print("The empty graph takes the same path")
 print("=" * 64)
 empty = Graph(0)
-empty_family = build_clone_family(x, len(clique_cover(empty)))
-print(f"no cliques, so d = {empty_family.degree}: one member {empty_family.dump_records(empty.n)}")
+print(f"no cliques, so d = {len(clique_cover(empty))}: one member, comb 0 = the graph itself")
 print(f"one oracle call recovers {[format_rational(c) for c in interpolate_coeffs(empty, x).coeffs]}")
 assert interpolate_coeffs(empty, x) == isp_coeffs(empty)
+
+print()
+print("=" * 64)
+print("Hard points take the same path")
+print("=" * 64)
+for hard in (Fraction(-1, 2), Fraction(-3)):
+    recovered = interpolate_coeffs(g, hard)
+    assert recovered == direct
+    points = ", ".join(format_rational(hard / (1 + hard) ** k) for k in range(d + 1))
+    print(f"x = {format_rational(hard)}: points {points} recover {[format_rational(c) for c in recovered.coeffs]}")
+for bad in (0, -1, -2):
+    try:
+        interpolate_coeffs(g, bad)
+    except DegeneratePointError as exc:
+        reason = exc
+        print(f"x = {bad}: DegeneratePointError")
+print(f"  ({reason})")
 
 print()
 print("The same pipeline accepts any oracle speaking the line protocol")

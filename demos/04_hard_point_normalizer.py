@@ -1,8 +1,10 @@
 """Moving hard evaluation points into the tractable range.
 
-The clone/path machinery needs points x > -1/4 (and x != 0).  Every
-other rational except 0, -1, -2 reduces to that range with at most two
-graph transformations: a 2-clone sends x below -2 to (1+x)^2 - 1 > 0,
+The paper's path reduction needs points x > -1/4 (and x != 0).
+Interpolation does not: the comb family serves every x outside
+{0, -1, -2} directly (demo 03).  The normalizer is the paper's route:
+every other rational except 0, -1, -2 reduces to that range with at
+most two graph transformations: a 2-clone sends x below -2 to (1+x)^2 - 1 > 0,
 and a comb (k pendant leaves per vertex, even k) first pushes points in
 (-2, 0) below -2.  Each step's exact multiplicative factor is part of
 the plan."""

@@ -25,7 +25,6 @@ from .cnf import (
     parse_dimacs,
     reduce_to_graph,
     reduce_to_x3sat,
-    reduction_report,
     x3sat_to_graph,
 )
 from .errors import (
@@ -58,10 +57,8 @@ from .graphs import (
     s_clone_origin,
 )
 from .interpolate import (
-    CloneFamily,
     ExternalOracle,
     InternalOracle,
-    build_clone_family,
     interpolate_coeffs,
     interpolate_family,
     lagrange_interpolate,
@@ -82,7 +79,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
-    "CloneFamily",
     "CloneSpec",
     "CnfFormula",
     "DegeneratePointError",
@@ -98,7 +94,6 @@ __all__ = [
     "TransformPlan",
     "as_rational",
     "attach_path",
-    "build_clone_family",
     "clique_cover",
     "clone_correction_factor",
     "clone_shifted_point",
@@ -137,7 +132,6 @@ __all__ = [
     "path_weights_closed_form",
     "reduce_to_graph",
     "reduce_to_x3sat",
-    "reduction_report",
     "s_clone",
     "s_clone_origin",
     "x3sat_to_graph",

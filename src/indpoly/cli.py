@@ -25,7 +25,7 @@ from .clonecalc import normalize_point
 from .cnf import count_sat, count_x3sat, parse_dimacs, reduce_to_graph, reduce_to_x3sat, x3sat_to_graph
 from .errors import CapacityError, DomainError, OracleError
 from .graphs import CloneSpec, clique_cover, graph_to_json_dict, graph_to_text, parse_graph, s_clone
-from .interpolate import ExternalOracle, InternalOracle, build_clone_family, interpolate_family
+from .interpolate import ExternalOracle, InternalOracle, interpolate_family
 from .isp import isp_coeffs, isp_eval
 from .quadfield import format_rational, parse_rational
 from .verify import DEFAULT_SEED, SUITES, run_suites
@@ -165,15 +165,14 @@ def _cmd_interpolate(args) -> dict:
     x = parse_rational(args.at)
     oracle = ExternalOracle(args.oracle) if args.oracle else InternalOracle()
     cover = clique_cover(g)
-    family = build_clone_family(x, len(cover))
-    poly = interpolate_family(g, cover, family, oracle)
+    poly = interpolate_family(g, cover, x, oracle)
     return {
         "graph": args.graph,
         "vertices": g.n,
         "at": format_rational(x),
         "oracle": oracle.kind,
         "coeffs": poly.to_json_dict()["coeffs"],
-        "degree_bound": family.degree,
+        "degree_bound": len(cover),
     }
 
 

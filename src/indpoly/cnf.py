@@ -355,8 +355,3 @@ def count_sat_via_independent_sets(f: CnfFormula) -> int:
     """Count satisfying assignments of a 3-CNF through the composed
     reduction: 3-CNF -> X3SAT -> independent sets of a fixed size."""
     return reduce_to_graph(f).count()
-
-
-def reduction_report(f: CnfFormula) -> dict:
-    """Size/record view of the composed reduction."""
-    return reduce_to_graph(f).report()

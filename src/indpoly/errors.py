@@ -6,7 +6,8 @@ class DomainError(ValueError):
 
 
 class DegeneratePointError(DomainError):
-    """Evaluation point is degenerate for path reduction (x <= -1/4 or x = 0)."""
+    """Evaluation point is degenerate for the construction asked of it: the
+    path reduction (x <= -1/4 or x = 0) or the comb family (x in {0, -1, -2})."""
 
 
 class FormulaError(DomainError):

@@ -4,8 +4,8 @@ I(G; X) has degree alpha(G), the largest independent set size.  A
 partition of V into d cliques proves alpha(G) <= d, since an independent
 set meets each clique at most once, so evaluating I at d+1 pairwise
 distinct points determines it.  ``graphs.clique_cover`` builds such a
-partition greedily; ``interpolate_family`` is handed the partition
-with the family and checks it exactly before trusting its size.
+partition greedily; ``interpolate_family`` is handed the partition and
+checks it exactly before trusting its size.
 
 The clone family supplies the d+1 points.  Member k is the comb
 ``graphs.comb(g, k)``: G with k pendant leaves on every vertex.  An
@@ -17,15 +17,15 @@ vertices outside S, so
 Each comb is evaluated at the single fixed point x by an oracle, the
 correction factor s_k^n with scale s_k = (1 + x)^k is divided out to
 recover I(G; r_k) at r_k = x / (1 + x)^k, and exact Lagrange
-interpolation returns the coefficient vector.  One multiplicative pass
-yields every member's point and scale.
+interpolation returns the coefficient vector.  The member loop steps
+the point and the scale by one division and one multiplication by 1 + x.
 
-The points are pairwise distinct.  For nondegenerate x (x > -1/4 and
-x != 0, see the clonecalc module) 1 + x > 3/4 and 1 + x != 1, so
-(1 + x)^k is strictly monotone in k, and x != 0.  No search is needed;
-the construction still checks distinctness exactly and raises if it
-ever fails.  Combs alone would serve every x outside {0, -1, -2}; the
-accepted domain stays that of the path reduction.
+The points are pairwise distinct for every rational x outside
+{0, -1, -2}: there x != 0 and |1 + x| is neither 0 nor 1, so
+|r_k| = |x| / |1 + x|^k is strictly monotone in k.  Those three points
+raise ``DegeneratePointError``; every other x is used as it is, with no
+change of point.  ``lagrange_interpolate`` rejects repeated points
+exactly in any case.
 
 Member k has n(k+1) vertices, and its 2-core is that of G, since the
 leaves peel away.  Every added vertex is a leaf on an original vertex,
@@ -59,11 +59,9 @@ import json
 import math
 import shlex
 import subprocess
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .clonecalc import _require_nondegenerate
-from .errors import CapacityError, DomainError, OracleError
+from .errors import CapacityError, DegeneratePointError, DomainError, OracleError
 from .graphs import Graph, clique_cover, comb, graph_to_json_dict, is_clique_cover
 from .isp import Polynomial, isp_eval
 from .quadfield import as_rational, format_rational
@@ -71,47 +69,6 @@ from .quadfield import as_rational, format_rational
 # Wall-clock limit on one external oracle query; a query that runs longer
 # is killed and reported as an OracleError.
 ORACLE_TIMEOUT_S = 600.0
-
-
-@dataclass(frozen=True)
-class CloneFamily:
-    """The d+1 combs k = 0..d, their shifted points r_k = x/(1 + x)^k and
-    their scales (1 + x)^k for one interpolation run, where d = ``degree``
-    bounds the degree of I(G; X).  On an n-vertex graph member k is
-    ``comb(g, k)`` and its correction factor is ``scales[k] ** n``."""
-
-    x: Fraction
-    degree: int
-    points: tuple
-    scales: tuple
-
-    def dump_records(self, n: int) -> list:
-        """One record per member, for use on an n-vertex graph."""
-        return [
-            {"i": i, "leaves": i, "point": format_rational(point), "clone_vertices": n * (i + 1)}
-            for i, point in enumerate(self.points)
-        ]
-
-
-def build_clone_family(x, d: int) -> CloneFamily:
-    """Construct the combs k = 0..d, their shifted points and scales in one
-    multiplicative pass, with the points checked to be pairwise distinct
-    exactly."""
-    x = as_rational(x)
-    if d < 0:
-        raise DomainError(f"family size needs degree bound d >= 0, got {d}")
-    _require_nondegenerate(x)
-    step = 1 + x
-    points = []
-    scales = []
-    point, scale = x, Fraction(1)
-    for _ in range(d + 1):
-        points.append(point)
-        scales.append(scale)
-        point, scale = point / step, scale * step
-    if len(set(points)) != d + 1:
-        raise AssertionError(f"shifted points of the comb family collide at x = {x}")
-    return CloneFamily(x, d, tuple(points), tuple(scales))
 
 
 def lagrange_interpolate(samples) -> Polynomial:
@@ -240,43 +197,46 @@ class ExternalOracle:
 
 def interpolate_coeffs(g: Graph, x, oracle=None) -> Polynomial:
     """All coefficients of I(G; X) from oracle evaluations at the single
-    point x: build the clone family for the degree bound d = the size of
-    ``clique_cover(g)`` and run interpolate_family on it.
-
-    Requires nondegenerate x (compose with normalize_point otherwise)."""
+    point x, for every rational x outside {0, -1, -2}: run
+    interpolate_family on the degree bound d = the size of
+    ``clique_cover(g)``."""
     if oracle is None:
         oracle = InternalOracle()
-    cover = clique_cover(g)
-    return interpolate_family(g, cover, build_clone_family(x, len(cover)), oracle)
+    return interpolate_family(g, clique_cover(g), x, oracle)
 
 
-def interpolate_family(g: Graph, cover, family: CloneFamily, oracle) -> Polynomial:
-    """All coefficients of I(G; X) from a clone family whose degree bound
-    is certified for G: evaluate each comb at family.x with the oracle,
+def interpolate_family(g: Graph, cover, x, oracle) -> Polynomial:
+    """All coefficients of I(G; X) from the comb family at x, sized by a
+    certified degree bound: evaluate comb k = 0..d at x with the oracle,
     divide out its correction factor, and interpolate at the shifted
-    points.
+    points r_k = x/(1 + x)^k.
 
-    The certificate is ``cover``, a partition of G's vertices into cliques,
-    checked exactly; the family needs at least one point more than it has
-    parts.  Oracle failures and capacity errors are re-raised with the
-    failing clone index.  Answers that interpolate to anything but a
-    count of independent sets (integers a_k with a_0 = 1 and
-    0 <= a_k <= C(n, k)) raise ``OracleError`` naming the first bad
+    The certificate is ``cover``, a partition of G's vertices into d
+    cliques, checked exactly.  The points x = 0, -1 and -2 raise
+    ``DegeneratePointError``.  Oracle failures and capacity errors are
+    re-raised with the failing clone index.  Answers that interpolate to
+    anything but a count of independent sets (integers a_k with a_0 = 1
+    and 0 <= a_k <= C(n, k)) raise ``OracleError`` naming the first bad
     coefficient."""
+    x = as_rational(x)
+    if x in (0, -1, -2):
+        raise DegeneratePointError(
+            f"x = {x} is degenerate for the comb family: its points x/(1 + x)^k "
+            f"are pairwise distinct only for x outside {{0, -1, -2}}"
+        )
     if not is_clique_cover(g, cover):
         raise DomainError(f"degree certificate failed its check: {cover} is not a clique cover")
-    if len(family.points) < len(cover) + 1:
-        raise DomainError(
-            f"clone family for degree {family.degree} has {len(family.points)} points; "
-            f"the {len(cover)}-clique cover of this {g.n}-vertex graph needs {len(cover) + 1}"
-        )
     samples = []
-    for i, (point, scale) in enumerate(zip(family.points, family.scales)):
+    step = 1 + x
+    point, scale = x, Fraction(1)
+    for i in range(len(cover) + 1):
         try:
-            raw = oracle.evaluate(comb(g, i), family.x)
+            raw = oracle.evaluate(comb(g, i), x)
         except (OracleError, CapacityError) as exc:
             raise type(exc)(f"clone {i} ({i} leaves per vertex): {exc}") from exc
         samples.append((point, raw / scale**g.n))
+        point /= step
+        scale *= step
     poly = lagrange_interpolate(samples)
     for k, a in enumerate(poly.coeffs):
         low, high = int(k == 0), math.comb(g.n, k)

@@ -132,25 +132,15 @@ def _recursion_depth(n: int):
         sys.setrecursionlimit(previous)
 
 
-def _components_of(mask: int, masks, leaves: int) -> tuple:
+def _components_of(mask: int, masks) -> tuple:
     """Split the induced subgraph into its connected components with two or
     more vertices, as bitmasks, and the number of its isolated vertices.
     This is the transversal counter's split; ``isp_eval`` runs the same
-    search inline and multiplies each component in as it closes.
-
-    ``leaves`` is the mask of host leaves (``_host_leaves``): vertices of
-    degree 1 in the host graph whose neighbour has degree at least 2.  A
-    leaf never starts a search and is never expanded: whenever a search
-    reaches it, its only neighbour is already in the component.  The
-    leaves that no search reaches are those whose neighbour is outside
-    ``mask``; they are counted with the other isolated vertices in one
-    ``bit_count``.  The split is the same as that of a search from every
-    vertex, so this is not the leaf identity: a leaf is still an isolated
-    vertex with factor (1 + X) or a vertex of its component."""
+    search inline, skipping host leaves, and multiplies each component in
+    as it closes."""
     comps = []
-    inner = ~leaves
     covered = 0
-    rest = mask & inner
+    rest = mask
     while rest:
         low = rest & -rest
         frontier = masks[low.bit_length() - 1] & mask
@@ -161,10 +151,9 @@ def _components_of(mask: int, masks, leaves: int) -> tuple:
         while frontier:
             comp |= frontier
             nxt = 0
-            f = frontier & inner
-            while f:
-                b = f & -f
-                f ^= b
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
                 nxt |= masks[b.bit_length() - 1]
             frontier = nxt & mask & ~comp
         comps.append(comp)
@@ -293,7 +282,6 @@ def count_transversal_is(g: Graph, parts) -> int:
     if not is_clique_cover(g, parts):
         raise DomainError("parts are not a partition of the vertices into cliques")
     masks = g.neighbor_masks()
-    leaves = _host_leaves(masks)
     part_of = [0] * g.n  # each vertex's whole part, as a bitmask
     around = [0] * g.n  # the neighbours of each vertex's part outside it
     for part in parts:
@@ -352,7 +340,7 @@ def count_transversal_is(g: Graph, parts) -> int:
 
     def mask_count(mask):
         result = 1  # each isolated vertex is a whole part: factor 1
-        for comp in _components_of(mask, masks, leaves)[0]:
+        for comp in _components_of(mask, masks)[0]:
             result *= component_count(comp)
             if not result:
                 break

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from indpoly import (
     CloneSpec,
-    build_clone_family,
     clone_correction_factor,
     clone_shifted_point,
     complete_graph,
@@ -212,9 +211,7 @@ def test_criterion_8_interpolation_pipeline():
         n = rng.randint(1, 6)
         g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
         expected = isp_coeffs(g)
-        for x in (Fraction(2), Fraction(1, 2)):
-            family = build_clone_family(x, n)
-            assert len(set(family.points)) == n + 1
+        for x in (Fraction(2), Fraction(1, 2), Fraction(-1, 2)):
             assert interpolate_coeffs(g, x) == expected
     _report(8, "interpolation-pipeline", started, 600.0)
 

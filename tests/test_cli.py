@@ -150,6 +150,20 @@ class TestPolynomialCommands:
         assert record["degree_bound"] == len(clique_cover(path_graph(4))) == 2
         assert "family" not in record
 
+    @pytest.mark.parametrize("x", ["-1/2", "-3"])
+    def test_interpolate_at_hard_point(self, tmp_path, x):
+        # Points where the path reduction is degenerate are interpolated
+        # straight from the comb family.
+        g = random_graph(random.Random(47), 7, 0.3)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph_to_json_dict(g)))
+        proc = run_cli("interpolate", str(path), "--at", x)
+        assert proc.returncode == 0 and proc.stderr == ""
+        (record,) = records_of(proc.stdout)
+        (direct,) = records_of(run_cli("isp-coeffs", str(path)).stdout)
+        assert record["coeffs"] == direct["coeffs"]
+        assert record["degree_bound"] == len(clique_cover(g))
+
     def test_interpolate_with_external_oracle(self, k2_graph, tmp_path):
         proc = run_cli("interpolate", k2_graph, "--at", "2/1", "--oracle", conforming_oracle(tmp_path))
         assert proc.returncode == 0
@@ -203,9 +217,11 @@ class TestExitCodes:
         assert run_cli("count-sat", one_clause, "--bogus").returncode == 64
 
     def test_domain_error_degenerate_point(self, k2_graph):
-        proc = run_cli("interpolate", k2_graph, "--at", "-1/4")
-        assert proc.returncode == 1
-        assert "degenerate" in proc.stderr
+        for x in ("0", "-1", "-2"):
+            proc = run_cli("interpolate", k2_graph, "--at", x)
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            assert "degenerate for the comb family" in proc.stderr
 
     def test_domain_error_degenerate_point_on_empty_graph(self, tmp_path):
         empty = tmp_path / "empty.txt"
@@ -213,7 +229,10 @@ class TestExitCodes:
         proc = run_cli("interpolate", str(empty), "--at", "0")
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert proc.stderr == "indpoly: error: x = 0 is degenerate for path reduction\n"
+        assert proc.stderr == (
+            "indpoly: error: x = 0 is degenerate for the comb family: its points x/(1 + x)^k "
+            "are pairwise distinct only for x outside {0, -1, -2}\n"
+        )
 
     def test_domain_error_unsupported_point(self):
         proc = run_cli("normalize-point", "--at", "-1/1")

@@ -19,7 +19,6 @@ from indpoly import (
     parse_dimacs,
     reduce_to_graph,
     reduce_to_x3sat,
-    reduction_report,
     x3sat_to_graph,
 )
 from indpoly.verify import (
@@ -410,7 +409,7 @@ class TestEndToEnd:
 
     def test_report_record(self):
         f = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
-        report = reduction_report(f)
+        report = reduce_to_graph(f).report()
         assert report == {
             "clauses_in": 1,
             "clauses_out": 5,
@@ -425,8 +424,10 @@ class TestEndToEnd:
         f = parse_dimacs("p cnf 4 1\n1 2 3 0\n")
         reduction = reduce_to_graph(f)
         assert reduction.formula is f
-        assert reduction.report() == reduction_report(f)
         graph, target, multiplier = x3sat_to_graph(reduce_to_x3sat(f))
+        report = reduction.report()
+        assert (report["clauses_in"], report["vars_in"]) == (len(f.clauses), f.variable_count)
+        assert (report["vertices"], report["target_size"], report["multiplier"]) == (graph.n, target, multiplier)
         assert reduction.graph == graph
         assert (reduction.target, reduction.multiplier) == (target, multiplier) == (5, 2)
         assert reduction.count() == count_sat(f) == 14

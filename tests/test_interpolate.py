@@ -21,12 +21,10 @@ from indpoly import (
     InternalOracle,
     OracleError,
     Polynomial,
-    build_clone_family,
     clique_cover,
     comb,
     complete_graph,
     edgeless_graph,
-    format_rational,
     interpolate_coeffs,
     interpolate_family,
     isp_coeffs,
@@ -60,103 +58,133 @@ class RecordingOracle:
         return isp_eval(g, x)
 
 
+def family_run(g, x):
+    """Interpolate I(G; X) at x with a RecordingOracle, and keep the
+    (point, value) samples handed to lagrange_interpolate: the result, the
+    oracle's (graph, point) queries and the samples."""
+    samples = []
+    interpolate = indpoly.interpolate.lagrange_interpolate
+
+    def recorded(pairs):
+        samples.extend(pairs)
+        return interpolate(pairs)
+
+    oracle = RecordingOracle()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(indpoly.interpolate, "lagrange_interpolate", recorded)
+        poly = interpolate_coeffs(g, x, oracle)
+    return poly, oracle.queries, samples
+
+
 class TestBuildCloneFamily:
+    """The comb family interpolate_family builds, read off the oracle's
+    queries and the samples it interpolates: member k is comb(g, k) at x,
+    its point is r_k = x/(1 + x)^k and its value is the oracle's answer
+    divided by the scale (1 + x)^k to the power n."""
+
     def test_n_1_structure(self):
-        family = build_clone_family(2, 1)
-        assert family.points == (2, Fraction(2, 3))
-        assert family.scales == (1, 3)
+        g = complete_graph(2)  # one clique, so d = 1
+        _, queries, samples = family_run(g, 2)
+        assert [point for point, _ in samples] == [2, Fraction(2, 3)]
+        assert [isp_eval(*query) / value for query, (_, value) in zip(queries, samples)] == [1, 3**2]
 
     def test_size_law(self):
+        # Member k has n(k + 1) vertices, sized by the graph, not by d.
+        for g in (path_graph(3), path_graph(5), complete_graph(4), edgeless_graph(6)):
+            _, queries, _ = family_run(g, 2)
+            assert len(queries) == len(clique_cover(g)) + 1
+            for k, (clone, x) in enumerate(queries):
+                assert x == 2
+                assert clone == comb(g, k)
+                assert clone.n == g.n * (k + 1)
+
+    def test_dump_records(self):
+        # The members of a d = 2 family on three vertices at x = 2.
         g = path_graph(3)
-        for d in (1, 2, 3, 5, 6):
-            family = build_clone_family(2, d)
-            for record in family.dump_records(g.n):
-                assert record["clone_vertices"] == comb(g, record["leaves"]).n == g.n * (record["i"] + 1)
+        assert len(clique_cover(g)) == 2
+        _, queries, samples = family_run(g, 2)
+        assert len(queries) == len(samples) == 3
+        for i, ((clone, x), (point, _)) in enumerate(zip(queries, samples)):
+            assert x == 2
+            assert clone == comb(g, i)
+            assert point == Fraction(2, 3**i)
+            assert clone.n == 3 * (i + 1)
+
+    def test_dump_records_count_the_graph_not_the_degree(self):
+        # The family has d + 1 members, but each member's size follows n.
+        g = path_graph(5)  # cover of 3 cliques, so d = 3 < n = 5
+        assert len(clique_cover(g)) == 3
+        _, queries, _ = family_run(g, 2)
+        assert len(queries) == 4
+        for k, (clone, _) in enumerate(queries):
+            assert clone.n == comb(g, k).n == g.n * (k + 1)
 
     def test_points_pairwise_distinct(self):
-        for x in (Fraction(2), Fraction(1, 2)):
+        for x in (Fraction(2), Fraction(1, 2), Fraction(-1, 2), Fraction(-3)):
             for n in range(1, 8):
-                family = build_clone_family(x, n)
-                assert len(set(family.points)) == n + 1
+                _, _, samples = family_run(edgeless_graph(n), x)  # d = n
+                assert len({point for point, _ in samples}) == n + 1
 
     def test_offset_is_one_at_integer_eigenvalue_points(self):
         # Member k has one leaf per vertex more than member k-1, starting
         # from G itself at r_0 = x; no search moves the family.
         for x in (Fraction(2), Fraction(6)):
-            family = build_clone_family(x, 4)
-            assert family.points[0] == x
+            _, _, samples = family_run(edgeless_graph(4), x)
+            points = [point for point, _ in samples]
+            assert points[0] == x
             for k in range(4):
-                assert family.points[k + 1] == family.points[k] / (1 + x)
+                assert points[k + 1] == points[k] / (1 + x)
 
     def test_offset_is_one_at_fractional_point(self):
-        for x in (Fraction(1, 2), Fraction(-1, 5)):
-            family = build_clone_family(x, 4)
-            assert family.points[0] == x
+        for x in (Fraction(1, 2), Fraction(-1, 5), Fraction(-1, 2), Fraction(-7, 4)):
+            _, _, samples = family_run(edgeless_graph(4), x)
+            points = [point for point, _ in samples]
+            assert points[0] == x
             for k in range(4):
-                assert family.points[k + 1] == family.points[k] / (1 + x)
+                assert points[k + 1] == points[k] / (1 + x)
 
-    def test_dump_records(self):
-        family = build_clone_family(2, 2)
-        records = family.dump_records(3)
-        assert len(records) == 3
-        assert records[0].keys() == {"i", "leaves", "point", "clone_vertices"}
-        for i, record in enumerate(records):
-            assert record["i"] == record["leaves"] == i
-            assert record["point"] == format_rational(Fraction(2, 3**i))
-            assert record["clone_vertices"] == 3 * (i + 1)
-
-    def test_dump_records_count_the_graph_not_the_degree(self):
-        g = path_graph(5)  # cover of 3 cliques, so d = 3 < n = 5
-        family = build_clone_family(2, len(clique_cover(g)))
-        assert family.degree == 3
-        records = family.dump_records(g.n)
-        assert len(records) == 4
-        for k, record in enumerate(records):
-            assert record["clone_vertices"] == comb(g, k).n
-
-    def test_bad_n(self):
-        with pytest.raises(DomainError):
-            build_clone_family(2, -1)
-        family = build_clone_family(2, 0)
-        assert family.points == (2,)
-        assert family.scales == (1,)
-
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
-        st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30)).filter(
-            lambda x: x > Fraction(-1, 4) and x != 0
-        ),
-        st.integers(0, 40),
+        st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30)).filter(lambda x: x not in (0, -1, -2)),
+        st.integers(0, 7),
     )
-    @example(Fraction(2), 40)
-    @example(Fraction(48), 40)
-    @example(Fraction(-6, 25), 40)  # 1 + x < 1: the points grow with k
-    @example(Fraction(-1, 5), 40)
-    def test_points_and_scales_follow_the_comb_identity(self, x, d):
-        family = build_clone_family(x, d)
-        points, scales = family.points, family.scales
-        assert len(set(points)) == d + 1
-        for k in range(d + 1):
-            assert points[k] == x / (1 + x) ** k
-            for n in range(6):
-                assert scales[k] ** n == (1 + x) ** (k * n)
+    @example(Fraction(2), 7)
+    @example(Fraction(48), 7)
+    @example(Fraction(-6, 25), 7)  # 1 + x < 1: the points grow with k
+    @example(Fraction(-1, 5), 7)
+    @example(Fraction(-1, 2), 7)
+    @example(Fraction(-3, 2), 7)  # 1 + x < 0: the points alternate in sign
+    @example(Fraction(-3), 7)
+    def test_points_and_scales_follow_the_comb_identity(self, x, n):
         # I(comb(G, k); x) = scale_k^n * I(G; r_k), with the right side
         # enumerated on G, so the kernel never runs on the comb there.
-        rng = random.Random(f"{x} {d}")
-        g = random_graph(rng, rng.randint(0, 7))
+        rng = random.Random(f"{x} {n}")
+        g = random_graph(rng, n)
         poly = isp_coeffs_by_enumeration(g)
-        for k in range(min(d, 4) + 1):
-            assert isp_eval(comb(g, k), x) == scales[k] ** g.n * poly.evaluate(points[k])
+        result, queries, samples = family_run(g, x)
+        assert result == poly
+        assert len(samples) == len(clique_cover(g)) + 1
+        for k, ((clone, _), (point, value)) in enumerate(zip(queries, samples)):
+            assert point == x / (1 + x) ** k
+            assert value == poly.evaluate(point)
+            assert isp_eval(clone, x) == (1 + x) ** (k * n) * value
 
     def test_degenerate_rejected(self):
-        for n in (1, 4):
-            with pytest.raises(DegeneratePointError):
-                build_clone_family(0, n)
+        # x = 0 gives r_k = 0 for every k, x = -2 alternates between two
+        # points, and x = -1 has no comb points at all.
+        for x in (0, Fraction(-1), Fraction(-2)):
+            for n in (1, 4):
+                with pytest.raises(DegeneratePointError, match="comb family"):
+                    interpolate_coeffs(edgeless_graph(n), x)
 
-    def test_degenerate_minus_half_rejected(self):
-        for n in (1, 3):
-            with pytest.raises(DegeneratePointError):
-                build_clone_family(Fraction(-1, 2), n)
+    def test_minus_half_and_below_accepted(self):
+        # The comb points are distinct at every x outside {0, -1, -2}, also
+        # at and below -1/4, where the path reduction is degenerate.
+        for x in (Fraction(-1, 4), Fraction(-1, 2), Fraction(-3, 2), Fraction(-999, 1000), Fraction(-100)):
+            for g in (path_graph(1), path_graph(3), complete_graph(3)):
+                poly, _, samples = family_run(g, x)
+                assert poly == isp_coeffs_by_enumeration(g)
+                assert [point for point, _ in samples] == [x / (1 + x) ** k for k in range(len(samples))]
 
 
 def reference_lagrange(samples) -> Polynomial:
@@ -259,10 +287,10 @@ class TestInterpolatePipeline:
         assert interpolate_coeffs(Graph(0), 2) == Polynomial([1])
 
     def test_empty_graph_is_a_one_member_family(self):
-        oracle = RecordingOracle()
-        family = build_clone_family(Fraction(1, 2), len(clique_cover(Graph(0))))
-        assert interpolate_family(Graph(0), (), family, oracle) == Polynomial([1])
-        assert oracle.queries == [(Graph(0), Fraction(1, 2))]
+        for x in (Fraction(1, 2), Fraction(-1, 4), Fraction(-1, 2), Fraction(-3)):
+            oracle = RecordingOracle()
+            assert interpolate_family(Graph(0), (), x, oracle) == Polynomial([1])
+            assert oracle.queries == [(Graph(0), x)]
 
     def test_members_hang_only_leaves_on_original_vertices(self):
         # Member k is G with k leaves on every vertex: each vertex past n
@@ -270,7 +298,7 @@ class TestInterpolatePipeline:
         g = random_graph(random.Random(45), 9, 0.3)
         cover = clique_cover(g)
         oracle = RecordingOracle()
-        assert interpolate_family(g, cover, build_clone_family(2, len(cover)), oracle) == isp_coeffs(g)
+        assert interpolate_family(g, cover, 2, oracle) == isp_coeffs(g)
         assert len(oracle.queries) == len(cover) + 1
         for k, (clone, _) in enumerate(oracle.queries):
             assert clone.n == g.n * (k + 1)
@@ -293,39 +321,51 @@ class TestInterpolatePipeline:
                 assert interpolate_coeffs(g, x) == isp_coeffs(g)
 
     def test_degenerate_point_rejected(self):
-        with pytest.raises(DegeneratePointError):
-            interpolate_coeffs(complete_graph(2), Fraction(-1, 2))
+        # The comb family's points coincide only at x = 0, -1 and -2.
+        for x in (0, -1, -2, "-2/1"):
+            with pytest.raises(DegeneratePointError, match="comb family"):
+                interpolate_coeffs(complete_graph(2), x)
+        assert interpolate_coeffs(complete_graph(2), Fraction(-1, 2)) == Polynomial([1, 2])
 
-    @pytest.mark.parametrize("x", [0, Fraction(-1, 4), Fraction(-1, 2)])
+    @pytest.mark.parametrize("x", [0, Fraction(-1), Fraction(-2)])
     def test_degenerate_point_rejected_on_empty_graph(self, x):
         # The empty graph's family has the one member comb 0, the graph
-        # itself at shifted point x; building the family still checks x,
-        # so these points fail.
+        # itself at shifted point x; the point is still checked, so these
+        # points fail.
         with pytest.raises(DegeneratePointError):
             interpolate_coeffs(Graph(0), x)
 
     def test_family_route_matches(self):
+        # The singleton partition certifies d = n, one member per vertex
+        # and one more.
         g = path_graph(5)
-        family = build_clone_family(Fraction(1, 2), g.n)
-        assert interpolate_family(g, clique_cover(g), family, InternalOracle()) == isp_coeffs_by_enumeration(g)
-
-    def test_family_smaller_than_cover_rejected(self):
-        # alpha(P4) = 2 and its cover has 2 cliques: a 2-point family is short.
-        with pytest.raises(DomainError, match="needs 3"):
-            interpolate_family(path_graph(4), ((0, 1), (2, 3)), build_clone_family(2, 1), InternalOracle())
+        oracle = RecordingOracle()
+        singletons = tuple((v,) for v in range(g.n))
+        assert interpolate_family(g, singletons, Fraction(1, 2), oracle) == isp_coeffs_by_enumeration(g)
+        assert len(oracle.queries) == g.n + 1
 
     def test_every_degree_bound_from_cover_to_n_agrees(self):
+        # Splitting parts of the greedy cover into singletons gives a finer
+        # cover for every d from the greedy size up to n.
         for g in (path_graph(4), path_graph(6), complete_graph(3), random_graph(random.Random(44), 7)):
             expected = isp_coeffs_by_enumeration(g)
-            for x in (Fraction(2), Fraction(1, 2)):
-                for d in range(len(clique_cover(g)), g.n + 1):
-                    family = build_clone_family(x, d)
-                    assert interpolate_family(g, clique_cover(g), family, InternalOracle()) == expected
+            cover = clique_cover(g)
+            covers = [cover]
+            while len(cover) < g.n:
+                i = next(i for i, part in enumerate(cover) if len(part) > 1)
+                cover = cover[:i] + ((cover[i][0],), cover[i][1:]) + cover[i + 1:]
+                covers.append(cover)
+            assert [len(c) for c in covers] == list(range(len(clique_cover(g)), g.n + 1))
+            for x in (Fraction(2), Fraction(1, 2), Fraction(-1, 2)):
+                for cover in covers:
+                    oracle = RecordingOracle()
+                    assert interpolate_family(g, cover, x, oracle) == expected
+                    assert len(oracle.queries) == len(cover) + 1
 
     @pytest.mark.parametrize("bad_cover", [((0, 1, 2, 3),), ((0, 1), (2,)), ((0, 1), (1, 2), (3,))])
     def test_failed_certificate_never_feeds_interpolation(self, bad_cover):
         with pytest.raises(DomainError, match="certificate"):
-            interpolate_family(path_graph(4), bad_cover, build_clone_family(2, 3), InternalOracle())
+            interpolate_family(path_graph(4), bad_cover, 2, InternalOracle())
 
     def test_off_by_one_oracle_rejected(self):
         class OffByOneOracle:
@@ -375,14 +415,25 @@ def small_graphs(draw):
 
 
 class TestInterpolateAgainstEnumeration:
-    @settings(max_examples=150, deadline=None)
-    @given(small_graphs(), st.sampled_from([Fraction(2), Fraction(1, 2), Fraction(-1, 5)]))
+    # The points from -1/2 on are degenerate for the path reduction; the
+    # comb family takes them with no change of point.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        small_graphs(),
+        st.sampled_from(
+            [Fraction(2), Fraction(1, 2), Fraction(-1, 5), Fraction(-1, 2), Fraction(-3, 2), Fraction(-5),
+             Fraction(-1, 3), Fraction(-9, 10), Fraction(-11, 10)]
+        ),
+    )
     @example(complete_graph(1), Fraction(2))
     @example(complete_graph(6), Fraction(-1, 5))  # d = 1
     @example(complete_graph(9), Fraction(1, 2))
     @example(edgeless_graph(1), Fraction(1, 2))
     @example(edgeless_graph(6), Fraction(2))  # d = n
     @example(edgeless_graph(9), Fraction(-1, 5))
+    @example(edgeless_graph(9), Fraction(-9, 10))  # 1 + x = 1/10
+    @example(edgeless_graph(9), Fraction(-11, 10))  # 1 + x = -1/10
+    @example(complete_graph(9), Fraction(-5))
     def test_interpolate_matches_enumeration(self, g, x):
         assert interpolate_coeffs(g, x) == isp_coeffs_by_enumeration(g)
 
@@ -402,7 +453,7 @@ class PlanOracle:
 class TestCoefficientPin:
     """Seeded G(n, 0.3) graphs, n <= 10, against subset enumeration."""
 
-    @pytest.mark.parametrize("x", [Fraction(2), Fraction(1, 2), Fraction(-1, 5), Fraction(48)])
+    @pytest.mark.parametrize("x", [Fraction(2), Fraction(1, 2), Fraction(-1, 5), Fraction(48), Fraction(-1, 2)])
     def test_nondegenerate_points(self, x):
         rng = random.Random(11)
         for _ in range(40):

@@ -481,7 +481,7 @@ class TestKernelHelpers:
     def test_components_split_mask_exactly(self, case):
         g, sub = case
         masks = g.neighbor_masks()
-        comps, isolated = indpoly.isp._components_of(sub, masks, indpoly.isp._host_leaves(masks))
+        comps, isolated = indpoly.isp._components_of(sub, masks)
         covered = 0
         for comp in comps:
             assert comp.bit_count() >= 2 and comp & ~sub == 0 and comp & covered == 0
