@@ -47,7 +47,7 @@ class CnfFormula:
         for idx, clause in enumerate(clauses, start=1):
             seen = []
             for lit in clause:
-                if not isinstance(lit, int) or lit == 0:
+                if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0:
                     raise FormulaError(f"clause {idx}: invalid literal {lit!r}")
                 if abs(lit) > variable_count:
                     raise FormulaError(

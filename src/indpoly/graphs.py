@@ -4,15 +4,6 @@ All graphs are immutable: transformations return new graphs.  Vertices are
 0-based integers below ``vertex_count``.  An optional ``labels`` map carries
 DIMACS-style signed literals on vertices (used by the SAT reduction).
 
-A graph stores the form it was built from and derives the other on first
-use, caching it.  ``Graph(n, edges)`` validates and stores the sorted edge
-tuple; its per-vertex neighbour bitmasks are built when first asked for.
-The transformations ``s_clone``, ``k_clone`` and ``comb`` (and the SAT
-reduction's ``x3sat_to_graph``) build the neighbour masks directly, and
-their edge tuple is derived only when something reads ``edges``
-(serialising the graph, say), never to evaluate it.  Equality and
-hashing compare masks, so they derive no edges.
-
 Vertex numbering of ``s_clone`` (the back-mapping contract):
 for each original vertex ``a`` there is a block of ``total + size`` result
 vertices starting at ``a * (total + size)``, where the clone multiset S is
@@ -37,17 +28,15 @@ class Graph:
     def __init__(self, n: int, edges=(), labels=None):
         if n < 0:
             raise DomainError(f"negative vertex count {n}")
-        normalized = set()
+        masks = [0] * n
         for u, v in edges:
             if u == v:
                 raise DomainError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise DomainError(f"edge ({u}, {v}) out of range for n={n}")
-            normalized.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_edges", tuple(sorted(normalized)))
-        object.__setattr__(self, "labels", dict(labels) if labels else None)
-        object.__setattr__(self, "_masks", None)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        self._set(masks, labels)
         if self.labels is not None:
             for v in self.labels:
                 if not 0 <= v < n:
@@ -60,11 +49,14 @@ class Graph:
         and below 1 << n, and labels only vertices below n.  This module's
         transformations and ``cnf.x3sat_to_graph`` call it."""
         g = object.__new__(cls)
-        object.__setattr__(g, "n", len(masks))
-        object.__setattr__(g, "_edges", None)
-        object.__setattr__(g, "labels", dict(labels) if labels else None)
-        object.__setattr__(g, "_masks", tuple(masks))
+        g._set(masks, labels)
         return g
+
+    def _set(self, masks, labels):
+        object.__setattr__(self, "n", len(masks))
+        object.__setattr__(self, "_masks", tuple(masks))
+        object.__setattr__(self, "labels", dict(labels) if labels else None)
+        object.__setattr__(self, "_edges", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -75,8 +67,8 @@ class Graph:
 
     @property
     def edges(self) -> tuple:
-        """Ascending (u, v) pairs with u < v, derived from the masks on
-        first use when the graph was built from them."""
+        """Ascending (u, v) pairs with u < v, derived from the neighbour
+        masks on first use."""
         edges = self._edges
         if edges is None:
             edges = _edges_of(self._masks)
@@ -88,16 +80,8 @@ class Graph:
         return len(self.edges)
 
     def neighbor_masks(self) -> tuple:
-        """Per-vertex adjacency bitmasks, built on first use."""
-        masks = self._masks
-        if masks is None:
-            lst = [0] * self.n
-            for u, v in self._edges:
-                lst[u] |= 1 << v
-                lst[v] |= 1 << u
-            masks = tuple(lst)
-            object.__setattr__(self, "_masks", masks)
-        return masks
+        """Per-vertex adjacency bitmasks, the graph's stored form."""
+        return self._masks
 
     def neighbors(self, v: int) -> tuple:
         self._check_vertex(v)
@@ -156,6 +140,12 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, so True would pass as 1 (and JSON true/false
+    # load as bool).
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class CloneSpec:
     """Finite multiset of nonnegative integers, kept sorted ascending.
 
@@ -168,7 +158,7 @@ class CloneSpec:
     def __init__(self, entries):
         items = tuple(sorted(entries))
         for s in items:
-            if not isinstance(s, int) or s < 0:
+            if not _is_int(s) or s < 0:
                 raise DomainError(f"clone multiset entries must be ints >= 0, got {s!r}")
         object.__setattr__(self, "entries", items)
 
@@ -433,16 +423,11 @@ def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
 
 
-def _is_json_int(value) -> bool:
-    # JSON true/false load as bool, which Python counts as an int.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def graph_from_json_dict(obj) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphFormatError("structured graph must be {\"n\": ..., \"edges\": [...]}")
     n = obj["n"]
-    if not _is_json_int(n):
+    if not _is_int(n):
         raise GraphFormatError(f"vertex count must be an integer, got {n!r}")
     if not isinstance(obj["edges"], list):
         raise GraphFormatError(f"edges must be a list, got {obj['edges']!r}")
@@ -452,7 +437,7 @@ def graph_from_json_dict(obj) -> Graph:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise GraphFormatError(f"malformed edge entry {item!r}")
         u, v = item
-        if not (_is_json_int(u) and _is_json_int(v)):
+        if not (_is_int(u) and _is_int(v)):
             raise GraphFormatError(f"non-integer endpoints in {item!r}")
         if u == v:
             raise GraphFormatError(f"self-loop at {u}")

@@ -48,7 +48,10 @@ vertex: the part with the most live vertices next to it, so that
 components split early, as in component-caching #SAT counters.  It needs
 no big integers.  A pick can leave another part with
 one live vertex; that vertex is forced and is taken in the same loop,
-with no branch, memo entry or component split of its own.
+with no branch, memo entry or component split of its own.  It splits
+inline, as ``isp_eval`` does: each component is looked up in the memo and
+multiplied in as the search closes it, and the first component that
+counts 0 ends the split.
 
 The branching routes have no hard vertex bound (cost is exponential only
 in the 2-core, so pendant-heavy graphs stay cheap); the enumeration
@@ -132,36 +135,6 @@ def _recursion_depth(n: int):
         sys.setrecursionlimit(previous)
 
 
-def _components_of(mask: int, masks) -> tuple:
-    """Split the induced subgraph into its connected components with two or
-    more vertices, as bitmasks, and the number of its isolated vertices.
-    This is the transversal counter's split; ``isp_eval`` runs the same
-    search inline, skipping host leaves, and multiplies each component in
-    as it closes."""
-    comps = []
-    covered = 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        frontier = masks[low.bit_length() - 1] & mask
-        if not frontier:
-            rest ^= low
-            continue
-        comp = low
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                nxt |= masks[b.bit_length() - 1]
-            frontier = nxt & mask & ~comp
-        comps.append(comp)
-        covered |= comp
-        rest &= ~comp
-    return comps, (mask ^ covered).bit_count()
-
-
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # flag bytes as binary digits
 
 
@@ -199,10 +172,10 @@ def isp_eval(g: Graph, x) -> Fraction:
         return val
 
     def subgraph_value(mask):
-        # The split of _components_of, each component multiplied in as the
-        # search closes it.  The search also picks the branch vertex among
-        # the vertices it expands, low (the component's smallest non-leaf
-        # id) first: maximum live degree, ties to the smallest id.
+        # The split, each component multiplied in as the search closes it.
+        # The search also picks the branch vertex among the vertices it
+        # expands, low (the component's smallest non-leaf id) first: maximum
+        # live degree, ties to the smallest id.
         result = 1
         covered = 0
         rest = mask & non_leaves
@@ -277,8 +250,8 @@ def count_transversal_is(g: Graph, parts) -> int:
     same loop; the remaining live vertices are split into components only
     once nothing more is forced.  A component of the live
     vertices is a union of whole live parts and is counted on its own,
-    memoised on its vertex mask; an isolated live vertex is a whole part
-    and contributes the factor 1."""
+    memoised on its vertex mask and looked up as the split closes it; an
+    isolated live vertex is a whole part and contributes the factor 1."""
     if not is_clique_cover(g, parts):
         raise DomainError("parts are not a partition of the vertices into cliques")
     masks = g.neighbor_masks()
@@ -293,9 +266,6 @@ def count_transversal_is(g: Graph, parts) -> int:
     memo = {}
 
     def component_count(comp):
-        val = memo.get(comp)
-        if val is not None:
-            return val
         branch = 0
         best = size = -1
         rest = comp
@@ -334,20 +304,42 @@ def count_transversal_is(g: Graph, parts) -> int:
                 if hit:  # a part emptied: the choice dies
                     break
             else:
-                val += mask_count(left)
+                val += subgraph_count(left)
         memo[comp] = val
         return val
 
-    def mask_count(mask):
-        result = 1  # each isolated vertex is a whole part: factor 1
-        for comp in _components_of(mask, masks)[0]:
-            result *= component_count(comp)
-            if not result:
-                break
+    def subgraph_count(mask):
+        # The split, lowest vertex first, each component looked up and
+        # multiplied in as the search closes it; the first that counts 0
+        # ends it.  An isolated vertex is a whole part: factor 1.
+        result = 1
+        rest = mask
+        while rest:
+            low = rest & -rest
+            frontier = masks[low.bit_length() - 1] & mask
+            if not frontier:
+                rest ^= low
+                continue
+            comp = low
+            while frontier:
+                comp |= frontier
+                nxt = 0
+                while frontier:
+                    b = frontier & -frontier
+                    frontier ^= b
+                    nxt |= masks[b.bit_length() - 1]
+                frontier = nxt & mask & ~comp
+            val = memo.get(comp)
+            if val is None:
+                val = component_count(comp)
+            if not val:
+                return 0
+            result *= val
+            rest &= ~comp
         return result
 
     with _recursion_depth(len(parts)):
-        return mask_count((1 << g.n) - 1)
+        return subgraph_count((1 << g.n) - 1)
 
 
 def _check_enumeration_bound(g: Graph, max_vertices: int):

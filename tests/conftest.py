@@ -49,9 +49,10 @@ def _first_arguments(codes):
 @pytest.fixture
 def component_splits():
     """The masks of the component splits in ``isp``, one per split: a call
-    of ``_components_of`` (the transversal counter's split) or of
-    ``isp_eval``'s inner ``subgraph_value``, which splits inline."""
-    with _first_arguments({indpoly.isp._components_of.__code__, _inner(indpoly.isp.isp_eval, "subgraph_value")}) as calls:
+    of an inner split function, ``count_transversal_is``'s
+    ``subgraph_count`` or ``isp_eval``'s ``subgraph_value``."""
+    splits = {_inner(indpoly.isp.count_transversal_is, "subgraph_count"), _inner(indpoly.isp.isp_eval, "subgraph_value")}
+    with _first_arguments(splits) as calls:
         yield calls
 
 

@@ -109,6 +109,11 @@ class TestCnfFormula:
         with pytest.raises(FormulaError):
             CnfFormula(2, [[1, 0]])
 
+    def test_rejects_bool_literal(self):
+        # True would pass as literal 1 and be written out as "True 0".
+        with pytest.raises(FormulaError, match="True"):
+            CnfFormula(1, [[True]])
+
     def test_unused_variable_count(self):
         f = CnfFormula(5, [[1, 2]])
         assert f.unused_variable_count() == 3

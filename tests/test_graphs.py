@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -113,6 +114,10 @@ class TestCloneSpec:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             CloneSpec([1, -1])
+
+    def test_rejects_bool(self):
+        with pytest.raises(DomainError, match="True"):
+            CloneSpec([True, 2])
 
 
 class TestSClone:
@@ -333,6 +338,14 @@ class TestGraphFormats:
         for _ in range(20):
             g = random_graph(rng, rng.randint(0, 7))
             assert graph_from_json_dict(graph_to_json_dict(g)) == g
+
+    def test_bool_endpoint_round_trips_as_int(self):
+        # True is vertex 1; the edge comes back out as plain ints, so the
+        # JSON form has no true for the strict reader to reject.
+        g = Graph(3, [(True, 2)])
+        assert g.edges == ((1, 2),) and type(g.edges[0][0]) is int
+        assert json.dumps(graph_to_json_dict(g)) == '{"n": 3, "edges": [[1, 2]]}'
+        assert graph_from_json_dict(json.loads(json.dumps(graph_to_json_dict(g)))) == g
 
     @pytest.mark.parametrize(
         "bad",

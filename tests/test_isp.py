@@ -139,24 +139,7 @@ class TestIspEval:
         assert sys.getrecursionlimit() == before
 
     def test_restores_recursion_limit_on_error(self, monkeypatch):
-        class FailingMasks(tuple):
-            # _host_leaves iterates; only the recursion indexes
-            reads = 0
-
-            def __getitem__(self, v):
-                FailingMasks.reads += 1
-                if FailingMasks.reads > 1000:
-                    raise RuntimeError("interrupted")
-                return tuple.__getitem__(self, v)
-
-        g = path_graph(400)
-        masks = FailingMasks(g.neighbor_masks())
-        monkeypatch.setattr(Graph, "neighbor_masks", lambda self: masks)
-        before = sys.getrecursionlimit()
-        with pytest.raises(RuntimeError, match="interrupted"):
-            isp_eval(g, 2)
-        assert FailingMasks.reads > 1000
-        assert sys.getrecursionlimit() == before
+        _check_limit_restored_on_error(monkeypatch, lambda g, parts: isp_eval(g, 2))
 
     def test_grids_match_oeis(self, branch_nodes):
         # OEIS A006506: the independent sets of the k x k grid graph, an
@@ -472,34 +455,6 @@ class TestKernelHelpers:
         g = case[0]
         assert indpoly.isp._host_leaves(g.neighbor_masks()) == _host_leaf_mask(g)
 
-    @settings(max_examples=300, deadline=None)
-    @given(graphs_with_leaves_and_submasks())
-    @example((Graph(4, [(0, 1), (0, 2), (0, 3)]), 0b1110))  # three leaves, centre left out
-    @example((Graph(4, [(0, 3), (1, 3), (2, 3)]), 0b0111))  # leaves below their centre's id
-    @example((Graph(4, [(0, 1), (2, 3)]), 0b1111))  # two K2 components
-    @example((Graph(5, [(0, 4), (1, 4), (2, 3)]), 0b11111))  # leaves and a K2
-    def test_components_split_mask_exactly(self, case):
-        g, sub = case
-        masks = g.neighbor_masks()
-        comps, isolated = indpoly.isp._components_of(sub, masks)
-        covered = 0
-        for comp in comps:
-            assert comp.bit_count() >= 2 and comp & ~sub == 0 and comp & covered == 0
-            covered |= comp
-            # connected, and adjacent to nothing else in sub
-            reached, stack = {_vertices(comp)[0]}, [_vertices(comp)[0]]
-            while stack:
-                u = stack.pop()
-                for w in _vertices(masks[u] & sub):
-                    assert comp >> w & 1
-                    if w not in reached:
-                        reached.add(w)
-                        stack.append(w)
-            assert len(reached) == comp.bit_count()
-        singles = sub & ~covered
-        assert singles.bit_count() == isolated
-        assert all(masks[v] & sub == 0 for v in _vertices(singles))
-
     @settings(max_examples=100, deadline=None)
     @given(graphs_with_isolated_vertices(), st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(3, 7)]))
     def test_eval_with_isolated_vertices_matches_enumeration(self, g, x):
@@ -582,6 +537,34 @@ def _ladder(parts: int):
     return path_graph(2 * parts), tuple((2 * i, 2 * i + 1) for i in range(parts))
 
 
+class FailingMasks(tuple):
+    """Neighbour masks that raise once read by index more than 3000 times.
+    Iterating does not count.  On the 600-part ladder both kernels are then
+    inside their recursion: ``isp_eval``'s setup only iterates, and
+    ``count_transversal_is``'s reads each of the 1200 vertices twice."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        if self.reads > 3000:
+            raise RuntimeError("interrupted")
+        return tuple.__getitem__(self, v)
+
+
+def _check_limit_restored_on_error(monkeypatch, count):
+    """``count(g, parts)`` on the 600-part ladder, interrupted by
+    ``FailingMasks``, leaves the recursion limit as it found it."""
+    g, parts = _ladder(600)
+    masks = FailingMasks(g.neighbor_masks())
+    monkeypatch.setattr(Graph, "neighbor_masks", lambda self: masks)
+    before = sys.getrecursionlimit()
+    with pytest.raises(RuntimeError, match="interrupted"):
+        count(g, parts)
+    assert masks.reads > 3000
+    assert sys.getrecursionlimit() == before
+
+
 def _reference_branch_part(comp, g, parts):
     """Reference rule: the live part with the most live vertices outside it
     next to one of its vertices, then the fewest live vertices, then the
@@ -630,13 +613,13 @@ class TestTransversalCount:
     @given(partitioned_graphs())
     def test_branches_on_the_most_connected_part(self, case):
         # The part each branched component chose, read off the frame as
-        # component_count returns (a memo hit returns before choosing).
+        # component_count returns.
         g, parts = case
         inner = [c for c in count_transversal_is.__code__.co_consts if getattr(c, "co_name", None) == "component_count"]
         chosen = []
 
         def profile(frame, event, arg):
-            if event == "return" and frame.f_code is inner[0] and "branch" in frame.f_locals:
+            if event == "return" and frame.f_code is inner[0]:
                 chosen.append((frame.f_locals["comp"], frame.f_locals["branch"]))
 
         previous = sys.getprofile()
@@ -706,11 +689,4 @@ class TestTransversalCount:
         assert sys.getrecursionlimit() == before
 
     def test_restores_recursion_limit_on_error(self, monkeypatch):
-        def fail(*args):
-            raise RuntimeError("interrupted")
-
-        monkeypatch.setattr(indpoly.isp, "_components_of", fail)
-        before = sys.getrecursionlimit()
-        with pytest.raises(RuntimeError):
-            count_transversal_is(*_ladder(600))
-        assert sys.getrecursionlimit() == before
+        _check_limit_restored_on_error(monkeypatch, count_transversal_is)
