@@ -4,10 +4,12 @@ I(G; X) has degree alpha(G).  A partition of V into d cliques proves
 alpha(G) <= d, so d+1 distinct sample points suffice.  Instead of
 moving the point, the clone family moves the graph: member k is the
 comb that hangs k leaves on every vertex, and evaluating it at the
-single fixed point x yields I(G; r_k) after an exact division by
-(1 + x)^(kn).  The shifted points r_k = x/(1 + x)^k are pairwise
-distinct for every x outside {0, -1, -2}, so Lagrange interpolation
-recovers the coefficient vector, at x = 2 as at x = -1/2."""
+single fixed point x yields (1 + x)^(kn) * I(G; r_k) at the shifted
+point r_k = x/(1 + x)^k.  With x = p/q and s = p + q, the d+1 answers
+scale to a transposed Vandermonde system over the integer nodes
+q^j * s^(d - j), which are pairwise distinct for every x outside
+{0, -1, -2}.  An exact integer solve recovers the coefficient vector, at
+x = 2 as at x = -1/2."""
 
 from fractions import Fraction
 

@@ -61,7 +61,6 @@ from .interpolate import (
     InternalOracle,
     interpolate_coeffs,
     interpolate_family,
-    lagrange_interpolate,
 )
 from .isp import (
     Polynomial,
@@ -121,7 +120,6 @@ __all__ = [
     "isp_eval",
     "isp_multivariate",
     "k_clone",
-    "lagrange_interpolate",
     "normalize_point",
     "parse_dimacs",
     "parse_graph",

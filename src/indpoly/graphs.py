@@ -26,10 +26,16 @@ class Graph:
     __slots__ = ("n", "labels", "_edges", "_masks")
 
     def __init__(self, n: int, edges=(), labels=None):
+        if not _is_int(n):
+            raise DomainError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise DomainError(f"negative vertex count {n}")
         masks = [0] * n
         for u, v in edges:
+            # Plain ints pass on the type test; ``_is_int`` runs only for
+            # other endpoint types.
+            if not (type(u) is type(v) is int or _is_int(u) and _is_int(v)):
+                raise DomainError(f"non-integer endpoints in edge ({u!r}, {v!r})")
             if u == v:
                 raise DomainError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):

@@ -7,44 +7,45 @@ distinct points determines it.  ``graphs.clique_cover`` builds such a
 partition greedily; ``interpolate_family`` is handed the partition and
 checks it exactly before trusting its size.
 
-The clone family supplies the d+1 points.  Member k is the comb
-``graphs.comb(g, k)``: G with k pendant leaves on every vertex.  An
-independent set S of G extends to the comb by any set of leaves of the
-vertices outside S, so
+The clone family supplies d+1 evaluations at the one point x.  Member k
+is the comb ``graphs.comb(g, k)``: G with k pendant leaves on every
+vertex.  An independent set S of G extends to the comb by any set of
+leaves of the vertices outside S, so
 
     I(G o comb_k; x) = (1 + x)^(kn) * I(G; x / (1 + x)^k).
 
-Each comb is evaluated at the single fixed point x by an oracle, the
-correction factor s_k^n with scale s_k = (1 + x)^k is divided out to
-recover I(G; r_k) at r_k = x / (1 + x)^k, and exact Lagrange
-interpolation returns the coefficient vector.  The member loop steps
-the point and the scale by one division and one multiplication by 1 + x.
+Member k thus answers a linear form in the coefficients a_j of I(G; X):
 
-The points are pairwise distinct for every rational x outside
-{0, -1, -2}: there x != 0 and |1 + x| is neither 0 nor 1, so
-|r_k| = |x| / |1 + x|^k is strictly monotone in k.  Those three points
-raise ``DegeneratePointError``; every other x is used as it is, with no
-change of point.  ``lagrange_interpolate`` rejects repeated points
-exactly in any case.
+    raw_k = sum_j a_j x^j (1 + x)^(k(n - j)).
 
 Member k has n(k+1) vertices, and its 2-core is that of G, since the
 leaves peel away.  Every added vertex is a leaf on an original vertex,
 so a host leaf, which the kernel's component search skips and never
 branches on (unless k = 1 and the original vertex is isolated in G).
 
-Interpolation runs over the integers.  With each point in lowest terms,
-r_i = b_i/c_i, the node polynomial M(X) = prod_j (c_j X - b_j) has
-integer coefficients, and exact synthetic division by (c_i X - b_i)
-gives the integer basis polynomial P_i = prod_(j != i) (c_j X - b_j).  It
-takes the value h_i / c_i^d at r_i, where
-h_i = prod_(j != i) (c_j b_i - b_j c_i) is a nonzero integer, so the
-interpolant is sum_i w_i P_i with w_i = y_i c_i^d / h_i.  Over one common
-denominator L of the weights that sum is a sum of integer products, and
-each coefficient costs a single division by L.
+The d+1 answers are solved over the integers.  Write x = p/q in lowest
+terms and s = p + q, so 1 + x = s/q.  Scaling member k's answer to
+
+    F_k = q^(d + kn) * raw_k / s^(k(n - d))
+
+turns it into F_k = sum_j b_j W_j^k, with integer nodes
+W_j = q^j * s^(d - j) and unknowns b_j = a_j * p^j * q^(d - j): a
+transposed Vandermonde system.  Over one common denominator L the F_k
+are integers.  The node polynomial M(t) = prod_m (t - W_m) is monic, so
+synthetic division gives each P_j = M / (t - W_j) exactly, over the
+integers.  P_j vanishes at every node but W_j, so
+sum_k [t^k]P_j * F_k = b_j * P_j(W_j), and a_j is an integer divided by
+L * P_j(W_j) * p^j * q^(d - j): one division per coefficient.
+
+Consecutive nodes have ratio W_(j+1) / W_j = q/s = 1 / (1 + x).  So the
+nodes are pairwise distinct, s != 0 and p != 0 exactly when x is outside
+{0, -1, -2}: there x != 0 and 1 + x is neither 0, 1 nor -1.  Those three
+points raise ``DegeneratePointError``; every other x is used as it is,
+with no change of point.
 
 Every graph takes this one path.  For d = 0, the bound of the empty
-graph, the only member is comb 0: the graph itself, at point x with
-correction factor 1.
+graph, the only member is comb 0: the graph itself, with F_0 = raw_0
+and the single node W_0 = 1.
 
 The paper's family has only polylog(n) blow-up per vertex, which its
 hardness reduction needs; exact answers do not.  Its largest clone has
@@ -69,57 +70,6 @@ from .quadfield import as_rational, format_rational
 # Wall-clock limit on one external oracle query; a query that runs longer
 # is killed and reported as an OracleError.
 ORACLE_TIMEOUT_S = 600.0
-
-
-def lagrange_interpolate(samples) -> Polynomial:
-    """Unique polynomial of degree < len(samples) through the given
-    (point, value) pairs, with exact rational coefficients."""
-    pairs = [(as_rational(p), as_rational(v)) for p, v in samples]
-    if not pairs:
-        raise DomainError("interpolation needs at least one sample")
-    points = [p for p, _ in pairs]
-    if len(set(points)) != len(points):
-        raise DomainError("interpolation points must be pairwise distinct")
-
-    # Node polynomial M(X) = prod (c_j X - b_j) over the points b_j/c_j.
-    nodes = [(p.numerator, p.denominator) for p in points]
-    master = [1]
-    for b, c in nodes:
-        shifted = [0] + [c * m for m in master]
-        for k, m in enumerate(master):
-            shifted[k] -= b * m
-        master = shifted
-
-    d = len(pairs) - 1
-    bases = []
-    weights = []
-    for (b, c), (_, value) in zip(nodes, pairs):
-        # P = M / (cX - b) by synthetic division from the top; every
-        # quotient is exact since P = prod over j != i of (c_j X - b_j).
-        basis = [0] * (d + 1)
-        carry = 0
-        for k in range(d + 1, 0, -1):
-            basis[k - 1], rest = divmod(master[k] + carry, c)
-            if rest:
-                raise AssertionError(f"node polynomial is not divisible by {c}X - {b}")
-            carry = b * basis[k - 1]
-        if master[0] + carry:
-            raise AssertionError(f"node polynomial does not vanish at {b}/{c}")
-        # P(b/c) = h / c^d with h = prod over j != i of (c_j b - b_j c) != 0.
-        h = 1
-        for bj, cj in nodes:
-            if (bj, cj) != (b, c):
-                h *= cj * b - bj * c
-        bases.append(basis)
-        weights.append(value * c**d / h)
-
-    common = math.lcm(*(w.denominator for w in weights))
-    acc = [0] * (d + 1)
-    for basis, w in zip(bases, weights):
-        scale = w.numerator * (common // w.denominator)
-        for k, coeff in enumerate(basis):
-            acc[k] += scale * coeff
-    return Polynomial(Fraction(a, common) for a in acc)
 
 
 class InternalOracle:
@@ -208,8 +158,8 @@ def interpolate_coeffs(g: Graph, x, oracle=None) -> Polynomial:
 def interpolate_family(g: Graph, cover, x, oracle) -> Polynomial:
     """All coefficients of I(G; X) from the comb family at x, sized by a
     certified degree bound: evaluate comb k = 0..d at x with the oracle,
-    divide out its correction factor, and interpolate at the shifted
-    points r_k = x/(1 + x)^k.
+    and solve the d+1 answers for the coefficients exactly, over the
+    integers, as the module docstring derives.
 
     The certificate is ``cover``, a partition of G's vertices into d
     cliques, checked exactly.  The points x = 0, -1 and -2 raise
@@ -226,24 +176,43 @@ def interpolate_family(g: Graph, cover, x, oracle) -> Polynomial:
         )
     if not is_clique_cover(g, cover):
         raise DomainError(f"degree certificate failed its check: {cover} is not a clique cover")
-    samples = []
-    step = 1 + x
-    point, scale = x, Fraction(1)
-    for i in range(len(cover) + 1):
+    p, q = x.numerator, x.denominator
+    s = p + q
+    n, d = g.n, len(cover)
+    # s^(d(n-d)) * F_k = nums[k] / dens[k], with F_k as in the module docstring.
+    nums, dens = [], []
+    for k in range(d + 1):
         try:
-            raw = oracle.evaluate(comb(g, i), x)
+            raw = as_rational(oracle.evaluate(comb(g, k), x))
         except (OracleError, CapacityError) as exc:
-            raise type(exc)(f"clone {i} ({i} leaves per vertex): {exc}") from exc
-        samples.append((point, raw / scale**g.n))
-        point /= step
-        scale *= step
-    poly = lagrange_interpolate(samples)
-    for k, a in enumerate(poly.coeffs):
-        low, high = int(k == 0), math.comb(g.n, k)
-        if a.denominator != 1 or not low <= a <= high:
+            raise type(exc)(f"clone {k} ({k} leaves per vertex): {exc}") from exc
+        nums.append(raw.numerator * q ** (d + k * n) * s ** ((d - k) * (n - d)))
+        dens.append(raw.denominator)
+    lcm = math.lcm(*dens)
+    common = lcm * s ** (d * (n - d))  # L, so that L * F_k = values[k]
+    values = [num * (lcm // den) for num, den in zip(nums, dens)]
+    nodes = [q**j * s ** (d - j) for j in range(d + 1)]
+    master = [1]  # M(t) = prod_m (t - W_m), lowest degree first
+    for w in nodes:
+        master = [0] + master
+        for i in range(len(master) - 1):
+            master[i] -= w * master[i + 1]
+    coeffs = []
+    for j, w in enumerate(nodes):
+        # b_j * P_j(W_j) * L = sum_k [t^k]P_j * L * F_k, taking the
+        # coefficients of P_j = M / (t - W_j) from the top.
+        top = acc = 0
+        for i in range(d + 1, 0, -1):
+            top = master[i] + w * top
+            acc += top * values[i - 1]
+        den = common * math.prod(w - v for v in nodes if v != w) * p**j * q ** (d - j)
+        a, rest = divmod(acc, den)
+        low, high = int(j == 0), math.comb(n, j)
+        if rest or not low <= a <= high:
             raise OracleError(
                 f"oracle answers are inconsistent: they interpolate to coefficient "
-                f"a_{k} = {format_rational(a)}, not an integer in [{low}, {high}] "
-                f"for this {g.n}-vertex graph"
+                f"a_{j} = {format_rational(Fraction(acc, den))}, not an integer in "
+                f"[{low}, {high}] for this {n}-vertex graph"
             )
-    return poly
+        coeffs.append(a)
+    return Polynomial(coeffs)

@@ -15,6 +15,10 @@ import only ``errors``, ``quadfield``, and ``Graph`` and
 ``is_clique_cover`` from ``graphs``.  So neither ``clonecalc``,
 ``interpolate`` or ``verify`` nor the gadget builders of ``graphs``
 (``comb``, ``s_clone``, ``k_clone``, ``attach_path``) can reach it.
+
+A last check keeps the public surface honest: every name in
+``indpoly.__all__`` is an attribute of the package, so deleting a function
+cannot leave a stale export behind.
 """
 
 import ast
@@ -172,3 +176,8 @@ def test_definitional_evaluators_import_no_identity_module():
     tree = ast.parse(path.read_text(), filename=str(path))
     assert package_imports(tree)
     assert non_definitional_imports(tree) == []
+
+
+def test_every_export_resolves():
+    assert indpoly.__all__
+    assert [name for name in indpoly.__all__ if not hasattr(indpoly, name)] == []

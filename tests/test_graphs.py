@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,27 @@ class TestGraphBasics:
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             Graph(2, [(0, 2)])
+
+    @pytest.mark.parametrize(
+        "n, edges, shown",
+        [
+            (3, [(1.0, 2)], "(1.0, 2)"),
+            (3, [("a", 2)], "('a', 2)"),
+            (3, [(0, None)], "(0, None)"),
+            (True, [], "True"),
+            (2.0, [], "2.0"),
+        ],
+    )
+    def test_rejects_non_integers(self, n, edges, shown):
+        with pytest.raises(DomainError, match=re.escape(shown)):
+            Graph(n, edges)
+
+    def test_accepts_int_subclasses(self):
+        # The rule is graphs._is_int: any int but a bool.
+        class Vertex(int):
+            pass
+
+        assert Graph(Vertex(3), [(Vertex(0), 2)]).edges == ((0, 2),)
 
     def test_immutable(self):
         g = Graph(1)
@@ -339,11 +361,15 @@ class TestGraphFormats:
             g = random_graph(rng, rng.randint(0, 7))
             assert graph_from_json_dict(graph_to_json_dict(g)) == g
 
-    def test_bool_endpoint_round_trips_as_int(self):
-        # True is vertex 1; the edge comes back out as plain ints, so the
-        # JSON form has no true for the strict reader to reject.
-        g = Graph(3, [(True, 2)])
-        assert g.edges == ((1, 2),) and type(g.edges[0][0]) is int
+    def test_bool_endpoint_rejected_like_json_true(self):
+        # The constructor and the strict JSON reader share one rule, so a
+        # bool endpoint is refused by both, and every graph's JSON form
+        # holds plain ints that the reader accepts.
+        with pytest.raises(DomainError, match=re.escape("(True, 2)")):
+            Graph(3, [(True, 2)])
+        with pytest.raises(GraphFormatError, match="non-integer"):
+            graph_from_json_dict(json.loads('{"n": 3, "edges": [[true, 2]]}'))
+        g = Graph(3, [(1, 2)])
         assert json.dumps(graph_to_json_dict(g)) == '{"n": 3, "edges": [[1, 2]]}'
         assert graph_from_json_dict(json.loads(json.dumps(graph_to_json_dict(g)))) == g
 

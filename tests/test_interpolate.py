@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 import shlex
@@ -30,7 +31,6 @@ from indpoly import (
     isp_coeffs,
     isp_coeffs_by_enumeration,
     isp_eval,
-    lagrange_interpolate,
     normalize_point,
     path_graph,
     s_clone,
@@ -48,45 +48,59 @@ def grid_graph(rows: int, cols: int) -> Graph:
 
 
 class RecordingOracle:
-    """The internal evaluator, keeping every (graph, point) query."""
+    """The internal evaluator, keeping every (graph, point) query and
+    every answer."""
 
     def __init__(self):
         self.queries = []
+        self.answers = []
 
     def evaluate(self, g, x):
         self.queries.append((g, x))
-        return isp_eval(g, x)
+        self.answers.append(isp_eval(g, x))
+        return self.answers[-1]
 
 
 def family_run(g, x):
-    """Interpolate I(G; X) at x with a RecordingOracle, and keep the
-    (point, value) samples handed to lagrange_interpolate: the result, the
-    oracle's (graph, point) queries and the samples."""
-    samples = []
-    interpolate = indpoly.interpolate.lagrange_interpolate
-
-    def recorded(pairs):
-        samples.extend(pairs)
-        return interpolate(pairs)
-
+    """Interpolate I(G; X) at x with a RecordingOracle: the result, the
+    oracle's (graph, point) queries and its answers."""
     oracle = RecordingOracle()
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(indpoly.interpolate, "lagrange_interpolate", recorded)
-        poly = interpolate_coeffs(g, x, oracle)
-    return poly, oracle.queries, samples
+    poly = interpolate_coeffs(g, x, oracle)
+    return poly, oracle.queries, oracle.answers
+
+
+class PolynomialOracle:
+    """Answers consistent with the polynomial ``poly`` in place of I(G; X)
+    on every comb of G: member k (n(k + 1) vertices) gets
+    (1 + x)^(kn) * poly(x/(1 + x)^k)."""
+
+    def __init__(self, g, poly):
+        self.n = g.n
+        self.poly = poly
+
+    def evaluate(self, member, x):
+        k = member.n // self.n - 1 if self.n else 0
+        return (1 + x) ** (k * self.n) * self.poly.evaluate(x / (1 + x) ** k)
+
+
+def comb_answers(g, queries):
+    """The answers the comb identity gives to the queries, with I(G; X)
+    enumerated on G, so no comb is evaluated."""
+    identity = PolynomialOracle(g, isp_coeffs_by_enumeration(g))
+    return [identity.evaluate(member, x) for member, x in queries]
 
 
 class TestBuildCloneFamily:
     """The comb family interpolate_family builds, read off the oracle's
-    queries and the samples it interpolates: member k is comb(g, k) at x,
-    its point is r_k = x/(1 + x)^k and its value is the oracle's answer
-    divided by the scale (1 + x)^k to the power n."""
+    queries and answers: member k is comb(g, k) at x, and its answer is
+    (1 + x)^(kn) * I(G; x/(1 + x)^k) by the comb identity."""
 
     def test_n_1_structure(self):
         g = complete_graph(2)  # one clique, so d = 1
-        _, queries, samples = family_run(g, 2)
-        assert [point for point, _ in samples] == [2, Fraction(2, 3)]
-        assert [isp_eval(*query) / value for query, (_, value) in zip(queries, samples)] == [1, 3**2]
+        _, queries, answers = family_run(g, 2)
+        assert queries == [(g, 2), (comb(g, 1), 2)]
+        # I(K2; 2) = 5, and 3^2 * I(K2; 2/3) = 9 * 7/3 = 21.
+        assert answers == comb_answers(g, queries) == [5, 21]
 
     def test_size_law(self):
         # Member k has n(k + 1) vertices, sized by the graph, not by d.
@@ -99,15 +113,16 @@ class TestBuildCloneFamily:
                 assert clone.n == g.n * (k + 1)
 
     def test_dump_records(self):
-        # The members of a d = 2 family on three vertices at x = 2.
+        # The members of a d = 2 family on three vertices at x = 2: member
+        # i answers 3^(3i) * I(P3; 2/3^i).
         g = path_graph(3)
         assert len(clique_cover(g)) == 2
-        _, queries, samples = family_run(g, 2)
-        assert len(queries) == len(samples) == 3
-        for i, ((clone, x), (point, _)) in enumerate(zip(queries, samples)):
+        _, queries, answers = family_run(g, 2)
+        assert len(queries) == len(answers) == 3
+        for i, ((clone, x), answer) in enumerate(zip(queries, answers)):
             assert x == 2
             assert clone == comb(g, i)
-            assert point == Fraction(2, 3**i)
+            assert answer == 3 ** (3 * i) * (1 + 3 * Fraction(2, 3**i) + Fraction(2, 3**i) ** 2)
             assert clone.n == 3 * (i + 1)
 
     def test_dump_records_count_the_graph_not_the_degree(self):
@@ -120,28 +135,30 @@ class TestBuildCloneFamily:
             assert clone.n == comb(g, k).n == g.n * (k + 1)
 
     def test_points_pairwise_distinct(self):
+        # The edgeless graph has d = n, the widest family for its size, so
+        # its exact recovery needs all n + 1 members to be independent.
         for x in (Fraction(2), Fraction(1, 2), Fraction(-1, 2), Fraction(-3)):
             for n in range(1, 8):
-                _, _, samples = family_run(edgeless_graph(n), x)  # d = n
-                assert len({point for point, _ in samples}) == n + 1
+                poly, queries, _ = family_run(edgeless_graph(n), x)
+                assert len(queries) == n + 1
+                assert poly == Polynomial([math.comb(n, k) for k in range(n + 1)])
 
     def test_offset_is_one_at_integer_eigenvalue_points(self):
         # Member k has one leaf per vertex more than member k-1, starting
-        # from G itself at r_0 = x; no search moves the family.
+        # from G itself; no search moves the family.  On the edgeless graph
+        # member k is n stars K_(1,k), so it answers ((1 + x)^k + x)^n.
         for x in (Fraction(2), Fraction(6)):
-            _, _, samples = family_run(edgeless_graph(4), x)
-            points = [point for point, _ in samples]
-            assert points[0] == x
-            for k in range(4):
-                assert points[k + 1] == points[k] / (1 + x)
+            g = edgeless_graph(4)
+            _, queries, answers = family_run(g, x)
+            assert queries == [(comb(g, k), x) for k in range(5)]
+            assert answers == [((1 + x) ** k + x) ** 4 for k in range(5)]
 
     def test_offset_is_one_at_fractional_point(self):
         for x in (Fraction(1, 2), Fraction(-1, 5), Fraction(-1, 2), Fraction(-7, 4)):
-            _, _, samples = family_run(edgeless_graph(4), x)
-            points = [point for point, _ in samples]
-            assert points[0] == x
-            for k in range(4):
-                assert points[k + 1] == points[k] / (1 + x)
+            g = edgeless_graph(4)
+            _, queries, answers = family_run(g, x)
+            assert queries == [(comb(g, k), x) for k in range(5)]
+            assert answers == [((1 + x) ** k + x) ** 4 for k in range(5)]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -156,18 +173,15 @@ class TestBuildCloneFamily:
     @example(Fraction(-3, 2), 7)  # 1 + x < 0: the points alternate in sign
     @example(Fraction(-3), 7)
     def test_points_and_scales_follow_the_comb_identity(self, x, n):
-        # I(comb(G, k); x) = scale_k^n * I(G; r_k), with the right side
-        # enumerated on G, so the kernel never runs on the comb there.
+        # I(comb(G, k); x) = (1 + x)^(kn) * I(G; x/(1 + x)^k), with the
+        # right side enumerated on G, so the kernel never runs on the comb
+        # there.
         rng = random.Random(f"{x} {n}")
         g = random_graph(rng, n)
-        poly = isp_coeffs_by_enumeration(g)
-        result, queries, samples = family_run(g, x)
-        assert result == poly
-        assert len(samples) == len(clique_cover(g)) + 1
-        for k, ((clone, _), (point, value)) in enumerate(zip(queries, samples)):
-            assert point == x / (1 + x) ** k
-            assert value == poly.evaluate(point)
-            assert isp_eval(clone, x) == (1 + x) ** (k * n) * value
+        result, queries, answers = family_run(g, x)
+        assert result == isp_coeffs_by_enumeration(g)
+        assert queries == [(comb(g, k), x) for k in range(len(clique_cover(g)) + 1)]
+        assert answers == comb_answers(g, queries)
 
     def test_degenerate_rejected(self):
         # x = 0 gives r_k = 0 for every k, x = -2 alternates between two
@@ -182,95 +196,70 @@ class TestBuildCloneFamily:
         # at and below -1/4, where the path reduction is degenerate.
         for x in (Fraction(-1, 4), Fraction(-1, 2), Fraction(-3, 2), Fraction(-999, 1000), Fraction(-100)):
             for g in (path_graph(1), path_graph(3), complete_graph(3)):
-                poly, _, samples = family_run(g, x)
+                poly, queries, answers = family_run(g, x)
                 assert poly == isp_coeffs_by_enumeration(g)
-                assert [point for point, _ in samples] == [x / (1 + x) ** k for k in range(len(samples))]
+                assert queries == [(comb(g, k), x) for k in range(len(clique_cover(g)) + 1)]
+                assert answers == comb_answers(g, queries)
 
 
-def reference_lagrange(samples) -> Polynomial:
-    """Lagrange interpolation in Fraction arithmetic throughout, as an
-    independent reference for the integer form."""
-    pairs = [(Fraction(p), Fraction(v)) for p, v in samples]
-    points = [p for p, _ in pairs]
-
-    # Master polynomial prod (X - p_i), then one synthetic division per
-    # sample yields the numerator basis polynomials.
-    master = [Fraction(1)]
-    for p in points:
-        master = [Fraction(0)] + master
-        for j in range(len(master) - 1):
-            master[j] -= master[j + 1] * p
-
-    count = len(pairs)
-    acc = [Fraction(0)] * count
-    for p, value in pairs:
-        basis = [Fraction(0)] * count
-        basis[count - 1] = master[count]
-        for j in range(count - 1, 0, -1):
-            basis[j - 1] = master[j] + basis[j] * p
-        denom = Fraction(0)
-        power = Fraction(1)
-        for c in basis:
-            denom += c * power
-            power *= p
-        scale = value / denom
-        for j in range(count):
-            acc[j] += scale * basis[j]
-    return Polynomial(acc)
+@st.composite
+def small_graphs(draw, max_n=9):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, keep in zip(pairs, chosen) if keep])
 
 
-class TestLagrange:
-    def test_collinear(self):
-        assert lagrange_interpolate([(0, 1), (1, 2), (2, 3)]) == Polynomial([1, 1])
+@st.composite
+def polynomial_families(draw):
+    """A graph on at most 7 vertices, a clique cover of it (the greedy one
+    with some vertices split off as singletons), a point outside
+    {0, -1, -2} and a polynomial of degree at most the cover's size whose
+    coefficients are counts in range or arbitrary rationals."""
+    g = draw(small_graphs(max_n=7))
+    split = draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    cover = [(v,) for v in range(g.n) if split[v]]
+    for part in clique_cover(g):
+        rest = tuple(v for v in part if not split[v])
+        if rest:
+            cover.append(rest)
+    coeffs = []
+    for k in range(draw(st.integers(1, len(cover) + 1))):
+        count = st.integers(int(k == 0), math.comb(g.n, k))
+        rational = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 7))
+        coeffs.append(draw(st.one_of(count, rational)))
+    x = draw(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30)).filter(lambda x: x not in (0, -1, -2)))
+    return g, tuple(cover), x, Polynomial(coeffs)
 
-    def test_single_sample_constant(self):
-        assert lagrange_interpolate([(5, 7)]) == Polynomial([7])
 
-    def test_recovers_p4_polynomial(self):
-        poly = isp_coeffs(path_graph(4))  # 1 + 4X + 3X^2
-        points = [Fraction(2), Fraction(2, 3), Fraction(-1, 5)]
-        samples = [(p, poly.evaluate(p)) for p in points]
-        assert lagrange_interpolate(samples) == poly
-
-    def test_duplicate_points_rejected(self):
-        with pytest.raises(DomainError):
-            lagrange_interpolate([(1, 1), (1, 2)])
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            lagrange_interpolate([])
-
-    def test_random_round_trips(self):
-        rng = random.Random(41)
-        for _ in range(25):
-            degree = rng.randint(0, 6)
-            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(degree + 1)]
-            poly = Polynomial(coeffs)
-            points = rng.sample(range(-20, 20), degree + 1)
-            samples = [(Fraction(p), poly.evaluate(p)) for p in points]
-            assert lagrange_interpolate(samples) == poly
+class TestFamilySolve:
+    """The exact solve inside interpolate_family, fed answers consistent
+    with an arbitrary polynomial: it returns the polynomial when that is a
+    count of independent sets, and otherwise names its first coefficient
+    that is not."""
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30)), min_size=1, max_size=9, unique=True
-        ).flatmap(
-            lambda points: st.lists(
-                st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4)),
-                min_size=len(points),
-                max_size=len(points),
-            ).map(lambda values: list(zip(points, values)))
-        )
-    )
-    @example([(Fraction(-50), Fraction(1)), (Fraction(50), Fraction(-1))])
-    @example([(Fraction(-1, 29), Fraction(3, 7)), (Fraction(1, 30), Fraction(0)), (Fraction(0), Fraction(-5))])
-    @example([(Fraction(k, 7), Fraction(k * k - 3, 11)) for k in range(-4, 5)])
-    def test_property_exact_through_every_sample(self, samples):
-        poly = lagrange_interpolate(samples)
-        assert poly.degree < len(samples)
-        for p, value in samples:
-            assert poly.evaluate(p) == value
-        assert poly == reference_lagrange(samples)
+    @given(polynomial_families())
+    @example((Graph(0), (), Fraction(1, 2), Polynomial([1])))
+    @example((Graph(0), (), Fraction(-3), Polynomial([Fraction(1, 3)])))
+    @example((edgeless_graph(7), tuple((v,) for v in range(7)), Fraction(-1, 30), Polynomial([1, 7, 21, 35, 35, 21, 7, 1])))
+    @example((edgeless_graph(7), tuple((v,) for v in range(7)), Fraction(29, 30), Polynomial([1, 7, 21, 35, 35, 21, 7, 2])))
+    @example((path_graph(4), ((0, 1), (2, 3)), Fraction(2), Polynomial([1, 4, Fraction(-7, 2)])))
+    def test_property_exact_or_first_bad_coefficient(self, family):
+        g, cover, x, poly = family
+        bad = [
+            (k, a, int(k == 0), math.comb(g.n, k))
+            for k, a in enumerate(poly.coeffs)
+            if a.denominator != 1 or not int(k == 0) <= a <= math.comb(g.n, k)
+        ]
+        oracle = PolynomialOracle(g, poly)
+        if not bad:
+            assert interpolate_family(g, cover, x, oracle) == poly
+            return
+        k, a, low, high = bad[0]
+        with pytest.raises(OracleError) as info:
+            interpolate_family(g, cover, x, oracle)
+        assert f"coefficient a_{k} = {a.numerator}/{a.denominator}, not an integer in [{low}, {high}] " in str(info.value)
 
 
 class TestInterpolatePipeline:
@@ -385,17 +374,10 @@ class TestInterpolatePipeline:
         ],
     )
     def test_answers_that_are_not_counts_rejected(self, coeffs, bad):
-        # Answers consistent with the polynomial `coeffs` on every comb of
-        # K2: member k (2(k + 1) vertices) gets (1 + x)^(2k) * q(x/(1 + x)^k).
-        q = Polynomial(coeffs)
-
-        class PolynomialOracle:
-            def evaluate(self, g, x):
-                k = g.n // 2 - 1
-                return (1 + x) ** (2 * k) * q.evaluate(x / (1 + x) ** k)
-
+        # Answers consistent with the polynomial `coeffs` on every comb of K2.
+        oracle = PolynomialOracle(complete_graph(2), Polynomial(coeffs))
         with pytest.raises(OracleError, match=re.escape(bad)):
-            interpolate_coeffs(complete_graph(2), Fraction(1, 2), oracle=PolynomialOracle())
+            interpolate_coeffs(complete_graph(2), Fraction(1, 2), oracle=oracle)
 
     def test_oracle_capacity_reported_per_clone(self):
         class BoundedOracle:
@@ -404,14 +386,6 @@ class TestInterpolatePipeline:
 
         with pytest.raises(CapacityError, match=re.escape("clone 0 (0 leaves per vertex): 3-vertex")):
             interpolate_coeffs(complete_graph(3), 2, oracle=BoundedOracle())
-
-
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=9))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph(n, [e for e, keep in zip(pairs, chosen) if keep])
 
 
 class TestInterpolateAgainstEnumeration:
