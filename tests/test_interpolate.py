@@ -232,11 +232,24 @@ def polynomial_families(draw):
     return g, tuple(cover), x, Polynomial(coeffs)
 
 
-class TestFamilySolve:
-    """The exact solve inside interpolate_family, fed answers consistent
-    with an arbitrary polynomial: it returns the polynomial when that is a
+class TestLagrange:
+    """The Lagrange solve inside interpolate_family (the basis P_j =
+    M / (t - W_j) at the integer nodes W_j), fed answers consistent with
+    an arbitrary polynomial: it returns the polynomial when that is a
     count of independent sets, and otherwise names its first coefficient
     that is not."""
+
+    def test_random_round_trips(self):
+        rng = random.Random(41)
+        for _ in range(25):
+            g = random_graph(rng, rng.randint(0, 8), 0.4)
+            cover = clique_cover(g)
+            coeffs = [rng.randint(int(k == 0), math.comb(g.n, k)) for k in range(rng.randint(1, len(cover) + 1))]
+            poly = Polynomial(coeffs)
+            x = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 30))
+            if x in (0, -1, -2):
+                x = Fraction(1, 3)
+            assert interpolate_family(g, cover, x, PolynomialOracle(g, poly)) == poly
 
     @settings(max_examples=300, deadline=None)
     @given(polynomial_families())
@@ -245,7 +258,7 @@ class TestFamilySolve:
     @example((edgeless_graph(7), tuple((v,) for v in range(7)), Fraction(-1, 30), Polynomial([1, 7, 21, 35, 35, 21, 7, 1])))
     @example((edgeless_graph(7), tuple((v,) for v in range(7)), Fraction(29, 30), Polynomial([1, 7, 21, 35, 35, 21, 7, 2])))
     @example((path_graph(4), ((0, 1), (2, 3)), Fraction(2), Polynomial([1, 4, Fraction(-7, 2)])))
-    def test_property_exact_or_first_bad_coefficient(self, family):
+    def test_property_exact_through_every_sample(self, family):
         g, cover, x, poly = family
         bad = [
             (k, a, int(k == 0), math.comb(g.n, k))
