@@ -95,6 +95,8 @@ def _cmd_reduce_x3sat(args) -> dict:
 
 
 def _cmd_reduce_graph(args) -> dict:
+    """``labels`` lists each vertex's literal, by x3sat_to_graph's
+    numbering: one vertex per literal occurrence, clause by clause."""
     f = _load_formula(args.file)
     graph, target, multiplier = x3sat_to_graph(f)
     _write_out(args.out, graph_to_text(graph))
@@ -105,7 +107,7 @@ def _cmd_reduce_graph(args) -> dict:
         "target_size": target,
         "multiplier": multiplier,
         "graph": graph_to_json_dict(graph),
-        "labels": [graph.labels[v] for v in range(graph.n)],
+        "labels": [lit for clause in f.clauses for lit in clause],
     }
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegeneratePointError, DomainError
-from .graphs import CloneSpec, Graph, comb, k_clone
+from .graphs import CloneSpec, Graph, _is_int, comb, k_clone
 from .quadfield import as_rational, format_rational
 
 
@@ -58,8 +58,8 @@ class PathWeights:
 def path_weights(x, k: int) -> PathWeights:
     """Transfer recurrence for a pendant path of length k: exact for every
     rational x, including degenerate ones."""
-    if k < 0:
-        raise DomainError(f"path length must be >= 0, got {k}")
+    if not _is_int(k) or k < 0:
+        raise DomainError(f"path length must be an integer >= 0, got {k!r}")
     x = as_rational(x)
     b, c = x, Fraction(1)
     for _ in range(k):
@@ -83,8 +83,8 @@ def path_weights_closed_form(x, k: int) -> tuple:
     with U_m the Lucas sum of the eigenvalues of [[0, x], [1, 1]], summed
     term by term without iterating the recurrence.  Requires
     nondegenerate x; agrees exactly with path_weights."""
-    if k < 0:
-        raise DomainError(f"path length must be >= 0, got {k}")
+    if not _is_int(k) or k < 0:
+        raise DomainError(f"path length must be an integer >= 0, got {k!r}")
     x = as_rational(x)
     _require_nondegenerate(x)
     d = 1 + 4 * x
@@ -112,8 +112,8 @@ def clone_correction_factor(x, spec, n: int) -> Fraction:
     _require_nondegenerate(x)
     if not isinstance(spec, CloneSpec):
         spec = CloneSpec(spec)
-    if n < 0:
-        raise DomainError(f"negative vertex count {n}")
+    if not _is_int(n) or n < 0:
+        raise DomainError(f"vertex count must be an integer >= 0, got {n!r}")
     product = Fraction(1)
     for s in spec.entries:
         product *= path_weights(x, s).c
@@ -153,8 +153,8 @@ class TransformPlan:
         return g
 
     def factor(self, n: int) -> Fraction:
-        if n < 0:
-            raise DomainError(f"negative vertex count {n}")
+        if not _is_int(n) or n < 0:
+            raise DomainError(f"vertex count must be an integer >= 0, got {n!r}")
         base = 1 + self.original_point
         return base ** (self.factor_exponent_per_vertex * n)
 

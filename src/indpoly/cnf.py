@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError, FormulaError
-from .graphs import Graph
+from .graphs import Graph, _is_int
 from .isp import count_transversal_is
 
 DEFAULT_ASSIGNMENT_BOUND = 24
@@ -41,13 +41,15 @@ class CnfFormula:
     __slots__ = ("variable_count", "clauses")
 
     def __init__(self, variable_count: int, clauses):
-        if variable_count < 0:
-            raise FormulaError(f"negative variable count {variable_count}")
+        if not _is_int(variable_count) or variable_count < 0:
+            raise FormulaError(
+                f"variable count must be an integer >= 0, got {variable_count!r}"
+            )
         normalized = []
         for idx, clause in enumerate(clauses, start=1):
             seen = []
             for lit in clause:
-                if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0:
+                if not _is_int(lit) or lit == 0:
                     raise FormulaError(f"clause {idx}: invalid literal {lit!r}")
                 if abs(lit) > variable_count:
                     raise FormulaError(
@@ -255,7 +257,10 @@ def x3sat_to_graph(f: CnfFormula):
     """Parsimonious reduction from X3SAT counting to counting independent
     sets of a fixed size.
 
-    One vertex per literal occurrence, labeled by the literal.  Choosing a
+    One vertex per literal occurrence.  The numbering is a contract:
+    vertex i is the i-th literal occurrence, clause by clause, so each
+    clause is a run of consecutive vertices and vertex i stands for
+    ``[lit for clause in f.clauses for lit in clause][i]``.  Choosing a
     vertex makes its literal the only true one in its clause, which sets
     some variables true and the others false.  Two vertices are adjacent
     exactly when one of them sets true a variable that the other sets
@@ -273,7 +278,6 @@ def x3sat_to_graph(f: CnfFormula):
     vertex's neighbours are the OR of the opposite masks over its 2 or 3
     variables.
     """
-    labels = {}
     # by_setting[2 * var + 1] holds the vertices that set var true and
     # by_setting[2 * var] those that set it false, so key ^ 1 is the
     # opposite setting.
@@ -295,7 +299,6 @@ def x3sat_to_graph(f: CnfFormula):
             keys = [2 * abs(lit) + ((lit > 0) == (lit == chosen)) for lit in clause]
             for key in keys:
                 by_setting[key] |= bit
-            labels[len(settings)] = chosen
             settings.append(keys)
 
     masks = []
@@ -305,7 +308,7 @@ def x3sat_to_graph(f: CnfFormula):
             nbrs |= by_setting[key ^ 1]
         masks.append(nbrs)
     multiplier = 2 ** f.unused_variable_count()
-    return Graph._from_masks(masks, labels), len(f.clauses), multiplier
+    return Graph._from_masks(masks), len(f.clauses), multiplier
 
 
 @dataclass(frozen=True)
@@ -345,7 +348,7 @@ def reduce_to_graph(f: CnfFormula) -> GraphReduction:
     reduced = reduce_to_x3sat(f)
     graph, target, multiplier = x3sat_to_graph(reduced)
     cliques, start = [], 0
-    for clause in reduced.clauses:  # x3sat_to_graph numbers them in order
+    for clause in reduced.clauses:  # x3sat_to_graph's numbering contract
         cliques.append(tuple(range(start, start + len(clause))))
         start += len(clause)
     return GraphReduction(f, reduced, graph, target, multiplier, tuple(cliques))

@@ -1,8 +1,9 @@
 """Finite simple undirected graphs and the clone/path/comb transformations.
 
-All graphs are immutable: transformations return new graphs.  Vertices are
-0-based integers below ``vertex_count``.  An optional ``labels`` map carries
-DIMACS-style signed literals on vertices (used by the SAT reduction).
+A graph is its vertex count n and one neighbour bitmask per vertex: bit u
+of vertex v's mask is set when uv is an edge.  Vertices are the integers
+0..n-1; the sorted edge list is derived from the masks when first read.
+All graphs are immutable: transformations return new graphs.
 
 Vertex numbering of ``s_clone`` (the back-mapping contract):
 for each original vertex ``a`` there is a block of ``total + size`` result
@@ -21,11 +22,13 @@ from .errors import DomainError, GraphFormatError
 
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with optional vertex labels."""
+    """Simple undirected graph on vertices 0..n-1, stored as its neighbour
+    masks.  The constructor checks every edge: integer endpoints in range,
+    no self-loop.  A repeated edge is stored once."""
 
-    __slots__ = ("n", "labels", "_edges", "_masks")
+    __slots__ = ("n", "_edges", "_masks")
 
-    def __init__(self, n: int, edges=(), labels=None):
+    def __init__(self, n: int, edges=()):
         if not _is_int(n):
             raise DomainError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
@@ -42,34 +45,24 @@ class Graph:
                 raise DomainError(f"edge ({u}, {v}) out of range for n={n}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        self._set(masks, labels)
-        if self.labels is not None:
-            for v in self.labels:
-                if not 0 <= v < n:
-                    raise DomainError(f"label on unknown vertex {v}")
+        self._set(masks)
 
     @classmethod
-    def _from_masks(cls, masks, labels=None) -> Graph:
-        """Graph with the given neighbour masks and optional labels,
-        unchecked: the caller guarantees the masks are symmetric, loop-free
-        and below 1 << n, and labels only vertices below n.  This module's
-        transformations and ``cnf.x3sat_to_graph`` call it."""
+    def _from_masks(cls, masks) -> Graph:
+        """Graph with the given neighbour masks, unchecked: the caller
+        guarantees the masks are symmetric, loop-free and below 1 << n.
+        This module's transformations and ``cnf.x3sat_to_graph`` call it."""
         g = object.__new__(cls)
-        g._set(masks, labels)
+        g._set(masks)
         return g
 
-    def _set(self, masks, labels):
+    def _set(self, masks):
         object.__setattr__(self, "n", len(masks))
         object.__setattr__(self, "_masks", tuple(masks))
-        object.__setattr__(self, "labels", dict(labels) if labels else None)
         object.__setattr__(self, "_edges", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
-
-    @property
-    def vertex_count(self) -> int:
-        return self.n
 
     @property
     def edges(self) -> tuple:
@@ -104,17 +97,13 @@ class Graph:
         return bool(self.neighbor_masks()[u] >> v & 1)
 
     def _check_vertex(self, v: int):
-        if not isinstance(v, int) or not 0 <= v < self.n:
+        if not _is_int(v) or not 0 <= v < self.n:
             raise DomainError(f"invalid vertex id {v} for n={self.n}")
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.neighbor_masks() == other.neighbor_masks()
-            and (self.labels or {}) == (other.labels or {})
-        )
+        return self.n == other.n and self.neighbor_masks() == other.neighbor_masks()
 
     def __hash__(self):
         return hash((self.n, self.neighbor_masks()))
@@ -147,8 +136,9 @@ def cycle_graph(n: int) -> Graph:
 
 
 def _is_int(value) -> bool:
-    # bool is an int subclass, so True would pass as 1 (and JSON true/false
-    # load as bool).
+    """The package's rule for an integer argument: any int but a bool.
+    bool is an int subclass, so True would pass as 1 (and JSON true/false
+    load as bool)."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -242,8 +232,8 @@ def s_clone_origin(spec: CloneSpec, vertex: int) -> tuple:
     the j-th vertex along its pendant path."""
     if not isinstance(spec, CloneSpec):
         spec = CloneSpec(spec)
-    if vertex < 0:
-        raise DomainError(f"invalid vertex id {vertex}")
+    if not _is_int(vertex) or vertex < 0:
+        raise DomainError(f"invalid vertex id {vertex!r}")
     block = spec.block
     orig, r = divmod(vertex, block)
     if r < spec.size:
@@ -259,8 +249,8 @@ def s_clone_origin(spec: CloneSpec, vertex: int) -> tuple:
 def k_clone(g: Graph, k: int) -> Graph:
     """S-clone with S = {0,...,0} (k zeros): k pairwise non-adjacent copies
     of every vertex, complete bipartite between copies of adjacent vertices."""
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"clone count must be >= 1, got {k!r}")
+    if not _is_int(k) or k < 1:
+        raise DomainError(f"clone count must be an integer >= 1, got {k!r}")
     return s_clone(g, CloneSpec([0] * k))
 
 
@@ -268,10 +258,10 @@ def attach_path(g: Graph, v: int, k: int) -> Graph:
     """Append a pendant path of length k rooted at vertex v.  The k new
     vertices are numbered n, n+1, ..., n+k-1 outward from v."""
     g._check_vertex(v)
-    if k < 0:
-        raise DomainError(f"path length must be >= 0, got {k}")
+    if not _is_int(k) or k < 0:
+        raise DomainError(f"path length must be an integer >= 0, got {k!r}")
     if k == 0:
-        return Graph(g.n, g.edges, g.labels)
+        return g
     edges = list(g.edges)
     prev = v
     for j in range(k):
@@ -284,8 +274,8 @@ def comb(g: Graph, k: int) -> Graph:
     """Attach k pendant leaves to every original vertex.  Leaf j of vertex v
     is numbered n + v*k + j, matching k rounds of attach_path(., v, 1) taken
     vertex-major."""
-    if k < 0:
-        raise DomainError(f"leaf count must be >= 0, got {k}")
+    if not _is_int(k) or k < 0:
+        raise DomainError(f"leaf count must be an integer >= 0, got {k!r}")
     n = g.n
     run = (1 << k) - 1
     masks = [nbrs | run << n + v * k for v, nbrs in enumerate(g.neighbor_masks())]
@@ -302,10 +292,7 @@ def delete_vertex(g: Graph, v: int) -> Graph:
         return u if u < v else u - 1
 
     edges = [(renum(a), renum(b)) for a, b in g.edges if v not in (a, b)]
-    labels = None
-    if g.labels:
-        labels = {renum(u): lit for u, lit in g.labels.items() if u != v}
-    return Graph(g.n - 1, edges, labels)
+    return Graph(g.n - 1, edges)
 
 
 def _vertices_of(mask: int):
@@ -351,7 +338,7 @@ def is_clique_cover(g: Graph, parts) -> bool:
             return False
         whole = 0
         for v in part:
-            if not (isinstance(v, int) and 0 <= v < g.n) or seen >> v & 1:
+            if not (_is_int(v) and 0 <= v < g.n) or seen >> v & 1:
                 return False
             seen |= 1 << v
             whole |= 1 << v
@@ -430,31 +417,28 @@ def graph_to_json_dict(g: Graph) -> dict:
 
 
 def graph_from_json_dict(obj) -> Graph:
+    """Inverse of ``graph_to_json_dict``.  Checks the shape here and every
+    vertex count and edge in ``Graph()``; rejects duplicate edges."""
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphFormatError("structured graph must be {\"n\": ..., \"edges\": [...]}")
-    n = obj["n"]
-    if not _is_int(n):
-        raise GraphFormatError(f"vertex count must be an integer, got {n!r}")
-    if not isinstance(obj["edges"], list):
-        raise GraphFormatError(f"edges must be a list, got {obj['edges']!r}")
-    edges = []
-    seen = set()
-    for item in obj["edges"]:
+    edges = obj["edges"]
+    if not isinstance(edges, list):
+        raise GraphFormatError(f"edges must be a list, got {edges!r}")
+    for item in edges:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise GraphFormatError(f"malformed edge entry {item!r}")
-        u, v = item
-        if not (_is_int(u) and _is_int(v)):
-            raise GraphFormatError(f"non-integer endpoints in {item!r}")
-        if u == v:
-            raise GraphFormatError(f"self-loop at {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"edge ({u}, {v}) out of range for n={n}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise GraphFormatError(f"duplicate edge ({u}, {v})")
-        seen.add(key)
-        edges.append((u, v))
-    return Graph(n, edges)
+    try:
+        g = Graph(obj["n"], edges)
+    except DomainError as exc:
+        raise GraphFormatError(str(exc)) from exc
+    if g.edge_count != len(edges):
+        seen = set()
+        for u, v in edges:
+            key = (min(u, v), max(u, v))
+            if key in seen:
+                raise GraphFormatError(f"duplicate edge ({u}, {v})")
+            seen.add(key)
+    return g
 
 
 def parse_graph(text: str) -> Graph:

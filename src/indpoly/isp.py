@@ -66,10 +66,10 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, compress
+from itertools import compress
 
 from .errors import CapacityError, DomainError
-from .graphs import Graph, is_clique_cover
+from .graphs import Graph, _is_int, is_clique_cover
 from .quadfield import as_rational, format_rational
 
 DEFAULT_ENUMERATION_BOUND = 20
@@ -349,6 +349,11 @@ def _check_enumeration_bound(g: Graph, max_vertices: int):
         )
 
 
+def _check_set_size(k):
+    if not _is_int(k) or k < 0:
+        raise DomainError(f"set size must be an integer >= 0, got {k!r}")
+
+
 def _independent_subsets(g: Graph):
     """Every independent vertex subset of g as a bitmask, the empty set
     first, from one scan over all 2^n subsets: a subset is independent
@@ -402,8 +407,7 @@ def isp_multivariate(
 
 def count_is_of_size(g: Graph, k: int) -> int:
     """Number of independent sets of size exactly k (branching route)."""
-    if k < 0:
-        raise DomainError(f"negative set size {k}")
+    _check_set_size(k)
     if k > g.n:
         return 0
     return isp_coeffs(g).coefficient(k).numerator
@@ -412,23 +416,10 @@ def count_is_of_size(g: Graph, k: int) -> int:
 def count_is_of_size_by_enumeration(
     g: Graph, k: int, *, max_vertices: int = DEFAULT_ENUMERATION_BOUND
 ) -> int:
-    """Number of independent sets of size exactly k by direct enumeration
-    over k-subsets.  Must agree with count_is_of_size."""
-    if k < 0:
-        raise DomainError(f"negative set size {k}")
+    """Number of independent sets of size exactly k, counted among the
+    enumerated independent subsets.  Must agree with count_is_of_size."""
+    _check_set_size(k)
     _check_enumeration_bound(g, max_vertices)
     if k > g.n:
         return 0
-    masks = g.neighbor_masks()
-    count = 0
-    for subset in combinations(range(g.n), k):
-        mask = 0
-        ok = True
-        for v in subset:
-            if masks[v] & mask:
-                ok = False
-                break
-            mask |= 1 << v
-        if ok:
-            count += 1
-    return count
+    return sum(sub.bit_count() == k for sub in _independent_subsets(g))

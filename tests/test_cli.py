@@ -6,7 +6,16 @@ import sys
 
 import pytest
 
-from indpoly import clique_cover, comb, format_rational, graph_to_json_dict, isp_coeffs, path_graph
+from indpoly import (
+    clique_cover,
+    comb,
+    format_rational,
+    graph_to_json_dict,
+    isp_coeffs,
+    parse_dimacs,
+    path_graph,
+    reduce_to_graph,
+)
 from indpoly.cli import _build_parser, main
 from indpoly.verify import SUITES, random_graph
 
@@ -101,6 +110,29 @@ class TestReductionCommands:
         assert record["vertices"] == 3
         assert record["target_size"] == 1
         assert record["labels"] == [1, 2, 3]
+
+    def test_reduce_graph_labels_follow_clause_order(self, tmp_path):
+        # Widths 2 and 3 and negated literals, so a wrong order shows.
+        f = parse_dimacs("p cnf 4 3\n1 -2 3 0\n-1 4 0\n2 -3 -4 0\n")
+        reduction = reduce_to_graph(f)
+        records = []
+        for formula, name in ((f, "x3.cnf"), (reduction.reduced, "reduced.cnf")):
+            path = tmp_path / name
+            path.write_text(formula.to_dimacs())
+            (record,) = records_of(run_cli("reduce-graph", str(path)).stdout)
+            assert record["labels"] == [lit for clause in formula.clauses for lit in clause]
+            records.append(record)
+        assert records[0]["labels"] == [1, -2, 3, -1, 4, 2, -3, -4]
+        # The count's cliques are the reduced clauses, as consecutive runs
+        # of the record's vertices, and the record's graph is the one counted.
+        labels = records[1]["labels"]
+        assert records[1]["graph"] == graph_to_json_dict(reduction.graph)
+        start = 0
+        for clique, clause in zip(reduction.cliques, reduction.reduced.clauses, strict=True):
+            assert clique == tuple(range(start, start + len(clause)))
+            assert [labels[v] for v in clique] == list(clause)
+            start += len(clause)
+        assert start == len(labels)
 
 
 class TestPolynomialCommands:

@@ -166,6 +166,24 @@ class TestCorrectionFactor:
         with pytest.raises(DomainError):
             clone_correction_factor(2, CloneSpec([1]), -1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: clone_correction_factor(2, [1], 1.5),
+            lambda: clone_correction_factor(2, [1], True),
+            lambda: normalize_point(-3).factor(1.5),
+            lambda: normalize_point(-3).factor(True),
+            lambda: path_weights(2, 1.5),
+            lambda: path_weights(2, True),
+            lambda: path_weights_closed_form(2, 1.5),
+        ],
+    )
+    def test_integer_arguments_reject_floats_and_bools(self, call):
+        # A float count would make the exact result a float (5.196... for
+        # the first call); True would pass as 1.
+        with pytest.raises(DomainError):
+            call()
+
 
 class TestMasterIdentitySmoke:
     def test_worked_case(self):

@@ -33,7 +33,6 @@ def reference_x3sat_to_graph(f: CnfFormula):
     """x3sat_to_graph as a pairwise conflict test over all vertex pairs,
     built through the checking constructor: the independent reference for
     the per-variable mask construction."""
-    labels = {}
     sets_true = []
     sets_false = []
     for idx, clause in enumerate(f.clauses, start=1):
@@ -53,7 +52,6 @@ def reference_x3sat_to_graph(f: CnfFormula):
                     true |= 1 << abs(lit)
                 else:
                     false |= 1 << abs(lit)
-            labels[len(sets_true)] = chosen
             sets_true.append(true)
             sets_false.append(false)
 
@@ -65,7 +63,7 @@ def reference_x3sat_to_graph(f: CnfFormula):
         if sets_true[u] & sets_false[v] or sets_false[u] & sets_true[v]
     ]
     multiplier = 2 ** f.unused_variable_count()
-    return Graph(total, edges, labels), len(f.clauses), multiplier
+    return Graph(total, edges), len(f.clauses), multiplier
 
 
 @st.composite
@@ -113,6 +111,12 @@ class TestCnfFormula:
         # True would pass as literal 1 and be written out as "True 0".
         with pytest.raises(FormulaError, match="True"):
             CnfFormula(1, [[True]])
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
+    def test_rejects_non_integer_variable_count(self, n):
+        # Such a count used to be written out as "p cnf 2.5 1".
+        with pytest.raises(FormulaError):
+            CnfFormula(n, [[1]])
 
     def test_unused_variable_count(self):
         f = CnfFormula(5, [[1, 2]])
@@ -312,11 +316,6 @@ class TestX3SatToGraph:
         assert set(g.edges) == {(0, 1), (2, 3), (0, 3), (1, 2)}
         assert count_is_of_size(g, target) == 2
 
-    def test_labels_carried(self):
-        f = parse_dimacs("p cnf 3 1\n1 -2 3 0\n")
-        g, _, _ = x3sat_to_graph(f)
-        assert g.labels == {0: 1, 1: -2, 2: 3}
-
     def test_multiplier_counts_unused_variables(self):
         f = CnfFormula(5, [[1, 2]])
         _, _, multiplier = x3sat_to_graph(f)
@@ -386,7 +385,6 @@ class TestX3SatToGraph:
         assert g.n == want.n
         assert g.edges == want.edges
         assert g.neighbor_masks() == want.neighbor_masks()
-        assert g.labels == want.labels
         assert g == want and want == g
         assert hash(g) == hash(want)
         assert graph_to_text(g) == graph_to_text(want)

@@ -11,10 +11,11 @@ come back in.
 
 A third guard keeps the definitional evaluators in ``isp.py``
 independent of the identities they are tested against: the module may
-import only ``errors``, ``quadfield``, and ``Graph`` and
-``is_clique_cover`` from ``graphs``.  So neither ``clonecalc``,
-``interpolate`` or ``verify`` nor the gadget builders of ``graphs``
-(``comb``, ``s_clone``, ``k_clone``, ``attach_path``) can reach it.
+import only ``errors``, ``quadfield``, and ``Graph``, ``is_clique_cover``
+and the integer-argument rule ``_is_int`` from ``graphs``.  So neither
+``clonecalc``, ``interpolate`` or ``verify`` nor the gadget builders of
+``graphs`` (``comb``, ``s_clone``, ``k_clone``, ``attach_path``) can
+reach it.
 
 A last check keeps the public surface honest: every name in
 ``indpoly.__all__`` is an attribute of the package, so deleting a function
@@ -109,7 +110,7 @@ def test_cli_import_loads_no_numeric_library():
 
 
 # module -> the names it may give, or None for any name
-DEFINITIONAL_IMPORTS = {"errors": None, "quadfield": None, "graphs": {"Graph", "is_clique_cover"}}
+DEFINITIONAL_IMPORTS = {"errors": None, "quadfield": None, "graphs": {"Graph", "_is_int", "is_clique_cover"}}
 
 
 def package_imports(tree):

@@ -105,6 +105,34 @@ class TestGraphBasics:
 
         assert Graph(Vertex(3), [(Vertex(0), 2)]).edges == ((0, 2),)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: comb(g, 1.5),
+            lambda g: comb(g, True),
+            lambda g: attach_path(g, 0, 1.5),
+            lambda g: attach_path(g, 0, True),
+            lambda g: attach_path(g, True, 1),
+            lambda g: k_clone(g, True),
+            lambda g: k_clone(g, 2.0),
+            lambda g: delete_vertex(g, True),
+            lambda g: delete_vertex(g, 1.0),
+            lambda g: g.neighbors(True),
+            lambda g: g.degree(1.0),
+            lambda g: g.has_edge(0, True),
+            lambda g: s_clone_origin([1], 1.5),
+        ],
+    )
+    def test_integer_arguments_reject_floats_and_bools(self, call):
+        # One rule, graphs._is_int: True is not vertex or count 1.
+        with pytest.raises(DomainError):
+            call(path_graph(2))
+
+    def test_clique_cover_check_rejects_bool_vertex(self):
+        g = path_graph(2)
+        assert is_clique_cover(g, ((0, 1),))
+        assert not is_clique_cover(g, ((0, True),))
+
     def test_immutable(self):
         g = Graph(1)
         with pytest.raises(AttributeError):
@@ -313,14 +341,13 @@ class TestDeleteVertex:
         got = delete_vertex(g, 1)
         assert got == Graph(3, [(0, 1), (1, 2)])
 
-    def test_labels_remapped(self):
-        g = Graph(3, [(0, 1)], labels={0: 1, 1: -2, 2: 3})
-        got = delete_vertex(g, 1)
-        assert got.labels == {0: 1, 1: 3}
-
     def test_invalid_vertex(self):
         with pytest.raises(DomainError):
             delete_vertex(Graph(1), 1)
+
+    def test_zero_length_path_is_the_graph(self):
+        g = path_graph(3)
+        assert attach_path(g, 1, 0) is g
 
 
 class TestGraphFormats:
@@ -388,6 +415,7 @@ class TestGraphFormats:
             {"n": True, "edges": []},
             {"n": 2, "edges": [[0, True]]},
             {"n": 2, "edges": [[False, 1]]},
+            {"n": -1, "edges": []},
         ],
     )
     def test_json_rejects(self, bad):
@@ -403,7 +431,7 @@ class TestGraphFormats:
 
 
 @st.composite
-def unlabelled_graphs(draw, max_n=12):
+def simple_graphs(draw, max_n=12):
     n = draw(st.integers(min_value=0, max_value=max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -412,12 +440,12 @@ def unlabelled_graphs(draw, max_n=12):
 
 class TestFormatRoundTripProperties:
     @settings(max_examples=200, deadline=None)
-    @given(unlabelled_graphs())
+    @given(simple_graphs())
     def test_text_round_trip(self, g):
         assert parse_graph(graph_to_text(g)) == g
 
     @settings(max_examples=200, deadline=None)
-    @given(unlabelled_graphs())
+    @given(simple_graphs())
     def test_json_round_trip(self, g):
         assert graph_from_json_dict(graph_to_json_dict(g)) == g
 
@@ -437,12 +465,12 @@ class TestMaskBuiltTransformations:
     same graphs from edge lists through the checking constructor."""
 
     @settings(max_examples=200, deadline=None)
-    @given(unlabelled_graphs(max_n=8), st.integers(min_value=0, max_value=4))
+    @given(simple_graphs(max_n=8), st.integers(min_value=0, max_value=4))
     def test_comb_equals_edge_list_construction(self, g, k):
         _same_graph(comb(g, k), reference_comb(g, k))
 
     @settings(max_examples=200, deadline=None)
-    @given(unlabelled_graphs(max_n=8), st.lists(st.integers(min_value=0, max_value=4), max_size=4))
+    @given(simple_graphs(max_n=8), st.lists(st.integers(min_value=0, max_value=4), max_size=4))
     def test_s_clone_equals_edge_list_construction(self, g, entries):
         spec = CloneSpec(entries)
         cloned = s_clone(g, spec)
@@ -465,7 +493,7 @@ class TestGraphForms:
     everything a caller can ask."""
 
     @settings(max_examples=100, deadline=None)
-    @given(unlabelled_graphs(max_n=8))
+    @given(simple_graphs(max_n=8))
     def test_mask_built_agrees_with_edge_built(self, g):
         from_masks = Graph._from_masks(g.neighbor_masks())
         from_edges = Graph(g.n, g.edges)
@@ -482,33 +510,15 @@ class TestGraphForms:
             assert from_masks != toggled and toggled != from_masks
             assert comb(from_masks, 1) != comb(toggled, 1)
 
-    @settings(max_examples=100, deadline=None)
-    @given(unlabelled_graphs(max_n=8), st.data())
-    def test_labelled_mask_built_agrees_with_edge_built(self, g, data):
-        literal = st.integers(min_value=-9, max_value=9).filter(bool)
-        labels = data.draw(st.dictionaries(st.integers(0, g.n - 1), literal)) if g.n else {}
-        from_masks = Graph._from_masks(g.neighbor_masks(), labels)
-        from_edges = Graph(g.n, g.edges, labels)
-        _same_graph(from_masks, from_edges)
-        if labels:
-            labels.clear()  # the graph keeps its own copy
-            assert from_masks.labels == from_edges.labels != {}
-            assert from_masks != Graph(g.n, g.edges)
-
     def test_mask_built_edges_are_derived_once(self):
         g = comb(path_graph(3), 2)
         assert g.edges is g.edges
 
     def test_mask_built_is_immutable(self):
         g = comb(complete_graph(3), 1)
-        for name in ("n", "edges", "labels", "_masks", "_edges"):
+        for name in ("n", "edges", "_masks", "_edges"):
             with pytest.raises(AttributeError):
                 setattr(g, name, None)
-
-    def test_mask_built_differs_from_labelled(self):
-        g = Graph(2, [(0, 1)], labels={0: 1, 1: -2})
-        assert comb(g, 0) != g
-        assert comb(g, 0) == Graph(2, [(0, 1)])
 
 
 class TestCliqueCover:
@@ -536,7 +546,7 @@ class TestCliqueCover:
         assert not is_clique_cover(g, ((0, 1), (2, 3), (4,)))  # unknown vertex
 
     @settings(max_examples=200, deadline=None)
-    @given(unlabelled_graphs())
+    @given(simple_graphs())
     def test_partitions_into_cliques_bounding_alpha(self, g):
         cover = clique_cover(g)
         assert is_clique_cover(g, cover)

@@ -200,6 +200,12 @@ class TestCountIsOfSize:
         with pytest.raises(DomainError):
             count_is_of_size(complete_graph(3), -1)
 
+    @pytest.mark.parametrize("count", [count_is_of_size, count_is_of_size_by_enumeration])
+    @pytest.mark.parametrize("k", [1.5, 1.0, True])
+    def test_non_integer_size_rejected(self, count, k):
+        with pytest.raises(DomainError):
+            count(complete_graph(3), k)
+
     def test_both_routes_agree(self):
         rng = random.Random(19)
         for _ in range(60):
