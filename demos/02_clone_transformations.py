@@ -10,10 +10,8 @@ known correction factor, driven by the path-weight recurrence.
 from fractions import Fraction
 
 from indpoly import (
-    CloneSpec,
     Graph,
-    clone_correction_factor,
-    clone_shifted_point,
+    clone_shift,
     complete_graph,
     graph_to_text,
     isp_coeffs,
@@ -29,11 +27,11 @@ print("=" * 64)
 print("Anatomy of an S-clone: one vertex, S = {0, 2, 3}")
 print("=" * 64)
 
-cloned = s_clone(Graph(1), CloneSpec([0, 2, 3]))
+cloned = s_clone(Graph(1), [0, 2, 3])
 print(graph_to_text(cloned))
 print("vertex -> (original, clone index, path position):")
 for v in range(cloned.n):
-    print(f"  {v} -> {s_clone_origin(CloneSpec([0, 2, 3]), v)}")
+    print(f"  {v} -> {s_clone_origin([0, 2, 3], v)}")
 print(f"size law: 1 * (sum(S) + |S|) = {cloned.n}")
 
 print()
@@ -42,8 +40,8 @@ print("Pendant paths contract to exact weight pairs (B_k, C_k)")
 print("=" * 64)
 print("recurrence (B, C) <- (x*C, B + C) starting from (x, 1), at x = 2:")
 for k in range(5):
-    w = path_weights(2, k)
-    print(f"  k={k}:  B={w.b}  C={w.c}")
+    b, c = path_weights(2, k)
+    print(f"  k={k}:  B={b}  C={c}")
 b, c = path_weights_closed_form(2, 2)
 print("eigenvalue closed forms, summed over Q, agree, e.g. k=2:", f"B={b}, C={c}")
 
@@ -53,14 +51,14 @@ print("The master identity: clone, evaluate, divide, land elsewhere")
 print("=" * 64)
 
 g = complete_graph(2)
-spec = CloneSpec([1])
-shifted = clone_shifted_point(2, spec)
-factor = clone_correction_factor(2, spec, g.n)
+spec = [1]
+shifted, base = clone_shift(2, spec)
+factor = base ** g.n
 lhs = isp_eval(s_clone(g, spec), 2)
 print(f"G = K2, S = {{1}}: the {{1}}-clone of K2 is the 4-vertex path")
 print(f"I(clone; 2)          = {lhs}")
 print(f"shifted point x(S)   = {shifted}")
-print(f"correction factor    = {factor}")
+print(f"correction factor    = {base}^{g.n} = {factor}")
 print(f"factor * I(G; x(S))  = {factor * isp_eval(g, shifted)}")
 assert lhs == factor * isp_eval(g, shifted)
 

@@ -8,10 +8,8 @@ All arithmetic is exact and over the rationals; no floating point.
 """
 
 from .clonecalc import (
-    PathWeights,
     TransformPlan,
-    clone_correction_factor,
-    clone_shifted_point,
+    clone_shift,
     is_nondegenerate,
     normalize_point,
     path_weights,
@@ -36,7 +34,6 @@ from .errors import (
     OracleError,
 )
 from .graphs import (
-    CloneSpec,
     Graph,
     attach_path,
     clique_cover,
@@ -72,13 +69,12 @@ from .isp import (
     isp_eval,
     isp_multivariate,
 )
-from .quadfield import as_rational, format_rational, parse_rational
+from .rationals import as_rational, format_rational, parse_rational
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
-    "CloneSpec",
     "CnfFormula",
     "DegeneratePointError",
     "DomainError",
@@ -88,14 +84,12 @@ __all__ = [
     "GraphFormatError",
     "InternalOracle",
     "OracleError",
-    "PathWeights",
     "Polynomial",
     "TransformPlan",
     "as_rational",
     "attach_path",
     "clique_cover",
-    "clone_correction_factor",
-    "clone_shifted_point",
+    "clone_shift",
     "comb",
     "complete_graph",
     "count_is_of_size",

@@ -24,10 +24,10 @@ import time
 from .clonecalc import normalize_point
 from .cnf import count_sat, count_x3sat, parse_dimacs, reduce_to_graph, reduce_to_x3sat, x3sat_to_graph
 from .errors import CapacityError, DomainError, OracleError
-from .graphs import CloneSpec, clique_cover, graph_to_json_dict, graph_to_text, parse_graph, s_clone
+from .graphs import _clone_multiset, clique_cover, graph_to_json_dict, graph_to_text, parse_graph, s_clone
 from .interpolate import ExternalOracle, InternalOracle, interpolate_family
 from .isp import isp_coeffs, isp_eval
-from .quadfield import format_rational, parse_rational
+from .rationals import format_rational, parse_int, parse_rational
 from .verify import DEFAULT_SEED, SUITES, run_suites
 
 EXIT_OK = 0
@@ -134,14 +134,14 @@ def _cmd_isp_coeffs(args) -> dict:
     return {"graph": args.graph, "vertices": g.n, "coeffs": poly.to_json_dict()["coeffs"]}
 
 
-def _parse_clone_multiset(text: str) -> CloneSpec:
+def _parse_clone_multiset(text: str) -> tuple:
     try:
-        entries = [int(part) for part in text.split(",") if part.strip() != ""]
+        entries = [parse_int(part.strip()) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise DomainError(f"malformed clone multiset {text!r}: expected e.g. \"0,2,3\"")
     if not entries:
         raise DomainError("empty clone multiset")
-    return CloneSpec(entries)
+    return _clone_multiset(entries)
 
 
 def _cmd_clone(args) -> dict:
@@ -151,7 +151,7 @@ def _cmd_clone(args) -> dict:
     _write_out(args.out, graph_to_text(cloned))
     return {
         "graph": args.graph,
-        "s_set": list(spec.entries),
+        "s_set": list(spec),
         "vertices_in": g.n,
         "vertices_out": cloned.n,
         "result": graph_to_json_dict(cloned),
@@ -211,12 +211,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("count-sat", help="count satisfying assignments of a DIMACS CNF")
     p.add_argument("file")
-    p.add_argument("--max-vars", type=int, default=24)
+    p.add_argument("--max-vars", type=parse_int, default=24)
     p.set_defaults(handler=_cmd_count, counter=count_sat)
 
     p = sub.add_parser("count-x3sat", help="count exactly-one-true assignments")
     p.add_argument("file")
-    p.add_argument("--max-vars", type=int, default=24)
+    p.add_argument("--max-vars", type=parse_int, default=24)
     p.set_defaults(handler=_cmd_count, counter=count_x3sat)
 
     p = sub.add_parser("reduce-x3sat", help="parsimonious 3-CNF to X3SAT reduction")
@@ -260,7 +260,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the exact property suites")
     p.add_argument("--suite", choices=sorted(SUITES) + ["all"], default="all")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=parse_int, default=DEFAULT_SEED)
     p.add_argument("--dump-dir", default="counterexamples")
     p.set_defaults(handler=_cmd_verify)
 

@@ -1,5 +1,6 @@
-"""The algebra of S-clones: pendant-path weights, shifted evaluation
-points, correction factors, and the evaluation-point normalizer.
+"""The algebra of S-clones: pendant-path weights, the shifted evaluation
+point and correction factor of an S-clone, and the evaluation-point
+normalizer.
 
 A pendant path of length k hanging off a vertex contracts into a pair of
 exact rationals (B_k, C_k) via the transfer recurrence
@@ -17,7 +18,8 @@ neither C_s nor B_s + C_s = C_(s+1) does.
 
 An S-clone shifts the evaluation point x to the rational x(S) defined by
 1 + x(S) = prod over s in S of (1 + B_s/C_s), and multiplies the
-polynomial value by (prod C_s)^|V|.
+polynomial value by (prod C_s)^|V|; ``clone_shift`` returns the pair
+(x(S), prod C_s).
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegeneratePointError, DomainError
-from .graphs import CloneSpec, Graph, _is_int, comb, k_clone
-from .quadfield import as_rational, format_rational
+from .graphs import Graph, _clone_multiset, _is_int, comb, k_clone
+from .rationals import as_rational, format_rational
 
 
 def is_nondegenerate(x) -> bool:
@@ -46,25 +48,16 @@ def _require_nondegenerate(x: Fraction):
         )
 
 
-@dataclass(frozen=True)
-class PathWeights:
-    """Exact (B_k, C_k) for a pendant path of length k at weight x."""
-
-    b: Fraction
-    c: Fraction
-    k: int
-
-
-def path_weights(x, k: int) -> PathWeights:
-    """Transfer recurrence for a pendant path of length k: exact for every
-    rational x, including degenerate ones."""
+def path_weights(x, k: int) -> tuple:
+    """(B_k, C_k) for a pendant path of length k, by the transfer
+    recurrence: exact for every rational x, including degenerate ones."""
     if not _is_int(k) or k < 0:
         raise DomainError(f"path length must be an integer >= 0, got {k!r}")
     x = as_rational(x)
     b, c = x, Fraction(1)
     for _ in range(k):
         b, c = x * c, b + c
-    return PathWeights(b, c, k)
+    return b, c
 
 
 def _lucas_u(d: Fraction, m: int) -> Fraction:
@@ -91,33 +84,19 @@ def path_weights_closed_form(x, k: int) -> tuple:
     return x * _lucas_u(d, k + 1), _lucas_u(d, k + 2)
 
 
-def clone_shifted_point(x, spec) -> Fraction:
-    """The rational x(S) that an S-clone shifts the evaluation point to:
-    1 + x(S) = prod over s in S of (1 + B_s/C_s)."""
+def clone_shift(x, spec) -> tuple:
+    """(x(S), prod over s in S of C_s) for the clone multiset S = ``spec``:
+    the point an S-clone shifts x to, 1 + x(S) = prod of (1 + B_s/C_s), and
+    the base of its correction factor.  An S-clone G' of an n-vertex G has
+    I(G'; x) = (prod C_s)^n * I(G; x(S))."""
     x = as_rational(x)
     _require_nondegenerate(x)
-    if not isinstance(spec, CloneSpec):
-        spec = CloneSpec(spec)
-    product = Fraction(1)
-    for s in spec.entries:
-        w = path_weights(x, s)
-        product *= 1 + Fraction(w.b, w.c)
-    return product - 1
-
-
-def clone_correction_factor(x, spec, n: int) -> Fraction:
-    """(prod over s in S of C_s)^n: the exact factor relating the S-clone's
-    polynomial value to the original graph's value at x(S)."""
-    x = as_rational(x)
-    _require_nondegenerate(x)
-    if not isinstance(spec, CloneSpec):
-        spec = CloneSpec(spec)
-    if not _is_int(n) or n < 0:
-        raise DomainError(f"vertex count must be an integer >= 0, got {n!r}")
-    product = Fraction(1)
-    for s in spec.entries:
-        product *= path_weights(x, s).c
-    return product ** n
+    shifted = factor = Fraction(1)
+    for s in _clone_multiset(spec):
+        b, c = path_weights(x, s)
+        shifted *= 1 + b / c
+        factor *= c
+    return shifted - 1, factor
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .errors import CapacityError, FormulaError
 from .graphs import Graph, _is_int
 from .isp import count_transversal_is
+from .rationals import parse_int
 
 DEFAULT_ASSIGNMENT_BOUND = 24
 _BLOCK_BITS = 20  # assignments are checked in blocks of 2^_BLOCK_BITS
@@ -116,7 +117,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise FormulaError(f"line {lineno}: malformed header {line!r}")
             try:
-                n, declared_m = int(parts[2]), int(parts[3])
+                n, declared_m = parse_int(parts[2]), parse_int(parts[3])
             except ValueError:
                 raise FormulaError(f"line {lineno}: non-integer header fields")
             if n < 0 or declared_m < 0:
@@ -126,7 +127,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             raise FormulaError(f"line {lineno}: clause data before header")
         for token in line.split():
             try:
-                lit = int(token)
+                lit = parse_int(token)
             except ValueError:
                 raise FormulaError(f"line {lineno}: non-integer token {token!r}")
             if lit == 0:

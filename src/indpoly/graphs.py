@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 
 from .errors import DomainError, GraphFormatError
+from .rationals import parse_int
 
 
 class Graph:
@@ -142,72 +143,32 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-class CloneSpec:
-    """Finite multiset of nonnegative integers, kept sorted ascending.
-
-    ``size`` is the number of clones per original vertex; ``total`` is the
-    summed pendant-path length per original vertex.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        items = tuple(sorted(entries))
-        for s in items:
-            if not _is_int(s) or s < 0:
-                raise DomainError(f"clone multiset entries must be ints >= 0, got {s!r}")
-        object.__setattr__(self, "entries", items)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CloneSpec is immutable")
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    @property
-    def total(self) -> int:
-        return sum(self.entries)
-
-    @property
-    def block(self) -> int:
-        """Result vertices per original vertex under s_clone."""
-        return self.total + self.size
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, CloneSpec):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"CloneSpec({list(self.entries)})"
+def _clone_multiset(entries) -> tuple:
+    """A clone multiset S as its entries sorted ascending, each checked to
+    be an int >= 0 before the sort compares them."""
+    entries = tuple(entries)
+    for s in entries:
+        if not _is_int(s) or s < 0:
+            raise DomainError(f"clone multiset entries must be ints >= 0, got {s!r}")
+    return tuple(sorted(entries))
 
 
-def s_clone(g: Graph, spec: CloneSpec) -> Graph:
+def s_clone(g: Graph, spec) -> Graph:
     """Replace each vertex by |S| mutually non-adjacent clones, join clones of
     adjacent vertices completely, and hang a pendant path of length s on the
-    clone indexed by each s in S.  See the module docstring for the numbering.
+    clone indexed by each s in the multiset ``spec`` (any iterable of ints
+    >= 0).  See the module docstring for the numbering.
     """
-    if not isinstance(spec, CloneSpec):
-        spec = CloneSpec(spec)
-    block = spec.block
-    size = spec.size
+    spec = _clone_multiset(spec)
+    size = len(spec)
+    block = size + sum(spec)
     # One block's own adjacency, relative to the block's first vertex: a
     # clone is joined to the first vertex of its path, and each path
     # vertex to its predecessor and successor.
     heads = []
     chains = []
     start = size
-    for i, s in enumerate(spec.entries):
+    for i, s in enumerate(spec):
         heads.append(1 << start if s else 0)
         prev = i
         for v in range(start, start + s):
@@ -226,20 +187,19 @@ def s_clone(g: Graph, spec: CloneSpec) -> Graph:
     return Graph._from_masks(masks)
 
 
-def s_clone_origin(spec: CloneSpec, vertex: int) -> tuple:
+def s_clone_origin(spec, vertex: int) -> tuple:
     """Map an s_clone result vertex back to (original vertex, clone index,
     path position).  Path position 0 is the clone itself; position j >= 1 is
     the j-th vertex along its pendant path."""
-    if not isinstance(spec, CloneSpec):
-        spec = CloneSpec(spec)
+    spec = _clone_multiset(spec)
     if not _is_int(vertex) or vertex < 0:
         raise DomainError(f"invalid vertex id {vertex!r}")
-    block = spec.block
-    orig, r = divmod(vertex, block)
-    if r < spec.size:
+    size = len(spec)
+    orig, r = divmod(vertex, size + sum(spec))
+    if r < size:
         return (orig, r, 0)
-    r -= spec.size
-    for i, s in enumerate(spec.entries):
+    r -= size
+    for i, s in enumerate(spec):
         if r < s:
             return (orig, i, r + 1)
         r -= s
@@ -251,7 +211,7 @@ def k_clone(g: Graph, k: int) -> Graph:
     of every vertex, complete bipartite between copies of adjacent vertices."""
     if not _is_int(k) or k < 1:
         raise DomainError(f"clone count must be an integer >= 1, got {k!r}")
-    return s_clone(g, CloneSpec([0] * k))
+    return s_clone(g, [0] * k)
 
 
 def attach_path(g: Graph, v: int, k: int) -> Graph:
@@ -377,7 +337,7 @@ def parse_graph_text(text: str) -> Graph:
             if len(parts) != 4 or parts[1] != "is":
                 raise GraphFormatError(f"line {lineno}: malformed header {line!r}")
             try:
-                n, declared_m = int(parts[2]), int(parts[3])
+                n, declared_m = parse_int(parts[2]), parse_int(parts[3])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: non-integer header fields")
             if n < 0 or declared_m < 0:
@@ -388,7 +348,7 @@ def parse_graph_text(text: str) -> Graph:
             if len(parts) != 3:
                 raise GraphFormatError(f"line {lineno}: malformed edge {line!r}")
             try:
-                u, v = int(parts[1]), int(parts[2])
+                u, v = parse_int(parts[1]), parse_int(parts[2])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: non-integer endpoints")
             if not (1 <= u <= n and 1 <= v <= n):

@@ -65,7 +65,7 @@ from fractions import Fraction
 from .errors import CapacityError, DegeneratePointError, DomainError, OracleError
 from .graphs import Graph, clique_cover, comb, graph_to_json_dict, is_clique_cover
 from .isp import Polynomial, isp_eval
-from .quadfield import as_rational, format_rational
+from .rationals import as_rational, format_rational
 
 # Wall-clock limit on one external oracle query; a query that runs longer
 # is killed and reported as an OracleError.

@@ -70,7 +70,7 @@ from itertools import compress
 
 from .errors import CapacityError, DomainError
 from .graphs import Graph, _is_int, is_clique_cover
-from .quadfield import as_rational, format_rational
+from .rationals import as_rational, format_rational
 
 DEFAULT_ENUMERATION_BOUND = 20
 

@@ -157,6 +157,17 @@ class TestPolynomialCommands:
         assert record["vertices_out"] == 4
         assert record["result"]["n"] == 4
 
+    def test_clone_sorts_the_multiset(self, k2_graph, capsys):
+        records = []
+        for text in ("3,0,2", "0,2,3"):
+            assert main(["clone", k2_graph, "--s", text]) == 0
+            (record,) = records_of(capsys.readouterr().out)
+            del record["timing_ms"]
+            records.append(record)
+        assert records[0] == records[1]
+        assert records[0]["s_set"] == [0, 2, 3]
+        assert records[0]["vertices_out"] == 16
+
     def test_normalize_point(self):
         proc = run_cli("normalize-point", "--at", "-1/2")
         assert proc.returncode == 0
@@ -284,6 +295,46 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr.startswith("indpoly: error: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "text", ["1_0", " \uff13", "1,a", "2,-1", "1.0"], ids=["underscore", "fullwidth", "letter", "negative", "decimal"]
+    )
+    def test_domain_error_malformed_clone_multiset(self, k2_graph, text, capsys):
+        assert main(["clone", k2_graph, "--s", text]) == 1
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("count-sat", "p cnf 1_0 1\n1_0 0\n"),
+            ("count-sat", "p cnf \uff13 1\n+1 \uff12 0\n"),
+            ("isp-coeffs", "p is 1_0 1\ne 1 1_0\n"),
+            ("isp-coeffs", "p is 2 1\ne 1 \u0662\n"),
+        ],
+        ids=["dimacs-underscore", "dimacs-fullwidth", "graph-underscore", "graph-arabic-indic"],
+    )
+    def test_domain_error_non_ascii_or_underscored_digits_in_files(self, tmp_path, command, text, capsys):
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main([command, str(path)]) == 1
+        assert "non-integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "at", ["-\uff11/\uff12", "\u0663/\u0664", "1_0"], ids=["fullwidth", "arabic-indic", "underscore"]
+    )
+    def test_domain_error_non_ascii_or_underscored_point(self, p4_graph, at, capsys):
+        assert main(["isp-eval", p4_graph, "--at", at]) == 1
+        assert "malformed rational" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["count-sat", "F", "--max-vars", "1_0"], ["verify", "--seed", "\uff17"], ["verify", "--seed", " 7"]],
+        ids=["max-vars-underscore", "seed-fullwidth", "seed-space"],
+    )
+    def test_usage_error_non_ascii_or_underscored_int_option(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 64
 
     def test_capacity_error(self, tmp_path):
         wide = tmp_path / "wide.cnf"

@@ -6,11 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from indpoly import (
-    CloneSpec,
     DegeneratePointError,
     DomainError,
-    clone_correction_factor,
-    clone_shifted_point,
+    clone_shift,
     complete_graph,
     is_nondegenerate,
     isp_eval,
@@ -34,21 +32,19 @@ def _standard_weight_examples(test):
 class TestPathWeights:
     @pytest.mark.parametrize("k,expected", [(0, (2, 1)), (1, (2, 3)), (2, (6, 5))])
     def test_spot_values_at_x_2(self, k, expected):
-        w = path_weights(2, k)
-        assert (w.b, w.c) == expected
+        assert path_weights(2, k) == expected
 
     def test_recurrence_shape(self):
         # B_{i+1} = x*C_i, C_{i+1} = B_i + C_i
         x = Fraction(1, 2)
-        prev = path_weights(x, 4)
-        cur = path_weights(x, 5)
-        assert cur.b == x * prev.c
-        assert cur.c == prev.b + prev.c
+        prev_b, prev_c = path_weights(x, 4)
+        b, c = path_weights(x, 5)
+        assert b == x * prev_c
+        assert c == prev_b + prev_c
 
     def test_defined_for_degenerate_x(self):
         # recurrence from (-1/4, 1): (-1/4, 3/4), (-3/16, 1/2), (-1/8, 5/16)
-        w = path_weights(Fraction(-1, 4), 3)
-        assert (w.b, w.c) == (Fraction(-1, 8), Fraction(5, 16))
+        assert path_weights(Fraction(-1, 4), 3) == (Fraction(-1, 8), Fraction(5, 16))
 
     def test_negative_length_rejected(self):
         with pytest.raises(DomainError):
@@ -61,8 +57,7 @@ class TestPathWeights:
     )
     @_standard_weight_examples
     def test_closed_form_agreement(self, x, k):
-        w = path_weights(x, k)
-        assert path_weights_closed_form(x, k) == (w.b, w.c)
+        assert path_weights_closed_form(x, k) == path_weights(x, k)
 
     @pytest.mark.parametrize("x", [0, Fraction(-1, 4), -1, -5])
     def test_closed_form_degenerate_points_rejected(self, x):
@@ -72,7 +67,7 @@ class TestPathWeights:
     def test_c_k_never_zero_for_nondegenerate(self):
         for x in STANDARD_WEIGHTS:
             for k in range(0, 40):
-                assert path_weights(x, k).c != 0
+                assert path_weights(x, k)[1] != 0
 
     @settings(deadline=None)
     @given(
@@ -80,11 +75,11 @@ class TestPathWeights:
         st.integers(min_value=0, max_value=60),
     )
     def test_c_and_next_c_never_vanish(self, x, s):
-        # clone_shifted_point and clone_correction_factor divide by C_s and
-        # by 1 + B_s/C_s = C_(s+1)/C_s without checking either for zero.
-        w = path_weights(x, s)
-        assert w.c != 0
-        assert w.b + w.c != 0
+        # clone_shift divides by C_s, and its shifted point by
+        # 1 + B_s/C_s = C_(s+1)/C_s, without checking either for zero.
+        b, c = path_weights(x, s)
+        assert c != 0
+        assert b + c != 0
 
 
 class TestNondegeneracy:
@@ -100,6 +95,14 @@ class TestNondegeneracy:
         assert not is_nondegenerate(-3)
 
 
+def shifted_point(x, spec):
+    return clone_shift(x, spec)[0]
+
+
+def correction_base(x, spec):
+    return clone_shift(x, spec)[1]
+
+
 class TestShiftedPoint:
     def test_defined_for_real_points(self):
         # t1 + t2 = 1 rules out |t1| = |t2|, so C_s and 1 + B_s/C_s never
@@ -107,18 +110,18 @@ class TestShiftedPoint:
         rng = random.Random(31)
         for _ in range(40):
             x = Fraction(rng.choice([k for k in range(-9, 31) if k]), rng.randint(40, 47))
-            spec = CloneSpec([rng.randint(0, 6) for _ in range(rng.randint(1, 3))])
-            assert isinstance(clone_shifted_point(x, spec), Fraction)
+            spec = [rng.randint(0, 6) for _ in range(rng.randint(1, 3))]
+            assert isinstance(shifted_point(x, spec), Fraction)
 
     def test_zero_multiset_is_identity(self):
-        assert clone_shifted_point(2, CloneSpec([0])) == 2
+        assert shifted_point(2, [0]) == 2
 
     def test_single_leaf_matches_leaf_identity(self):
         # {1} shifts x to x/(1+x)
-        assert clone_shifted_point(2, CloneSpec([1])) == Fraction(2, 3)
+        assert shifted_point(2, [1]) == Fraction(2, 3)
 
     def test_double_zero_matches_2_clone(self):
-        assert clone_shifted_point(2, CloneSpec([0, 0])) == 8
+        assert shifted_point(2, [0, 0]) == 8
 
     def test_order_independence(self):
         rng = random.Random(32)
@@ -127,50 +130,43 @@ class TestShiftedPoint:
             entries = [rng.randint(0, 5) for _ in range(3)]
             shuffled = entries[:]
             rng.shuffle(shuffled)
-            assert clone_shifted_point(x, CloneSpec(entries)) == clone_shifted_point(
-                x, CloneSpec(shuffled)
-            )
+            assert clone_shift(x, entries) == clone_shift(x, shuffled)
 
     def test_multiplicative_over_disjoint_union(self):
+        # 1 + x(S) and prod C_s both multiply over a disjoint union of S
         rng = random.Random(33)
         for _ in range(20):
             x = Fraction(rng.randint(1, 9), rng.randint(1, 5))
             s = [rng.randint(0, 4) for _ in range(2)]
             t = [rng.randint(0, 4) for _ in range(2)]
-            lhs = 1 + clone_shifted_point(x, CloneSpec(s + t))
-            rhs = (1 + clone_shifted_point(x, CloneSpec(s))) * (
-                1 + clone_shifted_point(x, CloneSpec(t))
+            (shifted, factor), (shifted_s, factor_s), (shifted_t, factor_t) = (
+                clone_shift(x, spec) for spec in (s + t, s, t)
             )
-            assert lhs == rhs
+            assert 1 + shifted == (1 + shifted_s) * (1 + shifted_t)
+            assert factor == factor_s * factor_t
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegeneratePointError):
-            clone_shifted_point(Fraction(-1, 2), CloneSpec([1]))
+            clone_shift(Fraction(-1, 2), [1])
 
     def test_zero_rejected(self):
         with pytest.raises(DegeneratePointError):
-            clone_shifted_point(0, CloneSpec([1]))
+            clone_shift(0, [1])
 
 
 class TestCorrectionFactor:
     def test_single_leaf_two_vertices(self):
-        assert clone_correction_factor(2, CloneSpec([1]), 2) == 9
+        assert correction_base(2, [1]) ** 2 == 9
 
     def test_zero_multiset(self):
-        assert clone_correction_factor(Fraction(1, 2), CloneSpec([0]), 5) == 1
+        assert correction_base(Fraction(1, 2), [0]) ** 5 == 1
 
     def test_path_of_two(self):
-        assert clone_correction_factor(2, CloneSpec([2]), 1) == 5
-
-    def test_negative_vertex_count_rejected(self):
-        with pytest.raises(DomainError):
-            clone_correction_factor(2, CloneSpec([1]), -1)
+        assert correction_base(2, [2]) == 5
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: clone_correction_factor(2, [1], 1.5),
-            lambda: clone_correction_factor(2, [1], True),
             lambda: normalize_point(-3).factor(1.5),
             lambda: normalize_point(-3).factor(True),
             lambda: path_weights(2, 1.5),
@@ -179,8 +175,8 @@ class TestCorrectionFactor:
         ],
     )
     def test_integer_arguments_reject_floats_and_bools(self, call):
-        # A float count would make the exact result a float (5.196... for
-        # the first call); True would pass as 1.
+        # A float count would make the exact result a float; True would
+        # pass as 1.
         with pytest.raises(DomainError):
             call()
 
@@ -188,23 +184,18 @@ class TestCorrectionFactor:
 class TestMasterIdentitySmoke:
     def test_worked_case(self):
         k2 = complete_graph(2)
-        spec = CloneSpec([1])
-        assert isp_eval(s_clone(k2, spec), 2) == 21
-        assert clone_correction_factor(2, spec, 2) * isp_eval(
-            k2, clone_shifted_point(2, spec)
-        ) == 21
+        assert isp_eval(s_clone(k2, [1]), 2) == 21
+        shifted, factor = clone_shift(2, [1])
+        assert factor ** 2 * isp_eval(k2, shifted) == 21
 
     def test_random_small(self):
         rng = random.Random(34)
         for _ in range(10):
             g = random_graph(rng, rng.randint(1, 4))
-            spec = CloneSpec([rng.randint(0, 3) for _ in range(rng.randint(1, 2))])
+            spec = [rng.randint(0, 3) for _ in range(rng.randint(1, 2))]
             for x in (Fraction(2), Fraction(-1, 5)):
-                lhs = isp_eval(s_clone(g, spec), x)
-                rhs = clone_correction_factor(x, spec, g.n) * isp_eval(
-                    g, clone_shifted_point(x, spec)
-                )
-                assert lhs == rhs
+                shifted, factor = clone_shift(x, spec)
+                assert isp_eval(s_clone(g, spec), x) == factor ** g.n * isp_eval(g, shifted)
 
 
 class TestNormalizePoint:

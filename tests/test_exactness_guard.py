@@ -11,7 +11,7 @@ come back in.
 
 A third guard keeps the definitional evaluators in ``isp.py``
 independent of the identities they are tested against: the module may
-import only ``errors``, ``quadfield``, and ``Graph``, ``is_clique_cover``
+import only ``errors``, ``rationals``, and ``Graph``, ``is_clique_cover``
 and the integer-argument rule ``_is_int`` from ``graphs``.  So neither
 ``clonecalc``, ``interpolate`` or ``verify`` nor the gadget builders of
 ``graphs`` (``comb``, ``s_clone``, ``k_clone``, ``attach_path``) can
@@ -110,7 +110,7 @@ def test_cli_import_loads_no_numeric_library():
 
 
 # module -> the names it may give, or None for any name
-DEFINITIONAL_IMPORTS = {"errors": None, "quadfield": None, "graphs": {"Graph", "_is_int", "is_clique_cover"}}
+DEFINITIONAL_IMPORTS = {"errors": None, "rationals": None, "graphs": {"Graph", "_is_int", "is_clique_cover"}}
 
 
 def package_imports(tree):
@@ -161,7 +161,7 @@ def test_definitional_guard_catches_gadget_builders():
         "from .graphs import s_clone as clone, k_clone\n"
         "from .graphs import attach_path\n"
         "from . import graphs\n"
-        "from .quadfield import as_rational\n"
+        "from .rationals import as_rational\n"
     )
     assert non_definitional_imports(ast.parse(source)) == [
         (1, "graphs.comb"),

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indpoly import (
-    CloneSpec,
     DomainError,
     Graph,
     GraphFormatError,
     attach_path,
     clique_cover,
+    clone_shift,
     comb,
     complete_graph,
     delete_vertex,
@@ -29,23 +29,24 @@ from indpoly import (
     s_clone,
     s_clone_origin,
 )
+from indpoly.graphs import _clone_multiset
 from indpoly.verify import random_clone_spec, random_graph
 
 
-def reference_s_clone(g: Graph, spec: CloneSpec) -> Graph:
+def reference_s_clone(g: Graph, spec: tuple) -> Graph:
     """s_clone as an edge list through the checking constructor: the
-    independent reference for the mask construction."""
-    block = spec.block
-    size = spec.size
+    independent reference for the mask construction.  ``spec`` is sorted."""
+    size = len(spec)
+    block = size + sum(spec)
     edges = []
     path_start = []
     offset = size
-    for s in spec.entries:
+    for s in spec:
         path_start.append(offset)
         offset += s
     for a in range(g.n):
         base = a * block
-        for i, s in enumerate(spec.entries):
+        for i, s in enumerate(spec):
             prev = base + i
             for j in range(s):
                 nxt = base + path_start[i] + j
@@ -150,30 +151,49 @@ class TestGraphBasics:
 
 
 class TestCloneSpec:
+    """A clone spec is the sorted tuple ``_clone_multiset`` returns."""
+
     def test_sorted_on_construction(self):
-        spec = CloneSpec([3, 0, 2])
-        assert spec.entries == (0, 2, 3)
-        assert spec.size == 3
-        assert spec.total == 5
-        assert spec.block == 8
+        assert _clone_multiset([3, 0, 2]) == (0, 2, 3)
+        assert _clone_multiset(iter([3, 0, 2])) == (0, 2, 3)
 
     def test_multiset_keeps_repeats(self):
-        spec = CloneSpec([0, 0, 0])
-        assert spec.entries == (0, 0, 0)
+        assert _clone_multiset([0, 0, 0]) == (0, 0, 0)
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
-            CloneSpec([1, -1])
+            _clone_multiset([1, -1])
 
     def test_rejects_bool(self):
         with pytest.raises(DomainError, match="True"):
-            CloneSpec([True, 2])
+            _clone_multiset([True, 2])
+
+    @pytest.mark.parametrize("bad", ["a", None, 1.0])
+    def test_rejects_non_integers(self, bad):
+        # checked before the sort, which would compare them with ints
+        with pytest.raises(DomainError, match="clone multiset"):
+            _clone_multiset([1, bad])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: s_clone(Graph(1), [1, 1j]),
+        lambda: s_clone(Graph(2), ["a", 1]),
+        lambda: s_clone_origin([2, None], 0),
+        lambda: clone_shift(2, [1, "x"]),
+    ],
+)
+def test_clone_multiset_entries_checked_before_sorting(call):
+    # sorting first would raise a bare TypeError comparing them with ints
+    with pytest.raises(DomainError, match="clone multiset"):
+        call()
 
 
 class TestSClone:
     def test_single_vertex_023(self):
         # one bare clone, one with a 2-path, one with a 3-path: 8 vertices
-        g = s_clone(Graph(1), CloneSpec([0, 2, 3]))
+        g = s_clone(Graph(1), [3, 0, 2])
         assert g.n == 8
         assert g.edges == ((1, 3), (2, 5), (3, 4), (5, 6), (6, 7))
         # the three clones are mutually non-adjacent
@@ -182,21 +202,21 @@ class TestSClone:
                 assert not g.has_edge(u, v)
 
     def test_k2_with_single_path_is_p4(self):
-        g = s_clone(complete_graph(2), CloneSpec([1]))
+        g = s_clone(complete_graph(2), [1])
         assert g.n == 4
         # numbering: clone0=0, leaf0=1, clone1=2, leaf1=3 -> path 1-0-2-3
         assert g.edges == ((0, 1), (0, 2), (2, 3))
 
     def test_zero_spec_is_identity(self):
         g = random_graph(random.Random(1), 5)
-        assert s_clone(g, CloneSpec([0])) == Graph(g.n, g.edges)
+        assert s_clone(g, [0]) == Graph(g.n, g.edges)
 
     def test_size_law(self):
         rng = random.Random(2)
         for _ in range(100):
             g = random_graph(rng, rng.randint(0, 7))
             spec = random_clone_spec(rng, max_size=4, max_element=5)
-            assert s_clone(g, spec).n == g.n * (spec.total + spec.size)
+            assert s_clone(g, spec).n == g.n * (sum(spec) + len(spec))
 
     def test_clone_classes_independent_and_paths_thin(self):
         rng = random.Random(3)
@@ -217,19 +237,19 @@ class TestSClone:
 
     def test_adjacency_matches_original(self):
         g = Graph(3, [(0, 1)])
-        spec = CloneSpec([0, 1])
+        spec = (0, 1)
         cloned = s_clone(g, spec)
-        block = spec.block
+        block = 3
         for a in range(3):
             for b in range(3):
                 if a == b:
                     continue
-                for i in range(spec.size):
-                    for j in range(spec.size):
+                for i in range(2):
+                    for j in range(2):
                         assert cloned.has_edge(a * block + i, b * block + j) == g.has_edge(a, b)
 
     def test_origin_mapping_inverts_numbering(self):
-        spec = CloneSpec([0, 2, 3])
+        spec = [3, 0, 2]
         seen = set()
         for v in range(8):
             orig, clone_idx, path_pos = s_clone_origin(spec, v)
@@ -250,7 +270,7 @@ class TestSClone:
         rng = random.Random(4)
         for k in (1, 2, 3):
             g = random_graph(rng, 4)
-            assert s_clone(g, CloneSpec([0] * k)) == k_clone(g, k)
+            assert s_clone(g, [0] * k) == k_clone(g, k)
 
 
 class TestKClone:
@@ -472,7 +492,7 @@ class TestMaskBuiltTransformations:
     @settings(max_examples=200, deadline=None)
     @given(simple_graphs(max_n=8), st.lists(st.integers(min_value=0, max_value=4), max_size=4))
     def test_s_clone_equals_edge_list_construction(self, g, entries):
-        spec = CloneSpec(entries)
+        spec = _clone_multiset(entries)
         cloned = s_clone(g, spec)
         _same_graph(cloned, reference_s_clone(g, spec))
         # the numbering contract: s_clone_origin is a bijection onto

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import indpoly.isp
 from indpoly import (
     CapacityError,
-    CloneSpec,
     DomainError,
     Graph,
     Polynomial,
@@ -506,7 +505,7 @@ class TestKernelHelpers:
         stars = 0
         for _ in range(12):
             g = random_graph(rng, rng.randint(2, 5))
-            spec = CloneSpec(rng.sample(range(1, 5), rng.randint(1, 2)))
+            spec = rng.sample(range(1, 5), rng.randint(1, 2))
             h = comb(k_clone(s_clone(g, spec), 2), 4)
             x = rng.choice([Fraction(-1, 2), Fraction(3, 7), Fraction(2)])
             branch_nodes.clear()

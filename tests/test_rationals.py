@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indpoly import DomainError, as_rational, format_rational, parse_rational
+from indpoly.rationals import parse_int
 
 
 class TestRationalFormat:
@@ -23,6 +24,15 @@ class TestRationalFormat:
     @pytest.mark.parametrize("bad", ["", "1.5", "a/b", "1/-2", "1/0", "1 / 2", "--3"])
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(DomainError):
+            parse_rational(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["\u0663/\u0664", "-\uff11/\uff12", "1_0", "1/2_0", "1/+2", "3/", "/3"],
+        ids=["arabic-indic", "fullwidth", "underscore", "underscore-den", "signed-den", "no-den", "no-num"],
+    )
+    def test_parse_takes_ascii_digits_only(self, bad):
+        with pytest.raises(DomainError, match="malformed rational"):
             parse_rational(bad)
 
     def test_format_always_includes_denominator(self):
@@ -46,3 +56,19 @@ class TestRationalFormat:
         assert as_rational(Fraction(1, 2)) == Fraction(1, 2)
         with pytest.raises(DomainError):
             as_rational(0.5)
+
+
+class TestParseInt:
+    @pytest.mark.parametrize("text,value", [("0", 0), ("+7", 7), ("-12", -12), ("007", 7)])
+    def test_sign_and_ascii_digits(self, text, value):
+        assert parse_int(text) == value
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "+", "-", "--1", "+-1", "1_0", " 1", "1 ", "1.0", "0x1", "\uff13", "\u0663", "\u00b2"],
+        ids=["empty", "plus", "minus", "double-sign", "mixed-sign", "underscore", "lead-space",
+             "trail-space", "decimal", "hex", "fullwidth", "arabic-indic", "superscript"],
+    )
+    def test_rejects_what_int_alone_would_take(self, bad):
+        with pytest.raises(ValueError):
+            parse_int(bad)
