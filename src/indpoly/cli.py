@@ -139,8 +139,6 @@ def _parse_clone_multiset(text: str) -> tuple:
         entries = [parse_int(part.strip()) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise DomainError(f"malformed clone multiset {text!r}: expected e.g. \"0,2,3\"")
-    if not entries:
-        raise DomainError("empty clone multiset")
     return _clone_multiset(entries)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import CapacityError, FormulaError
 from .graphs import Graph, _is_int
 from .isp import count_transversal_is
-from .rationals import parse_int
+from .rationals import _read_dimacs, parse_int
 
 DEFAULT_ASSIGNMENT_BOUND = 24
 _BLOCK_BITS = 20  # assignments are checked in blocks of 2^_BLOCK_BITS
@@ -101,58 +101,30 @@ class CnfFormula:
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF: comments "c ...", header "p cnf n m", clauses as
     0-terminated literal sequences (clauses may span lines)."""
-    n = None
-    declared_m = None
+    n, declared_m, body = _read_dimacs(text, "cnf", FormulaError)
     clauses = []
     current = []
     current_line = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            if n is not None:
-                raise FormulaError(f"line {lineno}: duplicate header")
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise FormulaError(f"line {lineno}: malformed header {line!r}")
-            try:
-                n, declared_m = parse_int(parts[2]), parse_int(parts[3])
-            except ValueError:
-                raise FormulaError(f"line {lineno}: non-integer header fields")
-            if n < 0 or declared_m < 0:
-                raise FormulaError(f"line {lineno}: negative header counts")
-            continue
-        if n is None:
-            raise FormulaError(f"line {lineno}: clause data before header")
-        for token in line.split():
+    for lineno, tokens in body:
+        for token in tokens:
             try:
                 lit = parse_int(token)
             except ValueError:
                 raise FormulaError(f"line {lineno}: non-integer token {token!r}")
-            if lit == 0:
-                if not current:
-                    raise FormulaError(f"line {lineno}: empty clause")
-                clauses.append(tuple(current))
-                current = []
-                current_line = None
-            else:
-                if abs(lit) > n:
-                    raise FormulaError(
-                        f"line {lineno}: literal {lit} out of range 1..{n}"
-                    )
+            if abs(lit) > n:
+                raise FormulaError(f"line {lineno}: literal {lit} out of range 1..{n}")
+            if lit:
                 current.append(lit)
                 current_line = lineno
+            elif current:
+                clauses.append(tuple(current))
+                current = []
+            else:
+                raise FormulaError(f"line {lineno}: empty clause")
     if current:
-        raise FormulaError(
-            f"line {current_line}: clause missing terminating 0"
-        )
-    if n is None:
-        raise FormulaError("missing header line \"p cnf n m\"")
+        raise FormulaError(f"line {current_line}: clause missing terminating 0")
     if len(clauses) != declared_m:
-        raise FormulaError(
-            f"header declares {declared_m} clauses but {len(clauses)} found"
-        )
+        raise FormulaError(f"header declares {declared_m} clauses but {len(clauses)} found")
     return CnfFormula(n, clauses)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 
 from .errors import DomainError, GraphFormatError
-from .rationals import parse_int
+from .rationals import _read_dimacs, parse_int
 
 
 class Graph:
@@ -52,7 +52,8 @@ class Graph:
     def _from_masks(cls, masks) -> Graph:
         """Graph with the given neighbour masks, unchecked: the caller
         guarantees the masks are symmetric, loop-free and below 1 << n.
-        This module's transformations and ``cnf.x3sat_to_graph`` call it."""
+        This module's text reader and transformations and
+        ``cnf.x3sat_to_graph`` call it."""
         g = object.__new__(cls)
         g._set(masks)
         return g
@@ -144,9 +145,12 @@ def _is_int(value) -> bool:
 
 
 def _clone_multiset(entries) -> tuple:
-    """A clone multiset S as its entries sorted ascending, each checked to
-    be an int >= 0 before the sort compares them."""
+    """A clone multiset S as its entries sorted ascending: non-empty, as an
+    S-clone keeps |S| >= 1 clones of each vertex (k_clone's k >= 1), and
+    each entry checked to be an int >= 0 before the sort compares them."""
     entries = tuple(entries)
+    if not entries:
+        raise DomainError("empty clone multiset")
     for s in entries:
         if not _is_int(s) or s < 0:
             raise DomainError(f"clone multiset entries must be ints >= 0, got {s!r}")
@@ -222,12 +226,13 @@ def attach_path(g: Graph, v: int, k: int) -> Graph:
         raise DomainError(f"path length must be an integer >= 0, got {k!r}")
     if k == 0:
         return g
-    edges = list(g.edges)
+    masks = list(g.neighbor_masks()) + [0] * k
     prev = v
-    for j in range(k):
-        edges.append((prev, g.n + j))
-        prev = g.n + j
-    return Graph(g.n + k, edges)
+    for u in range(g.n, g.n + k):
+        masks[prev] |= 1 << u
+        masks[u] = 1 << prev
+        prev = u
+    return Graph._from_masks(masks)
 
 
 def comb(g: Graph, k: int) -> Graph:
@@ -248,11 +253,9 @@ def delete_vertex(g: Graph, v: int) -> Graph:
     """Remove v and incident edges; vertices above v shift down by one."""
     g._check_vertex(v)
 
-    def renum(u):
-        return u if u < v else u - 1
-
-    edges = [(renum(a), renum(b)) for a, b in g.edges if v not in (a, b)]
-    return Graph(g.n - 1, edges)
+    masks = g.neighbor_masks()
+    below = (1 << v) - 1  # bits above v move down one place, as the vertices do
+    return Graph._from_masks([m & below | m >> v + 1 << v for m in masks[:v] + masks[v + 1:]])
 
 
 def _vertices_of(mask: int):
@@ -322,53 +325,28 @@ def graph_to_text(g: Graph) -> str:
 
 def parse_graph_text(text: str) -> Graph:
     """Parse the canonical text format; rejects duplicate edges and self-loops."""
-    n = None
-    declared_m = None
-    edges = []
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise GraphFormatError(f"line {lineno}: duplicate header")
-            if len(parts) != 4 or parts[1] != "is":
-                raise GraphFormatError(f"line {lineno}: malformed header {line!r}")
-            try:
-                n, declared_m = parse_int(parts[2]), parse_int(parts[3])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer header fields")
-            if n < 0 or declared_m < 0:
-                raise GraphFormatError(f"line {lineno}: negative header counts")
-        elif parts[0] == "e":
-            if n is None:
-                raise GraphFormatError(f"line {lineno}: edge before header")
-            if len(parts) != 3:
-                raise GraphFormatError(f"line {lineno}: malformed edge {line!r}")
-            try:
-                u, v = parse_int(parts[1]), parse_int(parts[2])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer endpoints")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphFormatError(f"line {lineno}: endpoint out of range 1..{n}")
-            if u == v:
-                raise GraphFormatError(f"line {lineno}: self-loop at {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise GraphFormatError(f"line {lineno}: duplicate edge {u} {v}")
-            seen.add(key)
-            edges.append((u - 1, v - 1))
-        else:
-            raise GraphFormatError(f"line {lineno}: unrecognized line {line!r}")
-    if n is None:
-        raise GraphFormatError("missing header line \"p is n m\"")
-    if declared_m != len(edges):
-        raise GraphFormatError(
-            f"header declares {declared_m} edges but {len(edges)} found"
-        )
-    return Graph(n, edges)
+    n, declared_m, body = _read_dimacs(text, "is", GraphFormatError)
+    masks = [0] * n
+    for lineno, tokens in body:
+        if tokens[0] != "e":
+            raise GraphFormatError(f"line {lineno}: unrecognized line {' '.join(tokens)!r}")
+        if len(tokens) != 3:
+            raise GraphFormatError(f"line {lineno}: malformed edge {' '.join(tokens)!r}")
+        try:
+            u, v = parse_int(tokens[1]), parse_int(tokens[2])
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: non-integer endpoints")
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise GraphFormatError(f"line {lineno}: endpoint out of range 1..{n}")
+        if u == v:
+            raise GraphFormatError(f"line {lineno}: self-loop at {u}")
+        if masks[u - 1] >> v - 1 & 1:
+            raise GraphFormatError(f"line {lineno}: duplicate edge {u} {v}")
+        masks[u - 1] |= 1 << v - 1
+        masks[v - 1] |= 1 << u - 1
+    if declared_m != len(body):
+        raise GraphFormatError(f"header declares {declared_m} edges but {len(body)} found")
+    return Graph._from_masks(masks)
 
 
 def graph_to_json_dict(g: Graph) -> dict:

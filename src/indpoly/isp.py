@@ -38,7 +38,7 @@ and tested against each other:
   evaluation at X = 2^(n+1) (Kronecker substitution: every coefficient
   is a non-negative integer below 2^(n+1), so the value's base-2^(n+1)
   digits are the coefficients), and
-* plain enumeration of subsets, bounded by ``max_vertices``.
+* plain enumeration of subsets, bounded by ``DEFAULT_ENUMERATION_BOUND``.
 
 A third route, ``count_transversal_is``, counts only the independent sets
 that meet every part of a given clique partition exactly once (these are
@@ -342,10 +342,10 @@ def count_transversal_is(g: Graph, parts) -> int:
         return subgraph_count((1 << g.n) - 1)
 
 
-def _check_enumeration_bound(g: Graph, max_vertices: int):
-    if g.n > max_vertices:
+def _check_enumeration_bound(g: Graph):
+    if g.n > DEFAULT_ENUMERATION_BOUND:
         raise CapacityError(
-            f"enumeration over {g.n} vertices exceeds the bound {max_vertices}"
+            f"enumeration over {g.n} vertices exceeds the bound {DEFAULT_ENUMERATION_BOUND}"
         )
 
 
@@ -371,23 +371,19 @@ def _independent_subsets(g: Graph):
             yield sub
 
 
-def isp_coeffs_by_enumeration(
-    g: Graph, *, max_vertices: int = DEFAULT_ENUMERATION_BOUND
-) -> Polynomial:
+def isp_coeffs_by_enumeration(g: Graph) -> Polynomial:
     """Coefficient vector by enumeration of all vertex subsets."""
-    _check_enumeration_bound(g, max_vertices)
+    _check_enumeration_bound(g)
     counts = [0] * (g.n + 1)
     for sub in _independent_subsets(g):
         counts[sub.bit_count()] += 1
     return Polynomial(counts)
 
 
-def isp_multivariate(
-    g: Graph, weights, *, max_vertices: int = DEFAULT_ENUMERATION_BOUND
-) -> Fraction:
+def isp_multivariate(g: Graph, weights) -> Fraction:
     """Sum over independent sets A of the product of per-vertex weights,
     by direct enumeration.  ``weights`` must cover every vertex."""
-    _check_enumeration_bound(g, max_vertices)
+    _check_enumeration_bound(g)
     w = {}
     for v in range(g.n):
         if v not in weights:
@@ -413,13 +409,11 @@ def count_is_of_size(g: Graph, k: int) -> int:
     return isp_coeffs(g).coefficient(k).numerator
 
 
-def count_is_of_size_by_enumeration(
-    g: Graph, k: int, *, max_vertices: int = DEFAULT_ENUMERATION_BOUND
-) -> int:
+def count_is_of_size_by_enumeration(g: Graph, k: int) -> int:
     """Number of independent sets of size exactly k, counted among the
     enumerated independent subsets.  Must agree with count_is_of_size."""
     _check_set_size(k)
-    _check_enumeration_bound(g, max_vertices)
+    _check_enumeration_bound(g)
     if k > g.n:
         return 0
     return sum(sub.bit_count() == k for sub in _independent_subsets(g))

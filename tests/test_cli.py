@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from indpoly import (
+    DomainError,
     clique_cover,
+    clone_shift,
     comb,
     format_rational,
     graph_to_json_dict,
@@ -15,6 +17,8 @@ from indpoly import (
     parse_dimacs,
     path_graph,
     reduce_to_graph,
+    s_clone,
+    s_clone_origin,
 )
 from indpoly.cli import _build_parser, main
 from indpoly.verify import SUITES, random_graph
@@ -302,6 +306,28 @@ class TestExitCodes:
     def test_domain_error_malformed_clone_multiset(self, k2_graph, text, capsys):
         assert main(["clone", k2_graph, "--s", text]) == 1
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda graph: s_clone(path_graph(2), []),
+            lambda graph: s_clone_origin([], 0),
+            lambda graph: clone_shift(2, []),
+            lambda graph: main(["clone", graph, "--s", ""]),
+            lambda graph: main(["clone", graph, "--s", ","]),
+        ],
+        ids=["s_clone", "s_clone_origin", "clone_shift", "cli-empty", "cli-comma"],
+    )
+    def test_domain_error_empty_clone_multiset(self, k2_graph, call, capsys):
+        # One rule, graphs._clone_multiset: a clone multiset is non-empty.
+        try:
+            code = call(k2_graph)
+        except DomainError as exc:
+            message = str(exc)
+        else:
+            assert code == 1
+            message = capsys.readouterr().err
+        assert "empty clone multiset" in message
 
     @pytest.mark.parametrize(
         "command,text",

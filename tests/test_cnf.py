@@ -170,6 +170,12 @@ class TestParseDimacs:
             "p cnf 2 2\n1 0\n",
             "p cnf 2 1\n0\n",
             "p cnf 1 1\np cnf 1 1\n1 0\n",
+            "p cnf -1 0\n",  # negative variable count
+            "p cnf 1 -1\n",  # negative clause count
+            "",  # missing header
+            "c only a comment\n",  # missing header
+            "p is 2 0\n",  # a graph's header
+            "pcnf 1 1\n1 0\n",  # no "p" token
         ],
     )
     def test_rejects_malformed(self, bad):

@@ -68,6 +68,18 @@ def reference_comb(g: Graph, k: int) -> Graph:
     return Graph(g.n + g.n * k, edges)
 
 
+def reference_attach_path(g: Graph, v: int, k: int) -> Graph:
+    """attach_path as an edge list through the checking constructor."""
+    path = [v] + list(range(g.n, g.n + k))
+    return Graph(g.n + k, list(g.edges) + list(zip(path, path[1:])))
+
+
+def reference_delete_vertex(g: Graph, v: int) -> Graph:
+    """delete_vertex as an edge list through the checking constructor."""
+    kept = [u for u in range(g.n) if u != v]
+    return Graph(g.n - 1, [(kept.index(a), kept.index(b)) for a, b in g.edges if v not in (a, b)])
+
+
 class TestGraphBasics:
     def test_construction_normalizes_edges(self):
         g = Graph(3, [(2, 0), (0, 1)])
@@ -396,6 +408,14 @@ class TestGraphFormats:
             "p is 2 2\ne 1 2\n",  # count mismatch
             "p is 2 0\nz 1 2\n",  # unknown line
             "p is 2 0\np is 2 0\n",  # duplicate header
+            "p is -1 0\n",  # negative vertex count
+            "p is 2 -1\n",  # negative edge count
+            "p is two 0\n",  # non-integer count
+            "p is 2 1_0\n",  # underscored count
+            "",  # missing header
+            "c only a comment\n",  # missing header
+            "p cnf 2 0\n",  # a formula's header
+            "pis 2 0\n",  # no "p" token
         ],
     )
     def test_text_rejects(self, bad):
@@ -490,7 +510,7 @@ class TestMaskBuiltTransformations:
         _same_graph(comb(g, k), reference_comb(g, k))
 
     @settings(max_examples=200, deadline=None)
-    @given(simple_graphs(max_n=8), st.lists(st.integers(min_value=0, max_value=4), max_size=4))
+    @given(simple_graphs(max_n=8), st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=4))
     def test_s_clone_equals_edge_list_construction(self, g, entries):
         spec = _clone_multiset(entries)
         cloned = s_clone(g, spec)
@@ -506,6 +526,19 @@ class TestMaskBuiltTransformations:
                 assert g.has_edge(a, b)
             else:
                 assert (a, i) == (b, j) and abs(p - q) == 1
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(simple_graphs(max_n=8).filter(lambda g: g.n), st.data(), st.integers(min_value=0, max_value=4))
+    def test_attach_path_equals_edge_list_construction(self, g, data, k):
+        v = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+        _same_graph(attach_path(g, v, k), reference_attach_path(g, v, k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(simple_graphs(max_n=8).filter(lambda g: g.n), st.data())
+    def test_delete_vertex_equals_edge_list_construction(self, g, data):
+        v = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+        _same_graph(delete_vertex(g, v), reference_delete_vertex(g, v))
 
 
 class TestGraphForms:

@@ -99,7 +99,7 @@ class TestIspCoeffs:
 
     def test_enumeration_capacity_error(self):
         with pytest.raises(CapacityError):
-            isp_coeffs_by_enumeration(edgeless_graph(25), max_vertices=20)
+            isp_coeffs_by_enumeration(edgeless_graph(25))
 
 
 class TestIspEval:
@@ -174,10 +174,10 @@ class TestIspMultivariate:
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            isp_multivariate(edgeless_graph(21), {v: 1 for v in range(21)}, max_vertices=20)
+            isp_multivariate(edgeless_graph(21), {v: 1 for v in range(21)})
         # The bound is checked before the weights.
         with pytest.raises(CapacityError):
-            isp_multivariate(edgeless_graph(21), {}, max_vertices=20)
+            isp_multivariate(edgeless_graph(21), {})
 
 
 class TestCountIsOfSize:
