@@ -18,6 +18,7 @@ with ``count_transversal_is`` on the per-clause cliques.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import CapacityError, FormulaError
@@ -29,6 +30,7 @@ DEFAULT_ASSIGNMENT_BOUND = 24
 _BLOCK_BITS = 20  # assignments are checked in blocks of 2^_BLOCK_BITS
 
 
+@dataclass(frozen=True)
 class CnfFormula:
     """Clause list over signed DIMACS literals.
 
@@ -40,14 +42,17 @@ class CnfFormula:
     """
 
     __slots__ = ("variable_count", "clauses")
+    variable_count: int
+    clauses: tuple
 
-    def __init__(self, variable_count: int, clauses):
+    def __post_init__(self):
+        variable_count = self.variable_count
         if not _is_int(variable_count) or variable_count < 0:
             raise FormulaError(
                 f"variable count must be an integer >= 0, got {variable_count!r}"
             )
         normalized = []
-        for idx, clause in enumerate(clauses, start=1):
+        for idx, clause in enumerate(self.clauses, start=1):
             seen = []
             for lit in clause:
                 if not _is_int(lit) or lit == 0:
@@ -61,11 +66,7 @@ class CnfFormula:
             if not seen:
                 raise FormulaError(f"clause {idx}: empty clause")
             normalized.append(tuple(seen))
-        object.__setattr__(self, "variable_count", variable_count)
         object.__setattr__(self, "clauses", tuple(normalized))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CnfFormula is immutable")
 
     @property
     def clause_count(self) -> int:
@@ -82,17 +83,6 @@ class CnfFormula:
         for clause in self.clauses:
             lines.append(" ".join(str(lit) for lit in clause) + " 0")
         return "\n".join(lines) + "\n"
-
-    def __eq__(self, other):
-        if not isinstance(other, CnfFormula):
-            return NotImplemented
-        return (
-            self.variable_count == other.variable_count
-            and self.clauses == other.clauses
-        )
-
-    def __hash__(self):
-        return hash((self.variable_count, self.clauses))
 
     def __repr__(self):
         return f"CnfFormula(n={self.variable_count}, m={len(self.clauses)})"
@@ -246,16 +236,15 @@ def x3sat_to_graph(f: CnfFormula):
     where target_size is the clause count and multiplier is 2^r for the r
     declared variables that appear in no clause.
 
-    The graph is built from neighbour masks: one mask per variable and
-    truth value holds the vertices that set the variable that way, and a
-    vertex's neighbours are the OR of the opposite masks over its 2 or 3
-    variables.
+    The graph is built from neighbour masks: one mask per literal holds
+    the vertices that make it true.  A vertex makes its chosen literal l
+    true and each partner m false (its negation true), so its neighbours
+    are the vertices that make -l or some partner m true.
     """
-    # by_setting[2 * var + 1] holds the vertices that set var true and
-    # by_setting[2 * var] those that set it false, so key ^ 1 is the
-    # opposite setting.
-    by_setting = [0] * (2 * f.variable_count + 2)
-    settings = []  # per vertex, the keys of the settings it makes
+    # Keyed by the literals that occur: the declared variable count can
+    # far exceed the variables the clauses use.
+    true_by = defaultdict(int)
+    start = 0  # the clause's first vertex
     for idx, clause in enumerate(f.clauses, start=1):
         width = len(clause)
         if width not in (2, 3):
@@ -266,20 +255,21 @@ def x3sat_to_graph(f: CnfFormula):
             raise FormulaError(
                 f"clause {idx} uses a variable twice (complementary pair)"
             )
-        for chosen in clause:
-            bit = 1 << len(settings)
-            # The chosen literal becomes true, every partner false.
-            keys = [2 * abs(lit) + ((lit > 0) == (lit == chosen)) for lit in clause]
-            for key in keys:
-                by_setting[key] |= bit
-            settings.append(keys)
+        whole = ((1 << width) - 1) << start
+        for lit in clause:
+            bit = 1 << start
+            true_by[lit] |= bit
+            true_by[-lit] |= whole ^ bit  # the partners make lit false
+            start += 1
 
     masks = []
-    for keys in settings:
-        nbrs = 0
-        for key in keys:
-            nbrs |= by_setting[key ^ 1]
-        masks.append(nbrs)
+    for clause in f.clauses:
+        for chosen in clause:
+            nbrs = true_by[-chosen]
+            for lit in clause:
+                if lit != chosen:
+                    nbrs |= true_by[lit]
+            masks.append(nbrs)
     multiplier = 2 ** f.unused_variable_count()
     return Graph._from_masks(masks), len(f.clauses), multiplier
 

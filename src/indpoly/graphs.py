@@ -3,7 +3,8 @@
 A graph is its vertex count n and one neighbour bitmask per vertex: bit u
 of vertex v's mask is set when uv is an edge.  Vertices are the integers
 0..n-1; the sorted edge list is derived from the masks when first read.
-All graphs are immutable: transformations return new graphs.
+``Graph`` is a frozen dataclass, as every value type of the package is,
+so a graph is immutable: transformations return new graphs.
 
 Vertex numbering of ``s_clone`` (the back-mapping contract):
 for each original vertex ``a`` there is a block of ``total + size`` result
@@ -17,17 +18,23 @@ by the pendant-path vertices of clone 1 in path order, then those of clone
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 from .errors import DomainError, GraphFormatError
 from .rationals import _read_dimacs, parse_int
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Graph:
     """Simple undirected graph on vertices 0..n-1, stored as its neighbour
     masks.  The constructor checks every edge: integer endpoints in range,
-    no self-loop.  A repeated edge is stored once."""
+    no self-loop.  A repeated edge is stored once.  Equality and hash
+    cover ``n`` and the masks; ``_edges`` caches the derived edge list and
+    is not a field."""
 
     __slots__ = ("n", "_edges", "_masks")
+    n: int
+    _masks: tuple
 
     def __init__(self, n: int, edges=()):
         if not _is_int(n):
@@ -62,9 +69,6 @@ class Graph:
         object.__setattr__(self, "n", len(masks))
         object.__setattr__(self, "_masks", tuple(masks))
         object.__setattr__(self, "_edges", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
 
     @property
     def edges(self) -> tuple:
@@ -101,14 +105,6 @@ class Graph:
     def _check_vertex(self, v: int):
         if not _is_int(v) or not 0 <= v < self.n:
             raise DomainError(f"invalid vertex id {v} for n={self.n}")
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.neighbor_masks() == other.neighbor_masks()
-
-    def __hash__(self):
-        return hash((self.n, self.neighbor_masks()))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self.edges)})"

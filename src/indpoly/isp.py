@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
@@ -75,30 +76,27 @@ from .rationals import as_rational, format_rational
 DEFAULT_ENUMERATION_BOUND = 20
 
 
+@dataclass(frozen=True)
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients,
     lowest degree first.  Trailing zero coefficients are trimmed."""
 
     __slots__ = ("coeffs",)
+    coeffs: tuple
 
-    def __init__(self, coefficients):
-        coeffs = [as_rational(c) for c in coefficients]
+    def __post_init__(self):
+        coeffs = [as_rational(c) for c in self.coeffs]
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
-        if not coeffs:
-            coeffs = [Fraction(0)]
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+        object.__setattr__(self, "coeffs", tuple(coeffs) or (Fraction(0),))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def coefficient(self, k: int) -> Fraction:
-        if k < 0:
-            raise DomainError(f"negative degree {k}")
+        if not _is_int(k) or k < 0:
+            raise DomainError(f"degree must be an integer >= 0, got {k!r}")
         return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
 
     def evaluate(self, x) -> Fraction:
@@ -107,14 +105,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def to_json_dict(self) -> dict:
         return {"coeffs": [format_rational(c) for c in self.coeffs]}

@@ -61,10 +61,11 @@ def _read_dimacs(text: str, kind: str, error) -> tuple:
 
 
 def as_rational(value) -> Fraction:
-    """Coerce an int, Fraction, or "p/q"/"p" string to an exact rational."""
+    """Coerce an int (not a bool), Fraction, or "p/q"/"p" string to an
+    exact rational."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from indpoly.verify import (
 def reference_x3sat_to_graph(f: CnfFormula):
     """x3sat_to_graph as a pairwise conflict test over all vertex pairs,
     built through the checking constructor: the independent reference for
-    the per-variable mask construction."""
+    the per-literal mask construction."""
     sets_true = []
     sets_false = []
     for idx, clause in enumerate(f.clauses, start=1):
@@ -395,6 +396,23 @@ class TestX3SatToGraph:
         assert hash(g) == hash(want)
         assert graph_to_text(g) == graph_to_text(want)
         assert (target, multiplier) == (want_target, want_multiplier)
+
+    @pytest.mark.parametrize(
+        "build,vertices",
+        [(lambda f: x3sat_to_graph(f)[0], 2), (lambda f: reduce_to_graph(f).graph, 14)],
+        ids=["x3sat_to_graph", "reduce_to_graph"],
+    )
+    def test_memory_follows_used_variables_not_declared_count(self, build, vertices):
+        # The formula declares 10^6 variables and uses two, so no allocation
+        # may be sized by the declared count.
+        tracemalloc.start()
+        try:
+            graph = build(CnfFormula(10**6, [[1, 2]]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert graph.n == vertices
 
     def test_rejects_complementary_pair_in_clause(self):
         with pytest.raises(FormulaError):

@@ -17,6 +17,12 @@ and the integer-argument rule ``_is_int`` from ``graphs``.  So neither
 ``graphs`` (``comb``, ``s_clone``, ``k_clone``, ``attach_path``) can
 reach it.
 
+A fourth guard keeps one immutability mechanism: no class in the
+package defines ``__setattr__``, ``__delattr__``, ``__eq__`` or
+``__hash__``.  Value types are ``@dataclass(frozen=True)``, which
+generates all four, so a hand-written copy cannot come back and miss
+one (as a hand-written ``__setattr__`` once left ``del`` open).
+
 A last check keeps the public surface honest: every name in
 ``indpoly.__all__`` is an attribute of the package, so deleting a function
 cannot leave a stale export behind.
@@ -182,3 +188,54 @@ def test_definitional_evaluators_import_no_identity_module():
 def test_every_export_resolves():
     assert indpoly.__all__
     assert [name for name in indpoly.__all__ if not hasattr(indpoly, name)] == []
+
+
+VALUE_METHODS = {"__setattr__", "__delattr__", "__eq__", "__hash__"}
+
+
+def hand_written_value_methods(tree):
+    """(line, "Class.name") of every method in ``VALUE_METHODS`` that a
+    class body defines or assigns."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [(node.lineno, f"{cls.name}.{name}") for name in names if name in VALUE_METHODS]
+    return found
+
+
+def test_value_method_guard_catches_hand_written_methods():
+    source = (
+        "class A:\n"
+        "    def __setattr__(self, name, value): pass\n"
+        "    def __post_init__(self): pass\n"
+        "    def __repr__(self): return 'A'\n"
+        "class B:\n"
+        "    __hash__ = None\n"
+        "    class C:\n"
+        "        def __eq__(self, other): return True\n"
+        "    def __delattr__(self, name): pass\n"
+        "def __eq__(a, b): return True\n"
+    )
+    assert sorted(hand_written_value_methods(ast.parse(source))) == [
+        (2, "A.__setattr__"),
+        (6, "B.__hash__"),
+        (8, "C.__eq__"),
+        (9, "B.__delattr__"),
+    ]
+
+
+def test_package_hand_writes_no_value_methods():
+    offenders = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in hand_written_value_methods(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert offenders == []

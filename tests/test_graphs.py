@@ -10,6 +10,7 @@ from indpoly import (
     DomainError,
     Graph,
     GraphFormatError,
+    Polynomial,
     attach_path,
     clique_cover,
     clone_shift,
@@ -22,6 +23,7 @@ from indpoly import (
     graph_to_text,
     is_clique_cover,
     isp_coeffs_by_enumeration,
+    isp_eval,
     k_clone,
     parse_graph,
     parse_graph_text,
@@ -134,6 +136,10 @@ class TestGraphBasics:
             lambda g: g.degree(1.0),
             lambda g: g.has_edge(0, True),
             lambda g: s_clone_origin([1], 1.5),
+            lambda g: isp_eval(g, True),
+            lambda g: Polynomial([True]),
+            lambda g: Polynomial([1]).coefficient(True),
+            lambda g: Polynomial([1]).coefficient(1.0),
         ],
     )
     def test_integer_arguments_reject_floats_and_bools(self, call):

@@ -50,6 +50,12 @@ class TestRationalFormat:
     def test_round_trip_property(self, q):
         assert parse_rational(format_rational(q)) == q
 
+    @pytest.mark.parametrize("bad", [0.5, True, False, None], ids=["float", "true", "false", "none"])
+    def test_as_rational_rejects_non_rationals(self, bad):
+        # bool is an int subclass, but True is not the rational 1.
+        with pytest.raises(DomainError, match="not an exact rational"):
+            as_rational(bad)
+
     def test_as_rational_coercions(self):
         assert as_rational(3) == Fraction(3)
         assert as_rational("4/6") == Fraction(2, 3)
