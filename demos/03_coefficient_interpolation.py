@@ -1,16 +1,19 @@
 """Recovering every coefficient of I(G; X) from one evaluation point.
 
 I(G; X) has degree alpha(G).  A partition of V into d cliques proves
-alpha(G) <= d, so d+1 distinct sample points suffice.  Instead of
-moving the point, the clone family moves the graph: member k is the
+alpha(G) <= d, so d+1 coefficients describe it, and the graph itself
+states the first h = min(3, d): a_0 = 1, a_1 = n and a_2 = C(n, 2) - |E|.
+The other max(d - 2, 1) need as many distinct sample points.  Instead
+of moving the point, the clone family moves the graph: member k is the
 comb that hangs k leaves on every vertex, and evaluating it at the
 single fixed point x yields (1 + x)^(kn) * I(G; r_k) at the shifted
-point r_k = x/(1 + x)^k.  With x = p/q and s = p + q, the d+1 answers
-scale to a transposed Vandermonde system over the integer nodes
-q^j * s^(d - j), which are pairwise distinct for every x outside
-{0, -1, -2}.  An exact integer solve recovers the coefficient vector, at
-x = 2 as at x = -1/2."""
+point r_k = x/(1 + x)^k.  With x = p/q and s = p + q, the answers scale
+to a transposed Vandermonde system over the integer nodes
+q^j * s^(d - j), j >= h, which are pairwise distinct for every x
+outside {0, -1, -2}.  An exact integer solve recovers the remaining
+coefficients, at x = 2 as at x = -1/2."""
 
+import math
 from fractions import Fraction
 
 from indpoly import (
@@ -18,22 +21,26 @@ from indpoly import (
     Graph,
     clique_cover,
     comb,
+    cycle_graph,
     format_rational,
     interpolate_coeffs,
     isp_coeffs,
 )
 
-g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+g = cycle_graph(9)
 x = Fraction(2)
 
 print("=" * 64)
-print("The clone family at x = 2 for a 5-vertex graph")
+print("The clone family at x = 2 for the 9-cycle")
 print("=" * 64)
 cover = clique_cover(g)
 d = len(cover)
+members = max(d - 2, 1)
 print(f"clique cover {[list(part) for part in cover]} certifies degree <= d = {d}")
+stated = [1, g.n, math.comb(g.n, 2) - g.edge_count][: min(3, d)]
+print(f"the graph states a_0 .. a_{len(stated) - 1} = {stated} (1, n and C(n, 2) - |E|)")
 print(f"{'k':>2}  {'leaves':<8} {'r_k':<12} clone vertices")
-for k in range(d + 1):
+for k in range(members):
     print(f"{k:>2}  {k:<8} {format_rational(x / (1 + x) ** k):<12} {comb(g, k).n}")
 
 print()
@@ -42,7 +49,7 @@ print("Interpolation against the definitional evaluator")
 print("=" * 64)
 recovered = interpolate_coeffs(g, x)
 direct = isp_coeffs(g)
-print(f"d+1 = {d + 1} oracle calls at the single point x = 2 recover:")
+print(f"max(d-2, 1) = {members} oracle calls at the single point x = 2 recover:")
 print(f"  interpolated: {[format_rational(c) for c in recovered.coeffs]}")
 print(f"  enumerated:   {[format_rational(c) for c in direct.coeffs]}")
 assert recovered == direct
@@ -51,7 +58,7 @@ print()
 print("=" * 64)
 print("The clones grow linearly: k leaves per vertex")
 print("=" * 64)
-for k in range(d + 1):
+for k in range(members):
     cloned = comb(g, k)
     print(f"  comb {k}: {cloned.n} vertices ({cloned.n // g.n} per original)")
 
@@ -71,7 +78,7 @@ print("=" * 64)
 for hard in (Fraction(-1, 2), Fraction(-3)):
     recovered = interpolate_coeffs(g, hard)
     assert recovered == direct
-    points = ", ".join(format_rational(hard / (1 + hard) ** k) for k in range(d + 1))
+    points = ", ".join(format_rational(hard / (1 + hard) ** k) for k in range(members))
     print(f"x = {format_rational(hard)}: points {points} recover {[format_rational(c) for c in recovered.coeffs]}")
 for bad in (0, -1, -2):
     try:

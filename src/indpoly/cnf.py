@@ -68,6 +68,19 @@ class CnfFormula:
             normalized.append(tuple(seen))
         object.__setattr__(self, "clauses", tuple(normalized))
 
+    @classmethod
+    def _from_clauses(cls, variable_count: int, clauses) -> CnfFormula:
+        """Formula with the given clause tuples, unchecked: the caller
+        guarantees every literal is a nonzero int within the variable count
+        and no clause repeats a literal.  ``reduce_to_x3sat`` calls it."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "variable_count", variable_count)
+        object.__setattr__(f, "clauses", tuple(clauses))
+        return f
+
+    def __reduce__(self):
+        return (CnfFormula, (self.variable_count, self.clauses))
+
     @property
     def clause_count(self) -> int:
         return len(self.clauses)
@@ -191,7 +204,8 @@ def reduce_to_x3sat(f: CnfFormula) -> CnfFormula:
     X3SAT extension over u1..u6 when a v b v c holds and none otherwise.
     Width-2 clauses reuse b for c; width-1 clauses reuse a for both.  The
     output has exactly 5m clauses over n + 6m variables and the same
-    solution count under X3SAT semantics.
+    solution count under X3SAT semantics.  The output is built unchecked:
+    its fresh variables lie above n and each clause has one input literal.
     """
     clauses_out = []
     next_var = f.variable_count + 1
@@ -213,7 +227,7 @@ def reduce_to_x3sat(f: CnfFormula) -> CnfFormula:
                 (c, u3),
             ]
         )
-    return CnfFormula(next_var - 1, clauses_out)
+    return CnfFormula._from_clauses(next_var - 1, clauses_out)
 
 
 def x3sat_to_graph(f: CnfFormula):

@@ -59,8 +59,8 @@ class Graph:
     def _from_masks(cls, masks) -> Graph:
         """Graph with the given neighbour masks, unchecked: the caller
         guarantees the masks are symmetric, loop-free and below 1 << n.
-        This module's text reader and transformations and
-        ``cnf.x3sat_to_graph`` call it."""
+        This module's text reader and transformations,
+        ``cnf.x3sat_to_graph``, copy and pickle call it."""
         g = object.__new__(cls)
         g._set(masks)
         return g
@@ -83,6 +83,11 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    def __reduce__(self):
+        # copy and pickle rebuild the graph from its masks: the default
+        # reduction restores slots by assignment, which a frozen class refuses.
+        return (Graph._from_masks, (self._masks,))
 
     def neighbor_masks(self) -> tuple:
         """Per-vertex adjacency bitmasks, the graph's stored form."""
@@ -286,25 +291,36 @@ def clique_cover(g: Graph) -> tuple:
     return tuple(parts)
 
 
+def _clique_partition(g: Graph, parts):
+    """For each of ``parts``, its vertex mask and the mask of its
+    neighbours outside it; None when the parts do not partition V(G) into
+    nonempty cliques.  One pass over the members checks and builds: the
+    parts must be disjoint and cover V, and a part is a clique when every
+    member's closed neighbourhood holds the whole part."""
+    masks = g.neighbor_masks()
+    seen = 0
+    found = []
+    for part in parts:
+        whole = near = 0
+        closed = -1  # the members' common closed neighbourhood
+        for v in part:
+            if not (_is_int(v) and 0 <= v < g.n) or seen >> v & 1:
+                return None
+            seen |= 1 << v
+            whole |= 1 << v
+            near |= masks[v]
+            closed &= masks[v] | 1 << v
+        if not whole or whole & ~closed:
+            return None
+        found.append((whole, near & ~whole))
+    return found if seen == (1 << g.n) - 1 else None
+
+
 def is_clique_cover(g: Graph, parts) -> bool:
     """Exact O(n^2) check that ``parts`` partitions V(G) into nonempty
     cliques: the parts are disjoint, they cover V, and every two members of
     a part are adjacent."""
-    masks = g.neighbor_masks()
-    seen = 0
-    for part in parts:
-        if not part:
-            return False
-        whole = 0
-        for v in part:
-            if not (_is_int(v) and 0 <= v < g.n) or seen >> v & 1:
-                return False
-            seen |= 1 << v
-            whole |= 1 << v
-        for v in part:  # v is adjacent to every other member
-            if whole & ~masks[v] != 1 << v:
-                return False
-    return seen == (1 << g.n) - 1
+    return _clique_partition(g, parts) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ distinct points determines it.  ``graphs.clique_cover`` builds such a
 partition greedily; ``interpolate_family`` is handed the partition and
 checks it exactly before trusting its size.
 
-The clone family supplies d+1 evaluations at the one point x.  Member k
+The definition states the first h = min(3, d) coefficients: a_0 = 1,
+a_1 = n and a_2 = C(n, 2) - |E|, the vertex pairs that are not edges.
+The clone family supplies the other d + 1 - h = max(d - 2, 1)
+evaluations at the one point x, from members k = 0 .. d - h.  Member k
 is the comb ``graphs.comb(g, k)``: G with k pendant leaves on every
 vertex.  An independent set S of G extends to the comb by any set of
 leaves of the vertices outside S, so
@@ -23,19 +26,21 @@ leaves peel away.  Every added vertex is a leaf on an original vertex,
 so a host leaf, which the kernel's component search skips and never
 branches on (unless k = 1 and the original vertex is isolated in G).
 
-The d+1 answers are solved over the integers.  Write x = p/q in lowest
+The answers are solved over the integers.  Write x = p/q in lowest
 terms and s = p + q, so 1 + x = s/q.  Scaling member k's answer to
 
     F_k = q^(d + kn) * raw_k / s^(k(n - d))
 
 turns it into F_k = sum_j b_j W_j^k, with integer nodes
-W_j = q^j * s^(d - j) and unknowns b_j = a_j * p^j * q^(d - j): a
-transposed Vandermonde system.  Over one common denominator L the F_k
-are integers.  The node polynomial M(t) = prod_m (t - W_m) is monic, so
-synthetic division gives each P_j = M / (t - W_j) exactly, over the
-integers.  P_j vanishes at every node but W_j, so
-sum_k [t^k]P_j * F_k = b_j * P_j(W_j), and a_j is an integer divided by
-L * P_j(W_j) * p^j * q^(d - j): one division per coefficient.
+W_j = q^j * s^(d - j) and b_j = a_j * p^j * q^(d - j).  Over one common
+denominator L the F_k are integers.  Taking the stated terms b_j W_j^k,
+j < h, off each F_k leaves a square transposed Vandermonde system in
+the unknowns b_h .. b_d.  Its node polynomial M(t) = prod_(m >= h)
+(t - W_m) is monic, so synthetic division gives each P_j = M / (t - W_j)
+exactly, over the integers.  P_j vanishes at every unknown node but
+W_j, so sum_k [t^k]P_j * F_k = b_j * P_j(W_j) over what is left of the
+F_k, and a_j is an integer divided by L * P_j(W_j) * p^j * q^(d - j):
+one division per coefficient.
 
 Consecutive nodes have ratio W_(j+1) / W_j = q/s = 1 / (1 + x).  So the
 nodes are pairwise distinct, s != 0 and p != 0 exactly when x is outside
@@ -43,15 +48,19 @@ nodes are pairwise distinct, s != 0 and p != 0 exactly when x is outside
 points raise ``DegeneratePointError``; every other x is used as it is,
 with no change of point.
 
-Every graph takes this one path.  For d = 0, the bound of the empty
-graph, the only member is comb 0: the graph itself, with F_0 = raw_0
-and the single node W_0 = 1.
+Every graph takes this one path, and every call queries the oracle at
+least once.  For d = 0, the bound of the empty graph, the only member is
+comb 0: the graph itself, with F_0 = raw_0 and the single node W_0 = 1.
+For d = 1 and d = 2 the only member, comb 0, answers for a_d.  The
+answers are checked through a_h .. a_d; a_0 .. a_(h-1) come from the
+definition and cannot be wrong.
 
 The paper's family has only polylog(n) blow-up per vertex, which its
 hardness reduction needs; exact answers do not.  Its largest clone has
 n*L(L+2) vertices, with L = floor(log2 d) + 1, and L clones of every
-vertex in its 2-core; the largest comb has n(d+1) vertices and G's own
-2-core, and it is no larger for every d <= 47.
+vertex in its 2-core; the largest comb queried has n(d - 2) vertices
+for d >= 3 (n for d < 3) and G's own 2-core, and it is no larger for
+every d <= 50.
 """
 
 from __future__ import annotations
@@ -157,17 +166,20 @@ def interpolate_coeffs(g: Graph, x, oracle=None) -> Polynomial:
 
 def interpolate_family(g: Graph, cover, x, oracle) -> Polynomial:
     """All coefficients of I(G; X) from the comb family at x, sized by a
-    certified degree bound: evaluate comb k = 0..d at x with the oracle,
-    and solve the d+1 answers for the coefficients exactly, over the
-    integers, as the module docstring derives.
+    certified degree bound d: take a_0 = 1, a_1 = n and a_2 = C(n, 2) - |E|
+    from the graph (the first h = min(3, d) of them), evaluate comb
+    k = 0 .. d - h at x with the oracle, which is max(d - 2, 1) queries,
+    and solve the answers for a_h .. a_d exactly, over the integers, as
+    the module docstring derives.
 
     The certificate is ``cover``, a partition of G's vertices into d
     cliques, checked exactly.  The points x = 0, -1 and -2 raise
     ``DegeneratePointError``.  Oracle failures and capacity errors are
     re-raised with the failing clone index.  Answers that interpolate to
-    anything but a count of independent sets (integers a_k with a_0 = 1
-    and 0 <= a_k <= C(n, k)) raise ``OracleError`` naming the first bad
-    coefficient."""
+    anything but a count of independent sets (integers a_k, k >= h, with
+    a_0 = 1 and 0 <= a_k <= C(n, k)) raise ``OracleError`` naming the first
+    bad coefficient; the stated a_0 .. a_(h-1) are never checked, since
+    they cannot be wrong."""
     x = as_rational(x)
     if x in (0, -1, -2):
         raise DegeneratePointError(
@@ -179,9 +191,12 @@ def interpolate_family(g: Graph, cover, x, oracle) -> Polynomial:
     p, q = x.numerator, x.denominator
     s = p + q
     n, d = g.n, len(cover)
+    edges = sum(m.bit_count() for m in g.neighbor_masks()) // 2
+    coeffs = [1, n, math.comb(n, 2) - edges][: min(3, d)]  # the stated a_0 .. a_(h-1)
+    h = len(coeffs)
     # s^(d(n-d)) * F_k = nums[k] / dens[k], with F_k as in the module docstring.
     nums, dens = [], []
-    for k in range(d + 1):
+    for k in range(d - h + 1):
         try:
             raw = as_rational(oracle.evaluate(comb(g, k), x))
         except (OracleError, CapacityError) as exc:
@@ -192,20 +207,23 @@ def interpolate_family(g: Graph, cover, x, oracle) -> Polynomial:
     common = lcm * s ** (d * (n - d))  # L, so that L * F_k = values[k]
     values = [num * (lcm // den) for num, den in zip(nums, dens)]
     nodes = [q**j * s ** (d - j) for j in range(d + 1)]
-    master = [1]  # M(t) = prod_m (t - W_m), lowest degree first
-    for w in nodes:
+    for j, a in enumerate(coeffs):  # take L * b_j * W_j^k off each value
+        b = common * a * p**j * q ** (d - j)
+        values = [v - b * nodes[j] ** k for k, v in enumerate(values)]
+    unknown = nodes[h:]
+    master = [1]  # M(t) = prod_m (t - W_m) over the unknown nodes, lowest degree first
+    for w in unknown:
         master = [0] + master
         for i in range(len(master) - 1):
             master[i] -= w * master[i + 1]
-    coeffs = []
-    for j, w in enumerate(nodes):
+    for j, w in enumerate(unknown, start=h):
         # b_j * P_j(W_j) * L = sum_k [t^k]P_j * L * F_k, taking the
         # coefficients of P_j = M / (t - W_j) from the top.
         top = acc = 0
-        for i in range(d + 1, 0, -1):
+        for i in range(len(unknown), 0, -1):
             top = master[i] + w * top
             acc += top * values[i - 1]
-        den = common * math.prod(w - v for v in nodes if v != w) * p**j * q ** (d - j)
+        den = common * math.prod(w - v for v in unknown if v != w) * p**j * q ** (d - j)
         a, rest = divmod(acc, den)
         low, high = int(j == 0), math.comb(n, j)
         if rest or not low <= a <= high:

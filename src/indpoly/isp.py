@@ -70,7 +70,7 @@ from functools import reduce
 from itertools import compress
 
 from .errors import CapacityError, DomainError
-from .graphs import Graph, _is_int, is_clique_cover
+from .graphs import Graph, _clique_partition, _is_int
 from .rationals import as_rational, format_rational
 
 DEFAULT_ENUMERATION_BOUND = 20
@@ -108,6 +108,9 @@ class Polynomial:
 
     def to_json_dict(self) -> dict:
         return {"coeffs": [format_rational(c) for c in self.coeffs]}
+
+    def __reduce__(self):
+        return (Polynomial, (self.coeffs,))
 
     def __repr__(self):
         return f"Polynomial({[str(c) for c in self.coeffs]})"
@@ -242,14 +245,13 @@ def count_transversal_is(g: Graph, parts) -> int:
     vertices is a union of whole live parts and is counted on its own,
     memoised on its vertex mask and looked up as the split closes it; an
     isolated live vertex is a whole part and contributes the factor 1."""
-    if not is_clique_cover(g, parts):
+    found = _clique_partition(g, parts)
+    if found is None:
         raise DomainError("parts are not a partition of the vertices into cliques")
     masks = g.neighbor_masks()
     part_of = [0] * g.n  # each vertex's whole part, as a bitmask
     around = [0] * g.n  # the neighbours of each vertex's part outside it
-    for part in parts:
-        part_mask = sum(1 << v for v in part)
-        near = reduce(int.__or__, [masks[v] for v in part], 0) & ~part_mask
+    for part, (part_mask, near) in zip(parts, found):
         for v in part:
             part_of[v] = part_mask
             around[v] = near

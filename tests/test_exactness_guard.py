@@ -11,11 +11,11 @@ come back in.
 
 A third guard keeps the definitional evaluators in ``isp.py``
 independent of the identities they are tested against: the module may
-import only ``errors``, ``rationals``, and ``Graph``, ``is_clique_cover``
-and the integer-argument rule ``_is_int`` from ``graphs``.  So neither
-``clonecalc``, ``interpolate`` or ``verify`` nor the gadget builders of
-``graphs`` (``comb``, ``s_clone``, ``k_clone``, ``attach_path``) can
-reach it.
+import only ``errors``, ``rationals``, and ``Graph``, the clique-partition
+check ``_clique_partition`` and the integer-argument rule ``_is_int`` from
+``graphs``.  So neither ``clonecalc``, ``interpolate`` or ``verify`` nor
+the gadget builders of ``graphs`` (``comb``, ``s_clone``, ``k_clone``,
+``attach_path``) can reach it.
 
 A fourth guard keeps one immutability mechanism: no class in the
 package defines ``__setattr__``, ``__delattr__``, ``__eq__`` or
@@ -116,7 +116,7 @@ def test_cli_import_loads_no_numeric_library():
 
 
 # module -> the names it may give, or None for any name
-DEFINITIONAL_IMPORTS = {"errors": None, "rationals": None, "graphs": {"Graph", "_is_int", "is_clique_cover"}}
+DEFINITIONAL_IMPORTS = {"errors": None, "rationals": None, "graphs": {"Graph", "_clique_partition", "_is_int"}}
 
 
 def package_imports(tree):
@@ -163,7 +163,7 @@ def test_definitional_guard_catches_identity_modules():
 
 def test_definitional_guard_catches_gadget_builders():
     source = (
-        "from .graphs import Graph, comb, is_clique_cover\n"
+        "from .graphs import Graph, comb, _clique_partition\n"
         "from .graphs import s_clone as clone, k_clone\n"
         "from .graphs import attach_path\n"
         "from . import graphs\n"

@@ -61,11 +61,27 @@ class RecordingOracle:
         return self.answers[-1]
 
 
-def family_run(g, x):
-    """Interpolate I(G; X) at x with a RecordingOracle: the result, the
-    oracle's (graph, point) queries and its answers."""
+def family_members(g, x, cover=None):
+    """The queries interpolate_family makes for a cover of d cliques (the
+    greedy ``clique_cover(g)`` by default), in order: comb(g, k) at x for
+    k = 0 .. max(d - 2, 1) - 1.  The graph states a_0, a_1 and a_2, so
+    the oracle answers for the rest."""
+    d = len(clique_cover(g) if cover is None else cover)
+    return [(comb(g, k), x) for k in range(max(d - 2, 1))]
+
+
+def stated_prefix(g, d):
+    """The coefficients a_0 .. a_(h-1), h = min(3, d), that
+    interpolate_family takes from the graph: 1, n and C(n, 2) - |E|."""
+    return [1, g.n, math.comb(g.n, 2) - g.edge_count][: min(3, d)]
+
+
+def family_run(g, x, cover=None):
+    """Interpolate I(G; X) at x with a RecordingOracle, on the greedy
+    cover unless ``cover`` is given: the result, the oracle's (graph,
+    point) queries and its answers."""
     oracle = RecordingOracle()
-    poly = interpolate_coeffs(g, x, oracle)
+    poly = interpolate_family(g, clique_cover(g) if cover is None else cover, x, oracle)
     return poly, oracle.queries, oracle.answers
 
 
@@ -90,6 +106,31 @@ def comb_answers(g, queries):
     return [identity.evaluate(member, x) for member, x in queries]
 
 
+@st.composite
+def small_graphs(draw, max_n=9):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, keep in zip(pairs, chosen) if keep])
+
+
+POINTS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30)).filter(lambda x: x not in (0, -1, -2))
+
+
+@st.composite
+def covered_graphs(draw, max_n=7):
+    """A graph on at most ``max_n`` vertices and a clique cover of it: the
+    greedy one with some vertices split off as singletons."""
+    g = draw(small_graphs(max_n=max_n))
+    split = draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    cover = [(v,) for v in range(g.n) if split[v]]
+    for part in clique_cover(g):
+        rest = tuple(v for v in part if not split[v])
+        if rest:
+            cover.append(rest)
+    return g, tuple(cover)
+
+
 class TestBuildCloneFamily:
     """The comb family interpolate_family builds, read off the oracle's
     queries and answers: member k is comb(g, k) at x, and its answer is
@@ -98,49 +139,58 @@ class TestBuildCloneFamily:
     def test_n_1_structure(self):
         g = complete_graph(2)  # one clique, so d = 1
         _, queries, answers = family_run(g, 2)
-        assert queries == [(g, 2), (comb(g, 1), 2)]
-        # I(K2; 2) = 5, and 3^2 * I(K2; 2/3) = 9 * 7/3 = 21.
-        assert answers == comb_answers(g, queries) == [5, 21]
+        # a_0 = 1 is stated; comb 0, K2 itself, answers for a_1:
+        # I(K2; 2) = 5.
+        assert queries == family_members(g, 2) == [(g, 2)]
+        assert answers == comb_answers(g, queries) == [5]
 
     def test_size_law(self):
         # Member k has n(k + 1) vertices, sized by the graph, not by d.
         for g in (path_graph(3), path_graph(5), complete_graph(4), edgeless_graph(6)):
             _, queries, _ = family_run(g, 2)
-            assert len(queries) == len(clique_cover(g)) + 1
+            assert queries == family_members(g, 2)
             for k, (clone, x) in enumerate(queries):
                 assert x == 2
                 assert clone == comb(g, k)
                 assert clone.n == g.n * (k + 1)
 
     def test_dump_records(self):
-        # The members of a d = 2 family on three vertices at x = 2: member
-        # i answers 3^(3i) * I(P3; 2/3^i).
-        g = path_graph(3)
-        assert len(clique_cover(g)) == 2
-        _, queries, answers = family_run(g, 2)
+        # The members of the singleton (d = 5) family of P5 at x = 2:
+        # member i answers 3^(5i) * I(P5; 2/3^i), with
+        # I(P5; y) = 1 + 5y + 6y^2 + y^3.
+        g = path_graph(5)
+        singletons = tuple((v,) for v in range(5))
+        _, queries, answers = family_run(g, 2, singletons)
+        assert queries == family_members(g, 2, singletons)
         assert len(queries) == len(answers) == 3
         for i, ((clone, x), answer) in enumerate(zip(queries, answers)):
+            y = Fraction(2, 3**i)
             assert x == 2
             assert clone == comb(g, i)
-            assert answer == 3 ** (3 * i) * (1 + 3 * Fraction(2, 3**i) + Fraction(2, 3**i) ** 2)
-            assert clone.n == 3 * (i + 1)
+            assert answer == 3 ** (5 * i) * (1 + 5 * y + 6 * y**2 + y**3)
+            assert clone.n == 5 * (i + 1)
 
     def test_dump_records_count_the_graph_not_the_degree(self):
-        # The family has d + 1 members, but each member's size follows n.
+        # The family has max(d - 2, 1) members, but each member's size
+        # follows n.
         g = path_graph(5)  # cover of 3 cliques, so d = 3 < n = 5
         assert len(clique_cover(g)) == 3
-        _, queries, _ = family_run(g, 2)
-        assert len(queries) == 4
-        for k, (clone, _) in enumerate(queries):
-            assert clone.n == comb(g, k).n == g.n * (k + 1)
+        singletons = tuple((v,) for v in range(5))
+        for cover, members in ((clique_cover(g), 1), (singletons, 3)):
+            _, queries, _ = family_run(g, 2, cover)
+            assert queries == family_members(g, 2, cover)
+            assert len(queries) == members
+            for k, (clone, _) in enumerate(queries):
+                assert clone.n == comb(g, k).n == g.n * (k + 1)
 
     def test_points_pairwise_distinct(self):
         # The edgeless graph has d = n, the widest family for its size, so
-        # its exact recovery needs all n + 1 members to be independent.
+        # its exact recovery needs all max(n - 2, 1) members to be
+        # independent.
         for x in (Fraction(2), Fraction(1, 2), Fraction(-1, 2), Fraction(-3)):
             for n in range(1, 8):
                 poly, queries, _ = family_run(edgeless_graph(n), x)
-                assert len(queries) == n + 1
+                assert len(queries) == max(n - 2, 1)
                 assert poly == Polynomial([math.comb(n, k) for k in range(n + 1)])
 
     def test_offset_is_one_at_integer_eigenvalue_points(self):
@@ -150,15 +200,15 @@ class TestBuildCloneFamily:
         for x in (Fraction(2), Fraction(6)):
             g = edgeless_graph(4)
             _, queries, answers = family_run(g, x)
-            assert queries == [(comb(g, k), x) for k in range(5)]
-            assert answers == [((1 + x) ** k + x) ** 4 for k in range(5)]
+            assert queries == family_members(g, x)
+            assert answers == [((1 + x) ** k + x) ** 4 for k in range(len(queries))]
 
     def test_offset_is_one_at_fractional_point(self):
         for x in (Fraction(1, 2), Fraction(-1, 5), Fraction(-1, 2), Fraction(-7, 4)):
             g = edgeless_graph(4)
             _, queries, answers = family_run(g, x)
-            assert queries == [(comb(g, k), x) for k in range(5)]
-            assert answers == [((1 + x) ** k + x) ** 4 for k in range(5)]
+            assert queries == family_members(g, x)
+            assert answers == [((1 + x) ** k + x) ** 4 for k in range(len(queries))]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -180,8 +230,25 @@ class TestBuildCloneFamily:
         g = random_graph(rng, n)
         result, queries, answers = family_run(g, x)
         assert result == isp_coeffs_by_enumeration(g)
-        assert queries == [(comb(g, k), x) for k in range(len(clique_cover(g)) + 1)]
+        assert queries == family_members(g, x)
         assert answers == comb_answers(g, queries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(covered_graphs(max_n=8), POINTS)
+    @example((Graph(0), ()), Fraction(2))  # d = 0
+    @example((complete_graph(3), ((0, 1, 2),)), Fraction(-1, 2))  # d = 1
+    @example((path_graph(3), ((0, 1), (2,))), Fraction(1, 3))  # d = 2
+    @example((path_graph(4), ((0,), (1,), (2, 3))), Fraction(-3))  # d = 3
+    @example((edgeless_graph(8), tuple((v,) for v in range(8))), Fraction(-3, 2))  # d = n
+    def test_family_law_on_any_cover(self, family, x):
+        # max(d - 2, 1) queries, comb 0, comb 1, ... in order, answered as
+        # the comb identity says, and I(G; X) exactly.
+        g, cover = family
+        result, queries, answers = family_run(g, x, cover)
+        assert queries == family_members(g, x, cover)
+        assert len(queries) == max(len(cover) - 2, 1)
+        assert answers == comb_answers(g, queries)
+        assert result == isp_coeffs_by_enumeration(g)
 
     def test_degenerate_rejected(self):
         # x = 0 gives r_k = 0 for every k, x = -2 alternates between two
@@ -198,53 +265,42 @@ class TestBuildCloneFamily:
             for g in (path_graph(1), path_graph(3), complete_graph(3)):
                 poly, queries, answers = family_run(g, x)
                 assert poly == isp_coeffs_by_enumeration(g)
-                assert queries == [(comb(g, k), x) for k in range(len(clique_cover(g)) + 1)]
+                assert queries == family_members(g, x)
                 assert answers == comb_answers(g, queries)
 
 
 @st.composite
-def small_graphs(draw, max_n=9):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph(n, [e for e, keep in zip(pairs, chosen) if keep])
-
-
-@st.composite
 def polynomial_families(draw):
-    """A graph on at most 7 vertices, a clique cover of it (the greedy one
-    with some vertices split off as singletons), a point outside
-    {0, -1, -2} and a polynomial of degree at most the cover's size whose
-    coefficients are counts in range or arbitrary rationals."""
-    g = draw(small_graphs(max_n=7))
-    split = draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
-    cover = [(v,) for v in range(g.n) if split[v]]
-    for part in clique_cover(g):
-        rest = tuple(v for v in part if not split[v])
-        if rest:
-            cover.append(rest)
-    coeffs = []
-    for k in range(draw(st.integers(1, len(cover) + 1))):
+    """A covered graph on at most 7 vertices, a point outside {0, -1, -2}
+    and a polynomial of degree at most the cover's size.  Its first
+    min(3, d) coefficients are the graph's (``stated_prefix``) or, in a
+    tampered family, drawn like the rest: counts in range or arbitrary
+    rationals."""
+    g, cover = draw(covered_graphs())
+    rational = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 7))
+    coeffs = [] if draw(st.booleans()) else stated_prefix(g, len(cover))
+    for k in range(len(coeffs), draw(st.integers(max(len(coeffs), 1), len(cover) + 1))):
         count = st.integers(int(k == 0), math.comb(g.n, k))
-        rational = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 7))
         coeffs.append(draw(st.one_of(count, rational)))
-    x = draw(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30)).filter(lambda x: x not in (0, -1, -2)))
-    return g, tuple(cover), x, Polynomial(coeffs)
+    return g, cover, draw(POINTS), Polynomial(coeffs)
 
 
 class TestLagrange:
     """The Lagrange solve inside interpolate_family (the basis P_j =
-    M / (t - W_j) at the integer nodes W_j), fed answers consistent with
-    an arbitrary polynomial: it returns the polynomial when that is a
-    count of independent sets, and otherwise names its first coefficient
-    that is not."""
+    M / (t - W_j) at the integer nodes W_j, j >= h), fed answers
+    consistent with an arbitrary polynomial.  When the polynomial has the
+    graph's stated a_0 .. a_(h-1), it is returned if it is a count of
+    independent sets, and otherwise its first coefficient that is not is
+    named.  A polynomial with another prefix is never returned."""
 
     def test_random_round_trips(self):
         rng = random.Random(41)
         for _ in range(25):
             g = random_graph(rng, rng.randint(0, 8), 0.4)
             cover = clique_cover(g)
-            coeffs = [rng.randint(int(k == 0), math.comb(g.n, k)) for k in range(rng.randint(1, len(cover) + 1))]
+            coeffs = stated_prefix(g, len(cover))
+            for k in range(len(coeffs), rng.randint(max(len(coeffs), 1), len(cover) + 1)):
+                coeffs.append(rng.randint(int(k == 0), math.comb(g.n, k)))
             poly = Polynomial(coeffs)
             x = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 30))
             if x in (0, -1, -2):
@@ -258,14 +314,27 @@ class TestLagrange:
     @example((edgeless_graph(7), tuple((v,) for v in range(7)), Fraction(-1, 30), Polynomial([1, 7, 21, 35, 35, 21, 7, 1])))
     @example((edgeless_graph(7), tuple((v,) for v in range(7)), Fraction(29, 30), Polynomial([1, 7, 21, 35, 35, 21, 7, 2])))
     @example((path_graph(4), ((0, 1), (2, 3)), Fraction(2), Polynomial([1, 4, Fraction(-7, 2)])))
+    # Prefixes that differ from the graph's: a_3 = 1/2 is rejected, and
+    # a_3 = 1 gives back the graph's own polynomial.
+    @example((path_graph(4), ((0,), (1,), (2, 3)), Fraction(2), Polynomial([1, 4, 2, 1])))
+    @example((edgeless_graph(3), ((0,), (1,), (2,)), Fraction(1), Polynomial([1, 3, 2, 2])))
     def test_property_exact_through_every_sample(self, family):
         g, cover, x, poly = family
+        prefix = stated_prefix(g, len(cover))
+        oracle = PolynomialOracle(g, poly)
+        if [poly.coefficient(k) for k in range(len(prefix))] != prefix:
+            try:
+                result = interpolate_family(g, cover, x, oracle)
+            except OracleError:
+                return
+            assert result != poly
+            assert [result.coefficient(k) for k in range(len(prefix))] == prefix
+            return
         bad = [
             (k, a, int(k == 0), math.comb(g.n, k))
             for k, a in enumerate(poly.coeffs)
             if a.denominator != 1 or not int(k == 0) <= a <= math.comb(g.n, k)
         ]
-        oracle = PolynomialOracle(g, poly)
         if not bad:
             assert interpolate_family(g, cover, x, oracle) == poly
             return
@@ -301,7 +370,8 @@ class TestInterpolatePipeline:
         cover = clique_cover(g)
         oracle = RecordingOracle()
         assert interpolate_family(g, cover, 2, oracle) == isp_coeffs(g)
-        assert len(oracle.queries) == len(cover) + 1
+        assert oracle.queries == family_members(g, 2, cover)
+        assert len(oracle.queries) > 1
         for k, (clone, _) in enumerate(oracle.queries):
             assert clone.n == g.n * (k + 1)
             assert [(u, v) for u, v in clone.edges if v < g.n] == list(g.edges)
@@ -338,13 +408,15 @@ class TestInterpolatePipeline:
             interpolate_coeffs(Graph(0), x)
 
     def test_family_route_matches(self):
-        # The singleton partition certifies d = n, one member per vertex
-        # and one more.
+        # The singleton partition certifies d = n, so n - 2 members: the
+        # graph states a_0, a_1 and a_2, and the oracle answers for the
+        # rest.
         g = path_graph(5)
         oracle = RecordingOracle()
         singletons = tuple((v,) for v in range(g.n))
         assert interpolate_family(g, singletons, Fraction(1, 2), oracle) == isp_coeffs_by_enumeration(g)
-        assert len(oracle.queries) == g.n + 1
+        assert oracle.queries == family_members(g, Fraction(1, 2), singletons)
+        assert len(oracle.queries) == g.n - 2
 
     def test_every_degree_bound_from_cover_to_n_agrees(self):
         # Splitting parts of the greedy cover into singletons gives a finer
@@ -362,7 +434,7 @@ class TestInterpolatePipeline:
                 for cover in covers:
                     oracle = RecordingOracle()
                     assert interpolate_family(g, cover, x, oracle) == expected
-                    assert len(oracle.queries) == len(cover) + 1
+                    assert oracle.queries == family_members(g, x, cover)
 
     @pytest.mark.parametrize("bad_cover", [((0, 1, 2, 3),), ((0, 1), (2,)), ((0, 1), (1, 2), (3,))])
     def test_failed_certificate_never_feeds_interpolation(self, bad_cover):
@@ -374,13 +446,15 @@ class TestInterpolatePipeline:
             def evaluate(self, g, x):
                 return isp_eval(g, x) + 1
 
-        with pytest.raises(OracleError, match=r"coefficient a_0 = 2/3, not an integer in \[1, 1\]"):
+        # a_0 is stated, so the one answer, 6 for I(K2; 2) = 5, is solved
+        # for a_1 = (6 - 1)/2.
+        with pytest.raises(OracleError, match=r"coefficient a_1 = 5/2, not an integer in \[0, 2\]"):
             interpolate_coeffs(complete_graph(2), 2, oracle=OffByOneOracle())
 
     @pytest.mark.parametrize(
         "coeffs, bad",
         [
-            ([2, 2], "a_0 = 2/1, not an integer in [1, 1]"),
+            ([2, 2], "a_1 = 4/1, not an integer in [0, 2]"),  # a_0 = 1 is stated
             ([1, Fraction(1, 2)], "a_1 = 1/2, not an integer in [0, 2]"),
             ([1, -1], "a_1 = -1/1, not an integer in [0, 2]"),
             ([1, 3], "a_1 = 3/1, not an integer in [0, 2]"),
@@ -461,17 +535,18 @@ class TestMemberWork:
     branch nodes and component splits per graph.  A component with one
     non-leaf vertex (a star on its host leaves) is finished without a
     branch node, so every branch node has two non-leaf vertices.  When
-    stars were branched on, the branch nodes were x2 [68, 74, 63, 60, 60,
-    71] and hard [368, 379, 358, 450, 450, 473], and the splits x2 [141,
-    153, 131, 126, 126, 148] and hard [741, 763, 721, 906, 906, 952]."""
+    stars were branched on (and the family had d + 1 members), the branch
+    nodes were x2 [68, 74, 63, 60, 60, 71] and hard [368, 379, 358, 450,
+    450, 473], and the splits x2 [141, 153, 131, 126, 126, 148] and hard
+    [741, 763, 721, 906, 906, 952]."""
 
     BRANCH_NODES = {
-        "x2": [40, 50, 34, 31, 30, 35],
-        "hard": [136, 148, 126, 120, 120, 142],
+        "x2": [16, 20, 13, 16, 15, 17],
+        "hard": [46, 52, 42, 54, 54, 64],
     }
     COMPONENT_SPLITS = {
-        "x2": [85, 105, 73, 68, 66, 76],
-        "hard": [277, 301, 257, 246, 246, 290],
+        "x2": [34, 42, 28, 35, 33, 37],
+        "hard": [94, 106, 86, 111, 111, 131],
     }
 
     def test_same_recursion_no_edge_derivation(self, monkeypatch, branch_nodes, component_splits):

@@ -1,7 +1,11 @@
 """The value-type contract: a value of the package refuses assignment,
-new attributes and ``del``, and compares and hashes by its fields only.
-Every value type meets it by being a frozen dataclass."""
+new attributes and ``del``, compares and hashes by its fields only, and
+survives copy, deepcopy and a pickle round trip.  Every value type meets
+it by being a frozen dataclass; a slotted one rebuilds itself through
+``__reduce__``."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -81,3 +85,18 @@ def test_different_values_and_other_types_are_unequal(case):
     assert value != as_tuple and as_tuple != value
     others = [v[1] for name, v in values().items() if name != type(value).__name__]
     assert all(value != v and v != value for v in others)
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_are_equal_values(case, duplicate):
+    names, value = case[:2]
+    twin = duplicate(value)
+    assert type(twin) is type(value)
+    assert twin == value and hash(twin) == hash(value)
+    assert [getattr(twin, name) for name in names] == [getattr(value, name) for name in names]
+    if isinstance(value, Graph):
+        assert twin.edges == value.edges
