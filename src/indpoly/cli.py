@@ -22,7 +22,15 @@ import sys
 import time
 
 from .clonecalc import normalize_point
-from .cnf import count_sat, count_x3sat, parse_dimacs, reduce_to_graph, reduce_to_x3sat, x3sat_to_graph
+from .cnf import (
+    DEFAULT_ASSIGNMENT_BOUND,
+    count_sat,
+    count_x3sat,
+    parse_dimacs,
+    reduce_to_graph,
+    reduce_to_x3sat,
+    x3sat_to_graph,
+)
 from .errors import CapacityError, DomainError, OracleError
 from .graphs import _clone_multiset, clique_cover, graph_to_json_dict, graph_to_text, parse_graph, s_clone
 from .interpolate import ExternalOracle, InternalOracle, interpolate_family
@@ -209,12 +217,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("count-sat", help="count satisfying assignments of a DIMACS CNF")
     p.add_argument("file")
-    p.add_argument("--max-vars", type=parse_int, default=24)
+    p.add_argument("--max-vars", type=parse_int, default=DEFAULT_ASSIGNMENT_BOUND)
     p.set_defaults(handler=_cmd_count, counter=count_sat)
 
     p = sub.add_parser("count-x3sat", help="count exactly-one-true assignments")
     p.add_argument("file")
-    p.add_argument("--max-vars", type=parse_int, default=24)
+    p.add_argument("--max-vars", type=parse_int, default=DEFAULT_ASSIGNMENT_BOUND)
     p.set_defaults(handler=_cmd_count, counter=count_x3sat)
 
     p = sub.add_parser("reduce-x3sat", help="parsimonious 3-CNF to X3SAT reduction")

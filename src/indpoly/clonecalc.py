@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegeneratePointError, DomainError
-from .graphs import Graph, _clone_multiset, _is_int, comb, k_clone
-from .rationals import as_rational, format_rational
+from .graphs import Graph, _clone_multiset, comb, k_clone
+from .rationals import _require_int, as_rational, format_rational
 
 
 def is_nondegenerate(x) -> bool:
@@ -51,8 +51,7 @@ def _require_nondegenerate(x: Fraction):
 def path_weights(x, k: int) -> tuple:
     """(B_k, C_k) for a pendant path of length k, by the transfer
     recurrence: exact for every rational x, including degenerate ones."""
-    if not _is_int(k) or k < 0:
-        raise DomainError(f"path length must be an integer >= 0, got {k!r}")
+    _require_int(k, "path length")
     x = as_rational(x)
     b, c = x, Fraction(1)
     for _ in range(k):
@@ -76,8 +75,7 @@ def path_weights_closed_form(x, k: int) -> tuple:
     with U_m the Lucas sum of the eigenvalues of [[0, x], [1, 1]], summed
     term by term without iterating the recurrence.  Requires
     nondegenerate x; agrees exactly with path_weights."""
-    if not _is_int(k) or k < 0:
-        raise DomainError(f"path length must be an integer >= 0, got {k!r}")
+    _require_int(k, "path length")
     x = as_rational(x)
     _require_nondegenerate(x)
     d = 1 + 4 * x
@@ -132,8 +130,7 @@ class TransformPlan:
         return g
 
     def factor(self, n: int) -> Fraction:
-        if not _is_int(n) or n < 0:
-            raise DomainError(f"vertex count must be an integer >= 0, got {n!r}")
+        _require_int(n, "vertex count")
         base = 1 + self.original_point
         return base ** (self.factor_exponent_per_vertex * n)
 

@@ -22,9 +22,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import CapacityError, FormulaError
-from .graphs import Graph, _is_int
+from .graphs import Graph
 from .isp import count_transversal_is
-from .rationals import _read_dimacs, parse_int
+from .rationals import _is_int, _read_dimacs, _require_int, _write_dimacs, parse_int
 
 DEFAULT_ASSIGNMENT_BOUND = 24
 _BLOCK_BITS = 20  # assignments are checked in blocks of 2^_BLOCK_BITS
@@ -47,10 +47,7 @@ class CnfFormula:
 
     def __post_init__(self):
         variable_count = self.variable_count
-        if not _is_int(variable_count) or variable_count < 0:
-            raise FormulaError(
-                f"variable count must be an integer >= 0, got {variable_count!r}"
-            )
+        _require_int(variable_count, "variable count", error=FormulaError)
         normalized = []
         for idx, clause in enumerate(self.clauses, start=1):
             seen = []
@@ -92,10 +89,8 @@ class CnfFormula:
         return self.variable_count - len(self.used_variables())
 
     def to_dimacs(self) -> str:
-        lines = [f"p cnf {self.variable_count} {len(self.clauses)}"]
-        for clause in self.clauses:
-            lines.append(" ".join(str(lit) for lit in clause) + " 0")
-        return "\n".join(lines) + "\n"
+        lines = [" ".join(map(str, (*clause, 0))) for clause in self.clauses]
+        return _write_dimacs("cnf", self.variable_count, lines)
 
     def __repr__(self):
         return f"CnfFormula(n={self.variable_count}, m={len(self.clauses)})"

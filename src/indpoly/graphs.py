@@ -2,9 +2,11 @@
 
 A graph is its vertex count n and one neighbour bitmask per vertex: bit u
 of vertex v's mask is set when uv is an edge.  Vertices are the integers
-0..n-1; the sorted edge list is derived from the masks when first read.
+0..n-1; the sorted edge list is derived from the masks on each read.
 ``Graph`` is a frozen dataclass, as every value type of the package is,
-so a graph is immutable: transformations return new graphs.
+so a graph is immutable: transformations return new graphs.  ``Graph()``
+and the text reader refuse more than ``MAX_VERTICES`` vertices before
+they allocate.
 
 Vertex numbering of ``s_clone`` (the back-mapping contract):
 for each original vertex ``a`` there is a block of ``total + size`` result
@@ -20,8 +22,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import DomainError, GraphFormatError
-from .rationals import _read_dimacs, parse_int
+from .errors import CapacityError, DomainError, GraphFormatError
+from .rationals import _is_int, _read_dimacs, _require_int, _write_dimacs, parse_int
+
+MAX_VERTICES = 1 << 20  # the most vertices Graph() and the text reader take
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -29,18 +33,15 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1, stored as its neighbour
     masks.  The constructor checks every edge: integer endpoints in range,
     no self-loop.  A repeated edge is stored once.  Equality and hash
-    cover ``n`` and the masks; ``_edges`` caches the derived edge list and
-    is not a field."""
+    cover ``n`` and the masks."""
 
-    __slots__ = ("n", "_edges", "_masks")
+    __slots__ = ("n", "_masks")
     n: int
     _masks: tuple
 
     def __init__(self, n: int, edges=()):
-        if not _is_int(n):
-            raise DomainError(f"vertex count must be an integer, got {n!r}")
-        if n < 0:
-            raise DomainError(f"negative vertex count {n}")
+        _require_int(n, "vertex count")
+        _check_capacity(n)
         masks = [0] * n
         for u, v in edges:
             # Plain ints pass on the type test; ``_is_int`` runs only for
@@ -68,21 +69,16 @@ class Graph:
     def _set(self, masks):
         object.__setattr__(self, "n", len(masks))
         object.__setattr__(self, "_masks", tuple(masks))
-        object.__setattr__(self, "_edges", None)
 
     @property
     def edges(self) -> tuple:
         """Ascending (u, v) pairs with u < v, derived from the neighbour
-        masks on first use."""
-        edges = self._edges
-        if edges is None:
-            edges = _edges_of(self._masks)
-            object.__setattr__(self, "_edges", edges)
-        return edges
+        masks on each read."""
+        return _edges_of(self._masks)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(m.bit_count() for m in self._masks) // 2
 
     def __reduce__(self):
         # copy and pickle rebuild the graph from its masks: the default
@@ -112,7 +108,12 @@ class Graph:
             raise DomainError(f"invalid vertex id {v} for n={self.n}")
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={self.edge_count})"
+
+
+def _check_capacity(n: int):
+    if n > MAX_VERTICES:
+        raise CapacityError(f"{n} vertices exceed the bound MAX_VERTICES = {MAX_VERTICES}")
 
 
 def _edges_of(masks) -> tuple:
@@ -138,13 +139,6 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def _is_int(value) -> bool:
-    """The package's rule for an integer argument: any int but a bool.
-    bool is an int subclass, so True would pass as 1 (and JSON true/false
-    load as bool)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _clone_multiset(entries) -> tuple:
     """A clone multiset S as its entries sorted ascending: non-empty, as an
     S-clone keeps |S| >= 1 clones of each vertex (k_clone's k >= 1), and
@@ -153,8 +147,7 @@ def _clone_multiset(entries) -> tuple:
     if not entries:
         raise DomainError("empty clone multiset")
     for s in entries:
-        if not _is_int(s) or s < 0:
-            raise DomainError(f"clone multiset entries must be ints >= 0, got {s!r}")
+        _require_int(s, "clone multiset entry")
     return tuple(sorted(entries))
 
 
@@ -197,8 +190,7 @@ def s_clone_origin(spec, vertex: int) -> tuple:
     path position).  Path position 0 is the clone itself; position j >= 1 is
     the j-th vertex along its pendant path."""
     spec = _clone_multiset(spec)
-    if not _is_int(vertex) or vertex < 0:
-        raise DomainError(f"invalid vertex id {vertex!r}")
+    _require_int(vertex, "vertex id")
     size = len(spec)
     orig, r = divmod(vertex, size + sum(spec))
     if r < size:
@@ -214,8 +206,7 @@ def s_clone_origin(spec, vertex: int) -> tuple:
 def k_clone(g: Graph, k: int) -> Graph:
     """S-clone with S = {0,...,0} (k zeros): k pairwise non-adjacent copies
     of every vertex, complete bipartite between copies of adjacent vertices."""
-    if not _is_int(k) or k < 1:
-        raise DomainError(f"clone count must be an integer >= 1, got {k!r}")
+    _require_int(k, "clone count", 1)
     return s_clone(g, [0] * k)
 
 
@@ -223,8 +214,7 @@ def attach_path(g: Graph, v: int, k: int) -> Graph:
     """Append a pendant path of length k rooted at vertex v.  The k new
     vertices are numbered n, n+1, ..., n+k-1 outward from v."""
     g._check_vertex(v)
-    if not _is_int(k) or k < 0:
-        raise DomainError(f"path length must be an integer >= 0, got {k!r}")
+    _require_int(k, "path length")
     if k == 0:
         return g
     masks = list(g.neighbor_masks()) + [0] * k
@@ -240,8 +230,7 @@ def comb(g: Graph, k: int) -> Graph:
     """Attach k pendant leaves to every original vertex.  Leaf j of vertex v
     is numbered n + v*k + j, matching k rounds of attach_path(., v, 1) taken
     vertex-major."""
-    if not _is_int(k) or k < 0:
-        raise DomainError(f"leaf count must be an integer >= 0, got {k!r}")
+    _require_int(k, "leaf count")
     n = g.n
     run = (1 << k) - 1
     masks = [nbrs | run << n + v * k for v, nbrs in enumerate(g.neighbor_masks())]
@@ -329,15 +318,13 @@ def is_clique_cover(g: Graph, parts) -> bool:
 
 def graph_to_text(g: Graph) -> str:
     """Canonical text format: header "p is n m", then "e u v" with 1-based ids."""
-    lines = [f"p is {g.n} {len(g.edges)}"]
-    for u, v in g.edges:
-        lines.append(f"e {u + 1} {v + 1}")
-    return "\n".join(lines) + "\n"
+    return _write_dimacs("is", g.n, [f"e {u + 1} {v + 1}" for u, v in g.edges])
 
 
 def parse_graph_text(text: str) -> Graph:
     """Parse the canonical text format; rejects duplicate edges and self-loops."""
     n, declared_m, body = _read_dimacs(text, "is", GraphFormatError)
+    _check_capacity(n)
     masks = [0] * n
     for lineno, tokens in body:
         if tokens[0] != "e":

@@ -191,8 +191,7 @@ def interpolate_family(g: Graph, cover, x, oracle) -> Polynomial:
     p, q = x.numerator, x.denominator
     s = p + q
     n, d = g.n, len(cover)
-    edges = sum(m.bit_count() for m in g.neighbor_masks()) // 2
-    coeffs = [1, n, math.comb(n, 2) - edges][: min(3, d)]  # the stated a_0 .. a_(h-1)
+    coeffs = [1, n, math.comb(n, 2) - g.edge_count][: min(3, d)]  # the stated a_0 .. a_(h-1)
     h = len(coeffs)
     # s^(d(n-d)) * F_k = nums[k] / dens[k], with F_k as in the module docstring.
     nums, dens = [], []

@@ -66,12 +66,10 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import compress
 
 from .errors import CapacityError, DomainError
-from .graphs import Graph, _clique_partition, _is_int
-from .rationals import as_rational, format_rational
+from .graphs import Graph, _clique_partition
+from .rationals import _require_int, as_rational, format_rational
 
 DEFAULT_ENUMERATION_BOUND = 20
 
@@ -95,8 +93,7 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def coefficient(self, k: int) -> Fraction:
-        if not _is_int(k) or k < 0:
-            raise DomainError(f"degree must be an integer >= 0, got {k!r}")
+        _require_int(k, "degree")
         return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
 
     def evaluate(self, x) -> Fraction:
@@ -128,21 +125,15 @@ def _recursion_depth(n: int):
         sys.setrecursionlimit(previous)
 
 
-_DIGITS = bytes.maketrans(b"\0\1", b"01")  # flag bytes as binary digits
-
-
 def _host_leaves(masks) -> int:
     """Mask of host leaves: vertices of degree 1 whose neighbour has degree
     at least 2.  Neither end of a K2 component is a leaf, so every
-    component has a non-leaf vertex to start a search.
-
-    A vertex of degree 1 fails the test exactly when its neighbour has
-    degree 1 too, that is when it is a neighbour of a degree-1 vertex.  So
-    the mask is the degree-1 vertices minus their neighbourhoods, built
-    from one flag per vertex with no per-vertex bit operation."""
-    single = bytes([m.bit_count() == 1 for m in masks])
-    ones = int(b"0" + single[::-1].translate(_DIGITS), 2)
-    return ones & ~reduce(int.__or__, compress(masks, single), 0)
+    component has a non-leaf vertex to start a search."""
+    leaves = 0
+    for v, nbrs in enumerate(masks):
+        if nbrs.bit_count() == 1 and masks[nbrs.bit_length() - 1].bit_count() > 1:
+            leaves |= 1 << v
+    return leaves
 
 
 def isp_eval(g: Graph, x) -> Fraction:
@@ -341,11 +332,6 @@ def _check_enumeration_bound(g: Graph):
         )
 
 
-def _check_set_size(k):
-    if not _is_int(k) or k < 0:
-        raise DomainError(f"set size must be an integer >= 0, got {k!r}")
-
-
 def _independent_subsets(g: Graph):
     """Every independent vertex subset of g as a bitmask, the empty set
     first, from one scan over all 2^n subsets: a subset is independent
@@ -395,7 +381,7 @@ def isp_multivariate(g: Graph, weights) -> Fraction:
 
 def count_is_of_size(g: Graph, k: int) -> int:
     """Number of independent sets of size exactly k (branching route)."""
-    _check_set_size(k)
+    _require_int(k, "set size")
     if k > g.n:
         return 0
     return isp_coeffs(g).coefficient(k).numerator
@@ -404,7 +390,7 @@ def count_is_of_size(g: Graph, k: int) -> int:
 def count_is_of_size_by_enumeration(g: Graph, k: int) -> int:
     """Number of independent sets of size exactly k, counted among the
     enumerated independent subsets.  Must agree with count_is_of_size."""
-    _check_set_size(k)
+    _require_int(k, "set size")
     _check_enumeration_bound(g)
     if k > g.n:
         return 0

@@ -1,14 +1,20 @@
-"""Exact rationals: coercion, parsing and the "p/q" wire format, and the
-integer rule and line protocol of the package's text readers.
+"""Exact rationals: coercion, parsing and the "p/q" wire format; the
+package's integer rule, for arguments and for text; and the line protocol
+of its text formats.
 
 Rationals are plain ``fractions.Fraction`` values (arbitrary precision,
 always in lowest terms, positive denominator).  The wire format is the
 string "p/q"; a bare integer "p" is accepted on input.
 
+An integer argument is any int but a bool (``_is_int``); every count,
+size and index the package takes is refused by ``_require_int`` with one
+message when it is not an integer at or above its lower bound.
+
 The DIMACS-style text formats (``p cnf n m`` formulas, ``p is n m``
-graphs) share one line protocol, read by ``_read_dimacs``: blank lines and
-lines starting with "c" are skipped, and exactly one header ``p <kind> n m``
-with integer counts >= 0 comes before any data line.
+graphs) share one line protocol, written by ``_write_dimacs`` and read by
+``_read_dimacs``: blank lines and lines starting with "c" are skipped, and
+exactly one header ``p <kind> n m`` with integer counts >= 0 comes before
+any data line.
 """
 
 from __future__ import annotations
@@ -16,6 +22,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
+
+
+def _is_int(value) -> bool:
+    """The package's rule for an integer argument: any int but a bool.
+    bool is an int subclass, so True would pass as 1 (and JSON true/false
+    load as bool)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_int(value, what: str, low: int = 0, error=DomainError):
+    """Raise ``error`` unless ``value`` is an integer (``_is_int``) >= ``low``."""
+    if not _is_int(value) or value < low:
+        raise error(f"{what} must be an integer >= {low}, got {value!r}")
 
 
 def parse_int(text: str) -> int:
@@ -26,6 +45,11 @@ def parse_int(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
+
+
+def _write_dimacs(kind: str, n: int, lines: list) -> str:
+    """The text with header "p <kind> n m" and the m data ``lines``."""
+    return "\n".join([f"p {kind} {n} {len(lines)}", *lines]) + "\n"
 
 
 def _read_dimacs(text: str, kind: str, error) -> tuple:
@@ -65,7 +89,7 @@ def as_rational(value) -> Fraction:
     exact rational."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)

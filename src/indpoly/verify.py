@@ -187,7 +187,7 @@ def gadget_extension_count(a: bool, b: bool, c: bool) -> int:
     count = 0
     for bits in range(64):
         u = {f"u{i + 1}": bool(bits >> i & 1) for i in range(6)}
-        if all(sum(lit if isinstance(lit, bool) else u[lit] for lit in cl) == 1 for cl in clauses):
+        if all(sum(u.get(lit, lit) for lit in cl) == 1 for cl in clauses):  # a, b, c stand for themselves
             count += 1
     return count
 

@@ -371,6 +371,13 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "capacity" in proc.stderr
 
+    def test_capacity_error_on_graph_header(self, tmp_path):
+        huge = tmp_path / "huge.txt"
+        huge.write_text("p is 10000000 0\n")
+        proc = run_cli("isp-eval", str(huge), "--at", "2")
+        assert proc.returncode == 2
+        assert "capacity" in proc.stderr and "MAX_VERTICES" in proc.stderr
+
     def test_io_error_missing_file(self):
         assert run_cli("count-sat", "/nonexistent/file.cnf").returncode == 3
 

@@ -11,9 +11,8 @@ come back in.
 
 A third guard keeps the definitional evaluators in ``isp.py``
 independent of the identities they are tested against: the module may
-import only ``errors``, ``rationals``, and ``Graph``, the clique-partition
-check ``_clique_partition`` and the integer-argument rule ``_is_int`` from
-``graphs``.  So neither ``clonecalc``, ``interpolate`` or ``verify`` nor
+import only ``errors``, ``rationals``, and ``Graph`` and the
+clique-partition check ``_clique_partition`` from ``graphs``.  So neither ``clonecalc``, ``interpolate`` or ``verify`` nor
 the gadget builders of ``graphs`` (``comb``, ``s_clone``, ``k_clone``,
 ``attach_path``) can reach it.
 
@@ -22,6 +21,10 @@ package defines ``__setattr__``, ``__delattr__``, ``__eq__`` or
 ``__hash__``.  Value types are ``@dataclass(frozen=True)``, which
 generates all four, so a hand-written copy cannot come back and miss
 one (as a hand-written ``__setattr__`` once left ``del`` open).
+
+A fifth guard keeps one integer rule: only ``rationals.py``, where
+``_is_int`` lives, calls ``isinstance(..., bool)``, so no module can
+spell its own copy of the rule.
 
 A last check keeps the public surface honest: every name in
 ``indpoly.__all__`` is an attribute of the package, so deleting a function
@@ -116,7 +119,7 @@ def test_cli_import_loads_no_numeric_library():
 
 
 # module -> the names it may give, or None for any name
-DEFINITIONAL_IMPORTS = {"errors": None, "rationals": None, "graphs": {"Graph", "_clique_partition", "_is_int"}}
+DEFINITIONAL_IMPORTS = {"errors": None, "rationals": None, "graphs": {"Graph", "_clique_partition"}}
 
 
 def package_imports(tree):
@@ -239,3 +242,41 @@ def test_package_hand_writes_no_value_methods():
         for line, name in hand_written_value_methods(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert offenders == []
+
+
+def bool_checks(tree):
+    """Line of every ``isinstance(..., bool)`` call, and of every call whose
+    type tuple holds ``bool``."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
+            continue
+        if len(node.args) != 2:
+            continue
+        types = node.args[1]
+        names = types.elts if isinstance(types, ast.Tuple) else [types]
+        if any(isinstance(name, ast.Name) and name.id == "bool" for name in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_bool_guard_catches_copies_of_the_integer_rule():
+    source = (
+        "isinstance(v, int) and not isinstance(v, bool)\n"
+        "isinstance(v, (bool, float))\n"
+        "isinstance(v, int)\n"
+        "_is_int(v)\n"
+    )
+    assert sorted(bool_checks(ast.parse(source))) == [1, 2]
+
+
+def test_only_rationals_checks_for_bool():
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "rationals.py"
+        for line in bool_checks(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert offenders == []
+    rationals = PACKAGE / "rationals.py"
+    assert bool_checks(ast.parse(rationals.read_text(), filename=str(rationals)))

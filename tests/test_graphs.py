@@ -1,13 +1,17 @@
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indpoly import (
+    CapacityError,
+    CnfFormula,
     DomainError,
+    FormulaError,
     Graph,
     GraphFormatError,
     Polynomial,
@@ -16,6 +20,7 @@ from indpoly import (
     clone_shift,
     comb,
     complete_graph,
+    count_is_of_size,
     delete_vertex,
     edgeless_graph,
     graph_from_json_dict,
@@ -28,11 +33,19 @@ from indpoly import (
     parse_graph,
     parse_graph_text,
     path_graph,
+    path_weights,
     s_clone,
     s_clone_origin,
 )
-from indpoly.graphs import _clone_multiset
+from indpoly.graphs import MAX_VERTICES, _clone_multiset, _edges_of
 from indpoly.verify import random_clone_spec, random_graph
+
+
+def require_int(call, error=DomainError):
+    """Mark ``call`` as an entry point of ``rationals._require_int`` that
+    raises ``error``."""
+    call.error = error
+    return call
 
 
 def reference_s_clone(g: Graph, spec: tuple) -> Graph:
@@ -114,7 +127,7 @@ class TestGraphBasics:
             Graph(n, edges)
 
     def test_accepts_int_subclasses(self):
-        # The rule is graphs._is_int: any int but a bool.
+        # The rule is rationals._is_int: any int but a bool.
         class Vertex(int):
             pass
 
@@ -123,29 +136,37 @@ class TestGraphBasics:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda g: comb(g, 1.5),
-            lambda g: comb(g, True),
-            lambda g: attach_path(g, 0, 1.5),
-            lambda g: attach_path(g, 0, True),
+            require_int(lambda g: comb(g, 1.5)),
+            require_int(lambda g: comb(g, True)),
+            require_int(lambda g: attach_path(g, 0, 1.5)),
+            require_int(lambda g: attach_path(g, 0, True)),
             lambda g: attach_path(g, True, 1),
-            lambda g: k_clone(g, True),
-            lambda g: k_clone(g, 2.0),
+            require_int(lambda g: k_clone(g, True)),
+            require_int(lambda g: k_clone(g, 2.0)),
             lambda g: delete_vertex(g, True),
             lambda g: delete_vertex(g, 1.0),
             lambda g: g.neighbors(True),
             lambda g: g.degree(1.0),
             lambda g: g.has_edge(0, True),
-            lambda g: s_clone_origin([1], 1.5),
+            require_int(lambda g: s_clone_origin([1], 1.5)),
             lambda g: isp_eval(g, True),
             lambda g: Polynomial([True]),
-            lambda g: Polynomial([1]).coefficient(True),
-            lambda g: Polynomial([1]).coefficient(1.0),
+            require_int(lambda g: Polynomial([1]).coefficient(True)),
+            require_int(lambda g: Polynomial([1]).coefficient(1.0)),
+            require_int(lambda g: path_weights(2, -1)),
+            require_int(lambda g: count_is_of_size(g, 1.5)),
+            require_int(lambda g: Graph(-1)),
+            require_int(lambda g: CnfFormula(True, []), FormulaError),
         ],
     )
     def test_integer_arguments_reject_floats_and_bools(self, call):
-        # One rule, graphs._is_int: True is not vertex or count 1.
-        with pytest.raises(DomainError):
+        # One rule, rationals._is_int: True is not vertex or count 1.  The
+        # counts, sizes and indices that rationals._require_int checks
+        # share one message.
+        with pytest.raises(getattr(call, "error", DomainError)) as info:
             call(path_graph(2))
+        if hasattr(call, "error"):
+            assert "must be an integer >=" in str(info.value)
 
     def test_clique_cover_check_rejects_bool_vertex(self):
         g = path_graph(2)
@@ -468,6 +489,31 @@ class TestGraphFormats:
         with pytest.raises(GraphFormatError):
             graph_from_json_dict(bad)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: parse_graph("p is 10000000 0\n"),
+            lambda: parse_graph('{"n": 10000000, "edges": []}'),
+            lambda: Graph(10**7),
+        ],
+        ids=["text-header", "json", "constructor"],
+    )
+    def test_vertex_bound_raises_before_allocating(self, build):
+        # 10^7 masks would take about 80 MB; the bound is checked first.
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="MAX_VERTICES"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_vertex_bound_is_inclusive(self):
+        assert parse_graph_text(f"p is {MAX_VERTICES} 0\n").n == MAX_VERTICES
+        with pytest.raises(CapacityError):
+            parse_graph_text(f"p is {MAX_VERTICES + 1} 0\n")
+
     def test_parse_graph_sniffs_format(self):
         g = path_graph(3)
         assert parse_graph(graph_to_text(g)) == g
@@ -569,9 +615,10 @@ class TestGraphForms:
             assert from_masks != toggled and toggled != from_masks
             assert comb(from_masks, 1) != comb(toggled, 1)
 
-    def test_mask_built_edges_are_derived_once(self):
+    def test_edges_are_derived_from_masks(self):
         g = comb(path_graph(3), 2)
-        assert g.edges is g.edges
+        assert g.edges == _edges_of(g.neighbor_masks())
+        assert g.edge_count == len(g.edges)
 
     def test_mask_built_is_immutable(self):
         g = comb(complete_graph(3), 1)
