@@ -187,24 +187,13 @@ def _cmd_interpolate(args) -> dict:
 def _cmd_verify(args) -> dict:
     """Stream one record per case; the summary is the returned record."""
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    passed = 0
-    failed = 0
-
-    def emit(record):
-        nonlocal passed, failed
-        if record["status"] == "pass":
-            passed += 1
-        else:
-            failed += 1
-        _emit(record)
-
-    ok = run_suites(names, args.seed, emit, dump_dir=args.dump_dir)
+    passed, failed = run_suites(names, args.seed, _emit, dump_dir=args.dump_dir)
     return {
         "suites": names,
         "seed": args.seed,
         "passed": passed,
         "failed": failed,
-        "status": "pass" if ok else "fail",
+        "status": "fail" if failed else "pass",
     }
 
 

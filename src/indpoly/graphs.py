@@ -122,6 +122,7 @@ def _edges_of(masks) -> tuple:
 
 
 def complete_graph(n: int) -> Graph:
+    _require_int(n, "vertex count")
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
@@ -130,12 +131,12 @@ def edgeless_graph(n: int) -> Graph:
 
 
 def path_graph(n: int) -> Graph:
+    _require_int(n, "vertex count")
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise DomainError("cycle needs at least 3 vertices")
+    _require_int(n, "cycle length", 3)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 

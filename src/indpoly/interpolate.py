@@ -175,11 +175,13 @@ def interpolate_family(g: Graph, cover, x, oracle) -> Polynomial:
     The certificate is ``cover``, a partition of G's vertices into d
     cliques, checked exactly.  The points x = 0, -1 and -2 raise
     ``DegeneratePointError``.  Oracle failures and capacity errors are
-    re-raised with the failing clone index.  Answers that interpolate to
-    anything but a count of independent sets (integers a_k, k >= h, with
-    a_0 = 1 and 0 <= a_k <= C(n, k)) raise ``OracleError`` naming the first
-    bad coefficient; the stated a_0 .. a_(h-1) are never checked, since
-    they cannot be wrong."""
+    re-raised with the failing clone index; so is a ``DomainError`` from
+    the query, such as an answer that is not an exact rational (2.5 or
+    True), as an ``OracleError``.  Answers that interpolate to anything
+    but a count of independent sets (integers a_k, k >= h, with a_0 = 1
+    and 0 <= a_k <= C(n, k)) raise ``OracleError`` naming the first bad
+    coefficient; the stated a_0 .. a_(h-1) are never checked, since they
+    cannot be wrong."""
     x = as_rational(x)
     if x in (0, -1, -2):
         raise DegeneratePointError(
@@ -200,6 +202,8 @@ def interpolate_family(g: Graph, cover, x, oracle) -> Polynomial:
             raw = as_rational(oracle.evaluate(comb(g, k), x))
         except (OracleError, CapacityError) as exc:
             raise type(exc)(f"clone {k} ({k} leaves per vertex): {exc}") from exc
+        except DomainError as exc:  # e.g. as_rational refusing the answer
+            raise OracleError(f"clone {k} ({k} leaves per vertex): {exc}") from exc
         nums.append(raw.numerator * q ** (d + k * n) * s ** ((d - k) * (n - d)))
         dens.append(raw.denominator)
     lcm = math.lcm(*dens)

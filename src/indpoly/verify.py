@@ -1,11 +1,13 @@
 """Seeded property suites behind the ``verify`` CLI subcommand.
 
 Each suite checks one family of exact identities or reduction properties
-and yields one record per case.  A sweep over many instances is one
-``_sweep`` record carrying the number of instances checked; it stops at
-the first failure.  A failing record carries a self-contained
-counterexample: the inputs as DIMACS or graph-format file contents,
-re-runnable without this module.
+and yields one record per case, built by ``_record``, the one place that
+sets a record's status.  A sweep over many instances is one ``_sweep``
+record carrying the number of instances checked; it stops at the first
+failure.  A failing record carries a self-contained counterexample: the
+inputs as DIMACS or graph-format file contents, re-runnable without this
+module.  ``run_suites`` writes the counterexamples of failing records and
+returns ``(passed, failed)``, the number of records of each status.
 
 The transform identities are public predicates, each checking one
 instance against the definitional evaluators (``isp_eval``,
@@ -25,7 +27,7 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement
 
 from .clonecalc import clone_shift, normalize_point, path_weights, path_weights_closed_form
 from .cnf import (
@@ -90,6 +92,19 @@ def all_graphs(n: int):
         yield Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
 
 
+def all_3cnf_formulas(num_vars: int, max_clauses: int) -> list:
+    """Every formula with up to max_clauses clauses over num_vars variables,
+    as a multiset of clauses.  A clause is a set of 1..3 distinct literals
+    (complementary pairs included: they are legal 3-CNF)."""
+    literals = [v for v in range(1, num_vars + 1)] + [-v for v in range(1, num_vars + 1)]
+    shapes = [sorted(c) for width in (1, 2, 3) for c in combinations(literals, width)]
+    return [
+        CnfFormula(num_vars, list(clauses))
+        for m in range(max_clauses + 1)
+        for clauses in combinations_with_replacement(shapes, m)
+    ]
+
+
 def random_clone_spec(rng: random.Random, max_size: int = 3, max_element: int = 4) -> tuple:
     """A random clone multiset, as the sorted tuple ``s_clone`` takes."""
     size = rng.randint(1, max_size)
@@ -130,47 +145,6 @@ def random_x3sat(rng: random.Random, max_total_width: int = 15) -> CnfFormula:
         budget -= width
     extra_unused = rng.choice([0, 0, 1, 2])
     return CnfFormula(n + extra_unused, clauses)
-
-
-def all_clause_shapes(num_vars: int = 3):
-    """Every clause over num_vars variables as a set of 1..3 distinct
-    literals (complementary pairs included: they are legal 3-CNF)."""
-    literals = [v for v in range(1, num_vars + 1)] + [-v for v in range(1, num_vars + 1)]
-    shapes = []
-    for width in (1, 2, 3):
-        shapes.extend(tuple(sorted(c)) for c in combinations(literals, width))
-    return shapes
-
-
-def canonical_3cnf_formulas(num_vars: int = 3, max_clauses: int = 2):
-    """All formulas with up to max_clauses clauses over num_vars variables,
-    one representative per variable-permutation orbit."""
-    shapes = all_clause_shapes(num_vars)
-    perms = list(permutations(range(1, num_vars + 1)))
-
-    def canonical(formula_clauses):
-        best = None
-        for perm in perms:
-            mapped = tuple(
-                sorted(
-                    tuple(sorted((1 if lit > 0 else -1) * perm[abs(lit) - 1] for lit in clause))
-                    for clause in formula_clauses
-                )
-            )
-            if best is None or mapped < best:
-                best = mapped
-        return best
-
-    seen = set()
-    result = [CnfFormula(num_vars, [])]
-    for m in range(1, max_clauses + 1):
-        for combo in combinations_with_replacement(shapes, m):
-            key = canonical(combo)
-            if key in seen:
-                continue
-            seen.add(key)
-            result.append(CnfFormula(num_vars, [list(c) for c in combo]))
-    return result
 
 
 def gadget_extension_count(a: bool, b: bool, c: bool) -> int:
@@ -285,6 +259,12 @@ def _graph_dump(g: Graph) -> dict:
     return {"graph.txt": graph_to_text(g)}
 
 
+def _record(case: str, ok: bool, counterexample=None, **shown) -> dict:
+    """The record of one case: its name, the ``shown`` fields and its
+    status, with the counterexample ``run_suites`` writes out if it failed."""
+    return {"case": case, **shown, "status": "pass" if ok else "fail", "counterexample": counterexample}
+
+
 def _sweep(case: str, trials) -> dict:
     """One record for a sweep.  ``trials`` yields (ok, counterexample) per
     instance; the sweep stops at the first failure, which counts as
@@ -293,13 +273,8 @@ def _sweep(case: str, trials) -> dict:
     for ok, counterexample in trials:
         checked += 1
         if not ok:
-            return {
-                "case": case,
-                "checked": checked,
-                "status": "fail",
-                "counterexample": counterexample,
-            }
-    return {"case": case, "checked": checked, "status": "pass"}
+            return _record(case, False, counterexample, checked=checked)
+    return _record(case, True, checked=checked)
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +294,7 @@ def suite_gadget(seed: int):
     for case, a, b, c in cases:
         expected = 1 if (a or b or c) else 0
         got = gadget_extension_count(a, b, c)
-        yield {
-            "case": case,
-            "expected": expected,
-            "got": got,
-            "status": "pass" if got == expected else "fail",
-        }
+        yield _record(case, got == expected, expected=expected, got=got)
 
 
 def suite_reduction(seed: int):
@@ -340,13 +310,7 @@ def suite_reduction(seed: int):
         graph, size, multiplier = x3sat_to_graph(f)
         got = multiplier * count_is_of_size(graph, size)
         ok = size == target and got == expected and got == count_x3sat(f)
-        yield {
-            "case": f"worked instance m={len(f.clauses)}",
-            "expected": expected,
-            "got": got,
-            "status": "pass" if ok else "fail",
-            "counterexample": None if ok else _cnf_dump(f),
-        }
+        yield _record(f"worked instance m={len(f.clauses)}", ok, _cnf_dump(f), expected=expected, got=got)
 
     def parsimony():
         for _ in range(30):
@@ -394,12 +358,8 @@ def suite_clone_identity(seed: int):
 
     k2, spec = complete_graph(2), (1,)
     lhs = isp_eval(s_clone(k2, spec), 2)
-    yield {
-        "case": "worked master identity K2, S={1}, x=2",
-        "expected": "21/1",
-        "got": format_rational(lhs),
-        "status": "pass" if lhs == 21 and master_identity_holds(k2, spec, 2) else "fail",
-    }
+    ok = lhs == 21 and master_identity_holds(k2, spec, 2)
+    yield _record("worked master identity K2, S={1}, x=2", ok, expected="21/1", got=format_rational(lhs))
 
     def master():
         for _ in range(18):
@@ -488,12 +448,8 @@ def suite_pipeline(seed: int):
         n = rng.randint(1, 5)
         g = random_graph(rng, n)
         for x in (Fraction(2), Fraction(1, 2)):
-            ok = interpolate_coeffs(g, x) == isp_coeffs(g)
-            yield {
-                "case": f"interpolation graph {index} (n={n}) at x={format_rational(x)}",
-                "status": "pass" if ok else "fail",
-                "counterexample": None if ok else _graph_dump(g),
-            }
+            case = f"interpolation graph {index} (n={n}) at x={format_rational(x)}"
+            yield _record(case, interpolate_coeffs(g, x) == isp_coeffs(g), _graph_dump(g))
 
     # Cross-check the definitional evaluators against each other.
     def evaluators():
@@ -512,14 +468,13 @@ def suite_normalizer(seed: int):
         Fraction(-5, 4): Fraction(360),
     }
     for x, target in expectations.items():
-        plan = normalize_point(x)
-        ok = plan.target_point == target
-        yield {
-            "case": f"plan target at x={format_rational(x)}",
-            "expected": format_rational(target),
-            "got": format_rational(plan.target_point),
-            "status": "pass" if ok else "fail",
-        }
+        got = normalize_point(x).target_point
+        yield _record(
+            f"plan target at x={format_rational(x)}",
+            got == target,
+            expected=format_rational(target),
+            got=format_rational(got),
+        )
 
     def plans():
         for x in expectations:
@@ -544,13 +499,13 @@ SUITES = {
 DEFAULT_SEED = 7
 
 
-def run_suites(names, seed: int, emit, dump_dir=None) -> bool:
+def run_suites(names, seed: int, emit, dump_dir=None) -> tuple:
     """Run the named suites, emitting one record dict per case through
     ``emit``.  Failing cases get their counterexample inputs written under
     ``dump_dir`` (if given) and the record lists the file paths.  Returns
-    True when every case passed."""
-    all_ok = True
-    case_index = 0
+    (passed, failed): how many records had status "pass" and how many
+    had any other."""
+    passed = failed = 0
     for name in names:
         if name not in SUITES:
             raise DomainError(f"unknown suite {name!r}")
@@ -558,10 +513,12 @@ def run_suites(names, seed: int, emit, dump_dir=None) -> bool:
             record = dict(record)
             record["suite"] = name
             counterexample = record.pop("counterexample", None)
-            if record["status"] != "pass":
-                all_ok = False
+            if record["status"] == "pass":
+                passed += 1
+            else:
                 if counterexample and dump_dir:
-                    case_dir = os.path.join(dump_dir, f"case-{case_index:03d}")
+                    # numbered by the case's position in the run
+                    case_dir = os.path.join(dump_dir, f"case-{passed + failed:03d}")
                     os.makedirs(case_dir, exist_ok=True)
                     paths = []
                     for filename, content in counterexample.items():
@@ -570,6 +527,6 @@ def run_suites(names, seed: int, emit, dump_dir=None) -> bool:
                             handle.write(content)
                         paths.append(path)
                     record["counterexample_files"] = paths
+                failed += 1
             emit(record)
-            case_index += 1
-    return all_ok
+    return passed, failed

@@ -36,7 +36,7 @@ from indpoly import (
 from indpoly.verify import (
     STANDARD_WEIGHTS,
     all_graphs,
-    canonical_3cnf_formulas,
+    all_3cnf_formulas,
     comb_identity_holds,
     gadget_extension_count,
     k_clone_identity_holds,
@@ -71,10 +71,9 @@ def test_criterion_1_gadget_parsimony():
 
 def test_criterion_2_end_to_end_3sat():
     started = time.perf_counter()
-    # Exhaustive clause shapes over 3 variables, m <= 2, one representative
-    # per variable-permutation orbit.
-    formulas = canonical_3cnf_formulas(3, 2)
-    assert len(formulas) > 100
+    # Every formula of up to 2 clauses over 3 variables.
+    formulas = all_3cnf_formulas(3, 2)
+    assert len(formulas) == 903
     for f in formulas:
         direct = count_sat(f)
         assert direct == count_x3sat(reduce_to_x3sat(f))
@@ -114,7 +113,7 @@ def test_criterion_3_graph_reduction_bijection():
 def test_criterion_4_size_laws():
     started = time.perf_counter()
     rng = random.Random(2028)
-    for f in canonical_3cnf_formulas(3, 2):
+    for f in all_3cnf_formulas(3, 2):
         reduced = reduce_to_x3sat(f)
         assert len(reduced.clauses) == 5 * len(f.clauses)
         assert reduced.variable_count == f.variable_count + 6 * len(f.clauses)

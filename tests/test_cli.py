@@ -433,6 +433,7 @@ class TestVerifyCommand:
 
     def test_failed_suite_exits_with_domain_code(self, monkeypatch, tmp_path, capsys):
         def failing_suite(seed):
+            yield {"case": "fabricated pass", "status": "pass"}
             yield {"case": "fabricated failure", "status": "fail"}
 
         monkeypatch.setitem(SUITES, "_fabricated", failing_suite)
@@ -443,10 +444,10 @@ class TestVerifyCommand:
         finally:
             _build_parser.cache_clear()
         assert code == 1
-        case, summary = records_of(capsys.readouterr().out)
-        assert case["status"] == "fail"
+        *cases, summary = records_of(capsys.readouterr().out)
+        assert [r["status"] for r in cases] == ["pass", "fail"]
         assert summary["command"] == "verify"
-        assert summary["status"] == "fail" and summary["failed"] == 1
+        assert (summary["passed"], summary["failed"], summary["status"]) == (1, 1, "fail")
 
     def test_seed_changes_sampled_cases(self):
         a = run_cli("verify", "--suite", "clone-identity", "--seed", "1")

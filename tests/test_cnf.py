@@ -23,7 +23,7 @@ from indpoly import (
     x3sat_to_graph,
 )
 from indpoly.verify import (
-    canonical_3cnf_formulas,
+    all_3cnf_formulas,
     gadget_extension_count,
     random_3cnf,
     random_x3sat,
@@ -287,7 +287,7 @@ class TestReduceToX3Sat:
             reduce_to_x3sat(CnfFormula(4, [[1, 2, 3, 4]]))
 
     def test_parsimony_exhaustive_small(self):
-        for f in canonical_3cnf_formulas(2, 1):
+        for f in all_3cnf_formulas(2, 1):
             assert count_sat(f) == count_x3sat(reduce_to_x3sat(f))
 
     def test_parsimony_with_complementary_pair(self):

@@ -26,6 +26,11 @@ A fifth guard keeps one integer rule: only ``rationals.py``, where
 ``_is_int`` lives, calls ``isinstance(..., bool)``, so no module can
 spell its own copy of the rule.
 
+A sixth guard keeps one record shape in ``verify.py``: only its
+``_record`` builder sets a record's ``"status"``, in a dict literal or by
+item assignment, so "pass" or "fail" is decided in one place and every
+record carries its counterexample the same way.
+
 A last check keeps the public surface honest: every name in
 ``indpoly.__all__`` is an attribute of the package, so deleting a function
 cannot leave a stale export behind.
@@ -280,3 +285,46 @@ def test_only_rationals_checks_for_bool():
     assert offenders == []
     rationals = PACKAGE / "rationals.py"
     assert bool_checks(ast.parse(rationals.read_text(), filename=str(rationals)))
+
+
+def status_settings(tree):
+    """Line of every dict literal with a ``"status"`` key, and of every
+    ``[...]["status"] = ...`` assignment, outside a function ``_record``."""
+    builder = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_record":
+            builder |= {id(inner) for inner in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in builder:
+            continue
+        if isinstance(node, ast.Dict):
+            keys = node.keys
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            keys = [node.slice]
+        else:
+            continue
+        if any(isinstance(key, ast.Constant) and key.value == "status" for key in keys):
+            found.append(node.lineno)
+    return found
+
+
+def test_status_guard_catches_records_built_by_hand():
+    source = (
+        "def _record(case, ok):\n"
+        "    return {'case': case, 'status': 'pass' if ok else 'fail'}\n"
+        "def suite(seed):\n"
+        "    yield {'case': 'c', 'status': 'pass'}\n"
+        "    record = {'case': 'c', 'got': 1}\n"
+        "    record['status'] = 'fail'\n"
+        "    if record['status'] == 'pass':\n"
+        "        yield {**record, 'expected': 1}\n"
+    )
+    assert sorted(status_settings(ast.parse(source))) == [4, 6]
+
+
+def test_verify_sets_status_only_in_record_builder():
+    path = PACKAGE / "verify.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert status_settings(tree) == []
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "_record" for node in ast.walk(tree))

@@ -21,6 +21,7 @@ from indpoly import (
     comb,
     complete_graph,
     count_is_of_size,
+    cycle_graph,
     delete_vertex,
     edgeless_graph,
     graph_from_json_dict,
@@ -156,6 +157,10 @@ class TestGraphBasics:
             require_int(lambda g: path_weights(2, -1)),
             require_int(lambda g: count_is_of_size(g, 1.5)),
             require_int(lambda g: Graph(-1)),
+            require_int(lambda g: path_graph(2.5)),
+            require_int(lambda g: complete_graph(2.5)),
+            require_int(lambda g: cycle_graph(3.5)),
+            require_int(lambda g: cycle_graph(2)),
             require_int(lambda g: CnfFormula(True, []), FormulaError),
         ],
     )

@@ -474,6 +474,16 @@ class TestInterpolatePipeline:
         with pytest.raises(CapacityError, match=re.escape("clone 0 (0 leaves per vertex): 3-vertex")):
             interpolate_coeffs(complete_graph(3), 2, oracle=BoundedOracle())
 
+    @pytest.mark.parametrize("answer", [2.5, True])
+    def test_inexact_answer_is_oracle_error_per_clone(self, answer):
+        class InexactOracle:
+            def evaluate(self, g, x):
+                return answer
+
+        shown = f"clone 0 (0 leaves per vertex): not an exact rational: {answer!r}"
+        with pytest.raises(OracleError, match=re.escape(shown)):
+            interpolate_coeffs(complete_graph(3), 2, oracle=InexactOracle())
+
 
 class TestInterpolateAgainstEnumeration:
     # The points from -1/2 on are degenerate for the path reduction; the

@@ -8,8 +8,8 @@ import indpoly.verify
 from indpoly import DomainError, graph_to_text
 from indpoly.verify import (
     SUITES,
+    all_3cnf_formulas,
     all_graphs,
-    canonical_3cnf_formulas,
     random_3cnf,
     random_graph,
     random_x3sat,
@@ -46,20 +46,20 @@ class TestGenerators:
                 assert len(clause) in (2, 3)
                 assert len({abs(l) for l in clause}) == len(clause)
 
-    def test_canonical_formulas_cover_symmetry_classes(self):
-        # 41 single-clause shapes fall into 12 orbits under the 6 variable
-        # permutations (2 width-1, 4 width-2, 6 width-3); plus the empty
-        # formula
-        formulas = canonical_3cnf_formulas(3, 1)
-        assert len(formulas) == 1 + 12
-        assert len(canonical_3cnf_formulas(3, 2)) == 188
+    def test_all_3cnf_formulas_counts(self):
+        # 6 + 15 + 20 = 41 clauses of width 1..3 over 3 variables; the
+        # formulas are the multisets of up to max_clauses of them.
+        formulas = all_3cnf_formulas(3, 1)
+        assert len(formulas) == 1 + 41
+        assert formulas[0].clauses == ()
+        assert len(set(formulas)) == len(formulas)
+        assert len(all_3cnf_formulas(3, 2)) == 1 + 41 + 41 * 42 // 2 == 903
 
 
 class TestRunSuites:
     def test_all_registered_suites_pass(self):
         records = []
-        ok = run_suites(list(SUITES), 7, records.append)
-        assert ok
+        assert run_suites(list(SUITES), 7, records.append) == (len(records), 0)
         assert all(r["status"] == "pass" for r in records)
         assert {r["suite"] for r in records} == set(SUITES)
         # The seed-7 report is pinned: refactors must keep it byte-identical.
@@ -80,6 +80,7 @@ class TestRunSuites:
 
     def test_failure_writes_counterexample_files(self, tmp_path):
         def failing_suite(seed):
+            yield {"case": "fabricated pass", "status": "pass"}
             yield {
                 "case": "fabricated failure",
                 "status": "fail",
@@ -89,11 +90,12 @@ class TestRunSuites:
         SUITES["_fabricated"] = failing_suite
         try:
             records = []
-            ok = run_suites(["_fabricated"], 7, records.append, dump_dir=str(tmp_path))
-            assert not ok
-            (record,) = records
-            assert record["status"] == "fail"
-            (path,) = record["counterexample_files"]
+            passed_failed = run_suites(["_fabricated"], 7, records.append, dump_dir=str(tmp_path))
+            assert passed_failed == (1, 1)
+            assert [r["status"] for r in records] == ["pass", "fail"]
+            # Counterexample directories are numbered by position in the run.
+            (path,) = records[1]["counterexample_files"]
+            assert Path(path).parent.name == "case-001"
             with open(path) as handle:
                 assert handle.read() == "p cnf 1 1\n1 0\n"
         finally:
