@@ -2,8 +2,10 @@
 
 I(G; X) has degree alpha(G).  A partition of V into d cliques proves
 alpha(G) <= d, so d+1 coefficients describe it, and the graph itself
-states the first h = min(3, d): a_0 = 1, a_1 = n and a_2 = C(n, 2) - |E|.
-The other max(d - 2, 1) need as many distinct sample points.  Instead
+states the first h = min(4, d): a_0 = 1, a_1 = n, a_2 = C(n, 2) - |E| and
+a_3 = C(n, 3) - |E|(n - 2) + sum_v C(deg v, 2) - T for T triangles, by
+inclusion-exclusion over the edges a vertex triple holds.  The other
+max(d - 3, 1) need as many distinct sample points.  Instead
 of moving the point, the clone family moves the graph: member k is the
 comb that hangs k leaves on every vertex, and evaluating it at the
 single fixed point x yields (1 + x)^(kn) * I(G; r_k) at the shifted
@@ -13,6 +15,7 @@ q^j * s^(d - j), j >= h, which are pairwise distinct for every x
 outside {0, -1, -2}.  An exact integer solve recovers the remaining
 coefficients, at x = 2 as at x = -1/2."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -35,10 +38,17 @@ print("The clone family at x = 2 for the 9-cycle")
 print("=" * 64)
 cover = clique_cover(g)
 d = len(cover)
-members = max(d - 2, 1)
+members = max(d - 3, 1)
 print(f"clique cover {[list(part) for part in cover]} certifies degree <= d = {d}")
-stated = [1, g.n, math.comb(g.n, 2) - g.edge_count][: min(3, d)]
-print(f"the graph states a_0 .. a_{len(stated) - 1} = {stated} (1, n and C(n, 2) - |E|)")
+wedges = sum(math.comb(g.degree(v), 2) for v in range(g.n))
+triangles = sum(
+    g.has_edge(u, v) and g.has_edge(u, w) and g.has_edge(v, w)
+    for u, v, w in itertools.combinations(range(g.n), 3)
+)
+triples = math.comb(g.n, 3) - g.edge_count * (g.n - 2) + wedges - triangles
+stated = [1, g.n, math.comb(g.n, 2) - g.edge_count, triples][: min(4, d)]
+print(f"the graph states a_0 .. a_{len(stated) - 1} = {stated} (1, n, C(n, 2) - |E| and the independent triples)")
+assert stated == list(isp_coeffs(g).coeffs[: len(stated)])
 print(f"{'k':>2}  {'leaves':<8} {'r_k':<12} clone vertices")
 for k in range(members):
     print(f"{k:>2}  {k:<8} {format_rational(x / (1 + x) ** k):<12} {comb(g, k).n}")
@@ -49,7 +59,7 @@ print("Interpolation against the definitional evaluator")
 print("=" * 64)
 recovered = interpolate_coeffs(g, x)
 direct = isp_coeffs(g)
-print(f"max(d-2, 1) = {members} oracle calls at the single point x = 2 recover:")
+print(f"max(d-3, 1) = {members} oracle calls at the single point x = 2 recover:")
 print(f"  interpolated: {[format_rational(c) for c in recovered.coeffs]}")
 print(f"  enumerated:   {[format_rational(c) for c in direct.coeffs]}")
 assert recovered == direct

@@ -154,8 +154,8 @@ def normalize_point(x) -> TransformPlan:
 
     Nondegenerate x need no steps.  For x < -2 a single 2-clone lands on
     (1+x)^2 - 1 > 0.  For degenerate x in (-2, 0) a comb step with the
-    smallest even k >= 2 satisfying x/(1+x)^k < -2 (found by exact
-    rational search) is followed by a 2-clone."""
+    smallest even k >= 2 satisfying x/(1+x)^k < -2 (found by an exact
+    search over the integers) is followed by a 2-clone."""
     x = as_rational(x)
     if x in (0, -1, -2):
         raise DomainError(
@@ -167,11 +167,11 @@ def normalize_point(x) -> TransformPlan:
     if x < -2:
         target = (1 + x) ** 2 - 1
         return TransformPlan(x, (("two_clone",),), target, 0)
-    # Remaining range: -2 < x <= -1/4, x != -1, so 0 < |1+x| < 1 and the
-    # shifted point x/(1+x)^k diverges to -infinity along even k.
-    k = 2
-    while x / (1 + x) ** k >= -2:
+    # Remaining range: -2 < x <= -1/4, x != -1, so 0 < |1+x| < 1 and the shifted
+    # point x/(1+x)^k = p q^(k-1) / (p+q)^k diverges to -infinity along even k.
+    p, q, k = x.numerator, x.denominator, 2
+    while p * q ** (k - 1) >= -2 * (p + q) ** k:
         k += 2
-    y = x / (1 + x) ** k
+    y = Fraction(p * q ** (k - 1), (p + q) ** k)
     target = (1 + y) ** 2 - 1
     return TransformPlan(x, (("comb", k), ("two_clone",)), target, 2 * k)

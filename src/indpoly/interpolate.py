@@ -7,9 +7,20 @@ distinct points determines it.  ``graphs.clique_cover`` builds such a
 partition greedily; ``interpolate_family`` is handed the partition and
 checks it exactly before trusting its size.
 
-The definition states the first h = min(3, d) coefficients: a_0 = 1,
-a_1 = n and a_2 = C(n, 2) - |E|, the vertex pairs that are not edges.
-The clone family supplies the other d + 1 - h = max(d - 2, 1)
+The definition states the first h = min(4, d) coefficients: a_0 = 1,
+a_1 = n, a_2 = C(n, 2) - |E|, the vertex pairs that are not edges, and
+a_3, the vertex triples that hold no edge.  By inclusion-exclusion over
+the edges a triple holds,
+
+    a_3 = C(n, 3) - |E|(n - 2) + sum_v C(deg v, 2) - T,
+
+with T the number of triangles: each edge lies in n - 2 triples, two
+edges lie in one triple exactly when they share a vertex, and three
+only in a triangle.  Summing |N(u) & N(v)| over the edges uv counts
+every triangle once per edge, 3T, so a_3 costs one pass over the
+neighbour masks, O(n + |E|) popcounts.  (a_4 would need the count of
+every 4-vertex subgraph type, so the definition stops at a_3.)
+The clone family supplies the other d + 1 - h = max(d - 3, 1)
 evaluations at the one point x, from members k = 0 .. d - h.  Member k
 is the comb ``graphs.comb(g, k)``: G with k pendant leaves on every
 vertex.  An independent set S of G extends to the comb by any set of
@@ -51,16 +62,16 @@ with no change of point.
 Every graph takes this one path, and every call queries the oracle at
 least once.  For d = 0, the bound of the empty graph, the only member is
 comb 0: the graph itself, with F_0 = raw_0 and the single node W_0 = 1.
-For d = 1 and d = 2 the only member, comb 0, answers for a_d.  The
+For d = 1, 2 and 3 the only member, comb 0, answers for a_d.  The
 answers are checked through a_h .. a_d; a_0 .. a_(h-1) come from the
 definition and cannot be wrong.
 
 The paper's family has only polylog(n) blow-up per vertex, which its
 hardness reduction needs; exact answers do not.  Its largest clone has
 n*L(L+2) vertices, with L = floor(log2 d) + 1, and L clones of every
-vertex in its 2-core; the largest comb queried has n(d - 2) vertices
-for d >= 3 (n for d < 3) and G's own 2-core, and it is no larger for
-every d <= 50.
+vertex in its 2-core; the largest comb queried has n(d - 3) vertices
+for d >= 4 (n for d < 4) and G's own 2-core, and it is no larger for
+every d <= 51.
 """
 
 from __future__ import annotations
@@ -164,13 +175,33 @@ def interpolate_coeffs(g: Graph, x, oracle=None) -> Polynomial:
     return interpolate_family(g, clique_cover(g), x, oracle)
 
 
+def _independent_triples(g: Graph) -> int:
+    """a_3, the vertex triples that hold no edge, as the module docstring
+    derives: one pass over the neighbour masks adds C(deg v, 2) for each
+    vertex v and |N(u) & N(v)| for each edge uv, u < v, which sums to 3T
+    for T triangles."""
+    masks = g.neighbor_masks()
+    degrees = wedges = triangles3 = 0
+    for v, nbrs in enumerate(masks):
+        deg = nbrs.bit_count()
+        degrees += deg
+        wedges += deg * (deg - 1) // 2
+        below = nbrs & ((1 << v) - 1)
+        while below:
+            b = below & -below
+            below ^= b
+            triangles3 += (masks[b.bit_length() - 1] & nbrs).bit_count()
+    return math.comb(g.n, 3) - degrees // 2 * (g.n - 2) + wedges - triangles3 // 3
+
+
 def interpolate_family(g: Graph, cover, x, oracle) -> Polynomial:
     """All coefficients of I(G; X) from the comb family at x, sized by a
-    certified degree bound d: take a_0 = 1, a_1 = n and a_2 = C(n, 2) - |E|
-    from the graph (the first h = min(3, d) of them), evaluate comb
-    k = 0 .. d - h at x with the oracle, which is max(d - 2, 1) queries,
-    and solve the answers for a_h .. a_d exactly, over the integers, as
-    the module docstring derives.
+    certified degree bound d: take a_0 = 1, a_1 = n, a_2 = C(n, 2) - |E|
+    and a_3, the independent triples, from the graph (the first
+    h = min(4, d) of them), evaluate comb k = 0 .. d - h at x with the
+    oracle, which is max(d - 3, 1) queries, and solve the answers for
+    a_h .. a_d exactly, over the integers, as the module docstring
+    derives.
 
     The certificate is ``cover``, a partition of G's vertices into d
     cliques, checked exactly.  The points x = 0, -1 and -2 raise
@@ -193,7 +224,9 @@ def interpolate_family(g: Graph, cover, x, oracle) -> Polynomial:
     p, q = x.numerator, x.denominator
     s = p + q
     n, d = g.n, len(cover)
-    coeffs = [1, n, math.comb(n, 2) - g.edge_count][: min(3, d)]  # the stated a_0 .. a_(h-1)
+    coeffs = [1, n, math.comb(n, 2) - g.edge_count][:d]  # the stated a_0 .. a_(h-1)
+    if d >= 4:
+        coeffs.append(_independent_triples(g))
     h = len(coeffs)
     # s^(d(n-d)) * F_k = nums[k] / dens[k], with F_k as in the module docstring.
     nums, dens = [], []

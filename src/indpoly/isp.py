@@ -33,7 +33,8 @@ and tested against each other:
   maximum induced degree (a leaf's neighbour has another neighbour in the
   component), so the search, which never expands a leaf, sees every
   candidate.  The host-leaf mask (``_host_leaves``) is the only per-call
-  setup.
+  setup; vertices isolated in the host graph are left out of every
+  search at once and counted with the other isolated vertices.
   ``isp_coeffs`` and ``count_is_of_size`` read all coefficients off one
   evaluation at X = 2^(n+1) (Kronecker substitution: every coefficient
   is a non-negative integer below 2^(n+1), so the value's base-2^(n+1)
@@ -144,6 +145,8 @@ def isp_eval(g: Graph, x) -> Fraction:
     masks = g.neighbor_masks()
     full = (1 << g.n) - 1
     non_leaves = full ^ _host_leaves(masks)
+    if 0 in masks:  # no search starts at an isolated vertex: the final (q + p) ** popcount counts it
+        non_leaves &= int("".join("1" if nbrs else "0" for nbrs in reversed(masks)), 2)
     memo = {}
     stars = {}  # J of a star on t leaves, by t
 

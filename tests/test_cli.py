@@ -236,7 +236,7 @@ class TestPolynomialCommands:
         # The external-oracle contract: query i is on comb(g, i), G with i
         # leaves on every vertex, at the given point, for the members
         # ``family_members`` lists.
-        g = random_graph(random.Random(46), 8, 0.3)
+        g = random_graph(random.Random(46), 9, 0.3)  # d = 5, so two members
         path = tmp_path / "g.json"
         path.write_text(json.dumps(graph_to_json_dict(g)))
         proc = run_cli("interpolate", str(path), "--at", "1/2", "--oracle", conforming_oracle(tmp_path))
@@ -254,7 +254,7 @@ class TestPolynomialCommands:
             "degree_bound": len(clique_cover(g)),
             "graph": str(path),
             "oracle": "external_command",
-            "vertices": 8,
+            "vertices": 9,
         }
 
 

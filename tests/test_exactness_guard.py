@@ -31,6 +31,14 @@ A sixth guard keeps one record shape in ``verify.py``: only its
 item assignment, so "pass" or "fail" is decided in one place and every
 record carries its counterexample the same way.
 
+A seventh guard keeps the oracle the only evaluator in the family solve:
+the body of ``interpolate_family``, and of every function of its module
+that it calls, calls no function that ``isp.py`` defines (under any name
+a relative import gives it, bare or as an attribute), and no
+``.evaluate`` but ``oracle.evaluate``.  The stated coefficients come from
+the graph alone; a hidden kernel call could stand in for the oracle's
+answers and leave the check on them vacuous.
+
 A last check keeps the public surface honest: every name in
 ``indpoly.__all__`` is an attribute of the package, so deleting a function
 cannot leave a stale export behind.
@@ -328,3 +336,72 @@ def test_verify_sets_status_only_in_record_builder():
     tree = ast.parse(path.read_text(), filename=str(path))
     assert status_settings(tree) == []
     assert any(isinstance(node, ast.FunctionDef) and node.name == "_record" for node in ast.walk(tree))
+
+
+def kernel_calls(tree, kernel, root="interpolate_family"):
+    """(line, call) of every call that can reach the kernel from the body
+    of the module function ``root``, or of a module function it calls: a
+    call of a name in ``kernel`` or of an alias a relative ``isp`` import
+    gives one, a call of an attribute named in ``kernel``, and an
+    ``.evaluate`` on anything but ``oracle``."""
+    local = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    names = set(kernel) | {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module == "isp"
+        for alias in node.names
+        if alias.name in kernel
+    }
+    found, seen, todo = [], set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(local[name]):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                if func.id in names:
+                    found.append((node.lineno, func.id))
+                elif func.id in local:
+                    todo.append(func.id)
+            elif isinstance(func, ast.Attribute) and (
+                func.attr in kernel
+                or func.attr == "evaluate" and not (isinstance(func.value, ast.Name) and func.value.id == "oracle")
+            ):
+                found.append((node.lineno, ast.unparse(func)))
+    return sorted(found)
+
+
+def test_kernel_call_guard_catches_hidden_evaluations():
+    source = (
+        "from .isp import Polynomial, isp_eval as ev\n"
+        "def interpolate_family(g, cover, x, oracle):\n"
+        "    oracle.evaluate(g, x)\n"
+        "    ev(g, x)\n"
+        "    isp.isp_coeffs(g)\n"
+        "    InternalOracle().evaluate(g, x)\n"
+        "    helper(g)\n"
+        "    return Polynomial([1])\n"
+        "def helper(g):\n"
+        "    helper(g)\n"
+        "    return isp_eval(g, 2)\n"
+        "def unused(g):\n"
+        "    return isp_eval(g, 2)\n"
+    )
+    assert kernel_calls(ast.parse(source), {"isp_eval", "isp_coeffs"}) == [
+        (4, "ev"),
+        (5, "isp.isp_coeffs"),
+        (6, "InternalOracle().evaluate"),
+        (11, "isp_eval"),
+    ]
+
+
+def test_interpolate_family_evaluates_only_through_the_oracle():
+    isp = PACKAGE / "isp.py"
+    kernel = {node.name for node in ast.parse(isp.read_text()).body if isinstance(node, ast.FunctionDef)}
+    assert {"isp_eval", "isp_coeffs"} <= kernel
+    path = PACKAGE / "interpolate.py"
+    assert kernel_calls(ast.parse(path.read_text(), filename=str(path)), kernel) == []

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -64,16 +65,25 @@ class RecordingOracle:
 def family_members(g, x, cover=None):
     """The queries interpolate_family makes for a cover of d cliques (the
     greedy ``clique_cover(g)`` by default), in order: comb(g, k) at x for
-    k = 0 .. max(d - 2, 1) - 1.  The graph states a_0, a_1 and a_2, so
-    the oracle answers for the rest."""
+    k = 0 .. max(d - 3, 1) - 1.  The graph states a_0 .. a_3, so the
+    oracle answers for the rest."""
     d = len(clique_cover(g) if cover is None else cover)
-    return [(comb(g, k), x) for k in range(max(d - 2, 1))]
+    return [(comb(g, k), x) for k in range(max(d - 3, 1))]
+
+
+def independent_triples(g):
+    """a_3 by brute force: the vertex triples with no edge among them."""
+    return sum(
+        not (g.has_edge(u, v) or g.has_edge(u, w) or g.has_edge(v, w))
+        for u, v, w in itertools.combinations(range(g.n), 3)
+    )
 
 
 def stated_prefix(g, d):
-    """The coefficients a_0 .. a_(h-1), h = min(3, d), that
-    interpolate_family takes from the graph: 1, n and C(n, 2) - |E|."""
-    return [1, g.n, math.comb(g.n, 2) - g.edge_count][: min(3, d)]
+    """The coefficients a_0 .. a_(h-1), h = min(4, d), that
+    interpolate_family takes from the graph: 1, n, C(n, 2) - |E| and the
+    independent triples, counted here over every triple."""
+    return [1, g.n, math.comb(g.n, 2) - g.edge_count, independent_triples(g)][: min(4, d)]
 
 
 def family_run(g, x, cover=None):
@@ -162,7 +172,7 @@ class TestBuildCloneFamily:
         singletons = tuple((v,) for v in range(5))
         _, queries, answers = family_run(g, 2, singletons)
         assert queries == family_members(g, 2, singletons)
-        assert len(queries) == len(answers) == 3
+        assert len(queries) == len(answers) == 2
         for i, ((clone, x), answer) in enumerate(zip(queries, answers)):
             y = Fraction(2, 3**i)
             assert x == 2
@@ -171,12 +181,12 @@ class TestBuildCloneFamily:
             assert clone.n == 5 * (i + 1)
 
     def test_dump_records_count_the_graph_not_the_degree(self):
-        # The family has max(d - 2, 1) members, but each member's size
+        # The family has max(d - 3, 1) members, but each member's size
         # follows n.
         g = path_graph(5)  # cover of 3 cliques, so d = 3 < n = 5
         assert len(clique_cover(g)) == 3
         singletons = tuple((v,) for v in range(5))
-        for cover, members in ((clique_cover(g), 1), (singletons, 3)):
+        for cover, members in ((clique_cover(g), 1), (singletons, 2)):
             _, queries, _ = family_run(g, 2, cover)
             assert queries == family_members(g, 2, cover)
             assert len(queries) == members
@@ -185,12 +195,12 @@ class TestBuildCloneFamily:
 
     def test_points_pairwise_distinct(self):
         # The edgeless graph has d = n, the widest family for its size, so
-        # its exact recovery needs all max(n - 2, 1) members to be
+        # its exact recovery needs all max(n - 3, 1) members to be
         # independent.
         for x in (Fraction(2), Fraction(1, 2), Fraction(-1, 2), Fraction(-3)):
             for n in range(1, 8):
                 poly, queries, _ = family_run(edgeless_graph(n), x)
-                assert len(queries) == max(n - 2, 1)
+                assert len(queries) == max(n - 3, 1)
                 assert poly == Polynomial([math.comb(n, k) for k in range(n + 1)])
 
     def test_offset_is_one_at_integer_eigenvalue_points(self):
@@ -241,12 +251,12 @@ class TestBuildCloneFamily:
     @example((path_graph(4), ((0,), (1,), (2, 3))), Fraction(-3))  # d = 3
     @example((edgeless_graph(8), tuple((v,) for v in range(8))), Fraction(-3, 2))  # d = n
     def test_family_law_on_any_cover(self, family, x):
-        # max(d - 2, 1) queries, comb 0, comb 1, ... in order, answered as
+        # max(d - 3, 1) queries, comb 0, comb 1, ... in order, answered as
         # the comb identity says, and I(G; X) exactly.
         g, cover = family
         result, queries, answers = family_run(g, x, cover)
         assert queries == family_members(g, x, cover)
-        assert len(queries) == max(len(cover) - 2, 1)
+        assert len(queries) == max(len(cover) - 3, 1)
         assert answers == comb_answers(g, queries)
         assert result == isp_coeffs_by_enumeration(g)
 
@@ -273,7 +283,7 @@ class TestBuildCloneFamily:
 def polynomial_families(draw):
     """A covered graph on at most 7 vertices, a point outside {0, -1, -2}
     and a polynomial of degree at most the cover's size.  Its first
-    min(3, d) coefficients are the graph's (``stated_prefix``) or, in a
+    min(4, d) coefficients are the graph's (``stated_prefix``) or, in a
     tampered family, drawn like the rest: counts in range or arbitrary
     rationals."""
     g, cover = draw(covered_graphs())
@@ -283,6 +293,24 @@ def polynomial_families(draw):
         count = st.integers(int(k == 0), math.comb(g.n, k))
         coeffs.append(draw(st.one_of(count, rational)))
     return g, cover, draw(POINTS), Polynomial(coeffs)
+
+
+class TestStatedTriples:
+    """a_3, the coefficient interpolate_family states by inclusion-exclusion
+    over the edges a triple holds, against subset enumeration and against
+    a count over every triple."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(max_n=10))
+    @example(Graph(1))
+    @example(complete_graph(3))  # one triangle
+    @example(complete_graph(4))  # four triangles
+    @example(edgeless_graph(10))
+    @example(Graph(6, [(0, 1), (1, 2), (0, 2), (2, 3)]))  # a triangle, a pendant, two isolated vertices
+    @example(Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4)]))  # a star: wedges, no triangle
+    def test_matches_enumeration(self, g):
+        stated = indpoly.interpolate._independent_triples(g)
+        assert stated == isp_coeffs_by_enumeration(g).coefficient(3) == independent_triples(g)
 
 
 class TestLagrange:
@@ -408,15 +436,14 @@ class TestInterpolatePipeline:
             interpolate_coeffs(Graph(0), x)
 
     def test_family_route_matches(self):
-        # The singleton partition certifies d = n, so n - 2 members: the
-        # graph states a_0, a_1 and a_2, and the oracle answers for the
-        # rest.
+        # The singleton partition certifies d = n, so n - 3 members: the
+        # graph states a_0 .. a_3, and the oracle answers for the rest.
         g = path_graph(5)
         oracle = RecordingOracle()
         singletons = tuple((v,) for v in range(g.n))
         assert interpolate_family(g, singletons, Fraction(1, 2), oracle) == isp_coeffs_by_enumeration(g)
         assert oracle.queries == family_members(g, Fraction(1, 2), singletons)
-        assert len(oracle.queries) == g.n - 2
+        assert len(oracle.queries) == g.n - 3
 
     def test_every_degree_bound_from_cover_to_n_agrees(self):
         # Splitting parts of the greedy cover into singletons gives a finer
@@ -548,15 +575,18 @@ class TestMemberWork:
     stars were branched on (and the family had d + 1 members), the branch
     nodes were x2 [68, 74, 63, 60, 60, 71] and hard [368, 379, 358, 450,
     450, 473], and the splits x2 [141, 153, 131, 126, 126, 148] and hard
-    [741, 763, 721, 906, 906, 952]."""
+    [741, 763, 721, 906, 906, 952].  When the graph stated only a_0, a_1
+    and a_2 (max(d - 2, 1) members), the branch nodes were x2 [16, 20,
+    13, 16, 15, 17] and hard [46, 52, 42, 54, 54, 64], and the splits x2
+    [34, 42, 28, 35, 33, 37] and hard [94, 106, 86, 111, 111, 131]."""
 
     BRANCH_NODES = {
-        "x2": [16, 20, 13, 16, 15, 17],
-        "hard": [46, 52, 42, 54, 54, 64],
+        "x2": [8, 10, 6, 11, 10, 11],
+        "hard": [16, 20, 14, 32, 32, 38],
     }
     COMPONENT_SPLITS = {
-        "x2": [34, 42, 28, 35, 33, 37],
-        "hard": [94, 106, 86, 111, 111, 131],
+        "x2": [17, 21, 13, 24, 22, 24],
+        "hard": [33, 41, 29, 66, 66, 78],
     }
 
     def test_same_recursion_no_edge_derivation(self, monkeypatch, branch_nodes, component_splits):

@@ -465,6 +465,13 @@ class TestKernelHelpers:
     def test_eval_with_isolated_vertices_matches_enumeration(self, g, x):
         assert isp_eval(g, x) == isp_multivariate(g, {v: x for v in range(g.n)})
 
+    def test_isolated_vertices_counted_in_one_step(self):
+        # No search starts at a vertex isolated in the host graph, so 2^16
+        # of them cost no pass each over a 2^16-bit mask.
+        n = 1 << 16
+        assert isp_eval(Graph(n), 2) == 3**n
+        assert isp_eval(Graph(n, [(0, n - 1)]), 2) == 5 * 3 ** (n - 2)
+
     @settings(max_examples=100, deadline=None)
     @given(combs(), st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(3, 7)]))
     def test_eval_on_combs_matches_enumeration(self, g, x):
