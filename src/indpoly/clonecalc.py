@@ -158,7 +158,7 @@ def normalize_point(x) -> TransformPlan:
     search over the integers) is followed by a 2-clone."""
     x = as_rational(x)
     if x in (0, -1, -2):
-        raise DomainError(
+        raise DegeneratePointError(
             f"x = {x} unsupported: the cycle-addition gadgets for these points "
             "are not implemented"
         )

@@ -6,8 +6,9 @@ class DomainError(ValueError):
 
 
 class DegeneratePointError(DomainError):
-    """Evaluation point is degenerate for the construction asked of it: the
-    path reduction (x <= -1/4 or x = 0) or the comb family (x in {0, -1, -2})."""
+    """Evaluation point is degenerate for the construction asked of it: path
+    reduction (x <= -1/4 or x = 0), the comb family or normalize_point (x in
+    {0, -1, -2})."""
 
 
 class FormulaError(DomainError):

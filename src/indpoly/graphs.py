@@ -282,14 +282,13 @@ def clique_cover(g: Graph) -> tuple:
 
 
 def _clique_partition(g: Graph, parts):
-    """For each of ``parts``, its vertex mask and the mask of its
-    neighbours outside it; None when the parts do not partition V(G) into
-    nonempty cliques.  One pass over the members checks and builds: the
-    parts must be disjoint and cover V, and a part is a clique when every
-    member's closed neighbourhood holds the whole part."""
+    """Per vertex, the masks of its part and of the part's outside neighbours
+    (two lists); None unless ``parts`` partition V(G) into nonempty cliques:
+    disjoint parts that cover V, each member's closed neighbourhood holding
+    its whole part.  One pass over the parts checks and builds."""
     masks = g.neighbor_masks()
     seen = 0
-    found = []
+    part_of, around = [0] * g.n, [0] * g.n
     for part in parts:
         whole = near = 0
         closed = -1  # the members' common closed neighbourhood
@@ -302,8 +301,11 @@ def _clique_partition(g: Graph, parts):
             closed &= masks[v] | 1 << v
         if not whole or whole & ~closed:
             return None
-        found.append((whole, near & ~whole))
-    return found if seen == (1 << g.n) - 1 else None
+        near &= ~whole
+        for v in part:
+            part_of[v] = whole
+            around[v] = near
+    return (part_of, around) if seen == (1 << g.n) - 1 else None
 
 
 def is_clique_cover(g: Graph, parts) -> bool:

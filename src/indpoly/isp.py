@@ -32,9 +32,8 @@ and tested against each other:
   Every other component has two non-leaf vertices, where no leaf has the
   maximum induced degree (a leaf's neighbour has another neighbour in the
   component), so the search, which never expands a leaf, sees every
-  candidate.  The host-leaf mask (``_host_leaves``) is the only per-call
-  setup; vertices isolated in the host graph are left out of every
-  search at once and counted with the other isolated vertices.
+  candidate.  The only per-call setup, ``_search_set``, marks the vertices
+  neither leaves nor isolated; each branch node removes one, bounding depth.
   ``isp_coeffs`` and ``count_is_of_size`` read all coefficients off one
   evaluation at X = 2^(n+1) (Kronecker substitution: every coefficient
   is a non-negative integer below 2^(n+1), so the value's base-2^(n+1)
@@ -115,26 +114,32 @@ class Polynomial:
 
 
 @contextmanager
-def _recursion_depth(n: int):
-    """Raise the interpreter's recursion limit for an n-vertex recursion,
-    restoring the previous limit on exit."""
+def _recursion_depth(frames: int):
+    """Make room for a recursion ``frames`` deep, plus a margin of 200, on
+    top of the frames already on the stack.  The interpreter's recursion
+    limit is raised, and restored on exit, only when it is too low for that."""
     previous = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(previous, 4 * n + 200))
+    try:
+        sys._getframe(previous - frames - 200)  # a frame that deep: too little room under the limit
+        sys.setrecursionlimit(previous + frames + 200)
+    except ValueError:  # no frame that deep: the recursion fits
+        previous = None
     try:
         yield
     finally:
-        sys.setrecursionlimit(previous)
+        if previous is not None:
+            sys.setrecursionlimit(previous)
 
 
-def _host_leaves(masks) -> int:
-    """Mask of host leaves: vertices of degree 1 whose neighbour has degree
-    at least 2.  Neither end of a K2 component is a leaf, so every
-    component has a non-leaf vertex to start a search."""
-    leaves = 0
+def _search_set(masks) -> int:
+    """Mask of the vertices a search may start from, expand and branch on:
+    those of degree at least 2 and both ends of each K2.  The rest are host
+    leaves (degree 1, next to degree at least 2) and isolated vertices."""
+    search = 0
     for v, nbrs in enumerate(masks):
-        if nbrs.bit_count() == 1 and masks[nbrs.bit_length() - 1].bit_count() > 1:
-            leaves |= 1 << v
-    return leaves
+        if nbrs.bit_count() > 1 or nbrs and masks[nbrs.bit_length() - 1].bit_count() == 1:
+            search |= 1 << v
+    return search
 
 
 def isp_eval(g: Graph, x) -> Fraction:
@@ -143,10 +148,7 @@ def isp_eval(g: Graph, x) -> Fraction:
     x = as_rational(x)
     p, q = x.numerator, x.denominator
     masks = g.neighbor_masks()
-    full = (1 << g.n) - 1
-    non_leaves = full ^ _host_leaves(masks)
-    if 0 in masks:  # no search starts at an isolated vertex: the final (q + p) ** popcount counts it
-        non_leaves &= int("".join("1" if nbrs else "0" for nbrs in reversed(masks)), 2)
+    search = _search_set(masks)
     memo = {}
     stars = {}  # J of a star on t leaves, by t
 
@@ -161,15 +163,15 @@ def isp_eval(g: Graph, x) -> Fraction:
     def subgraph_value(mask):
         # The split, each component multiplied in as the search closes it.
         # The search also picks the branch vertex among the vertices it
-        # expands, low (the component's smallest non-leaf id) first: maximum
+        # expands, low (the component's smallest search id) first: maximum
         # live degree, ties to the smallest id.
         result = 1
         covered = 0
-        rest = mask & non_leaves
+        rest = mask & search
         while rest:
             low = rest & -rest
             frontier = masks[low.bit_length() - 1] & mask
-            if not frontier & non_leaves:
+            if not frontier & search:
                 rest ^= low
                 if frontier:
                     # low and t of its leaves: the branch on low, the
@@ -188,7 +190,7 @@ def isp_eval(g: Graph, x) -> Fraction:
             while frontier:
                 comp |= frontier
                 nxt = 0
-                f = frontier & non_leaves
+                f = frontier & search
                 while f:
                     b = f & -f
                     f ^= b
@@ -207,8 +209,8 @@ def isp_eval(g: Graph, x) -> Fraction:
             rest &= ~comp
         return result * (q + p) ** (mask ^ covered).bit_count()
 
-    with _recursion_depth(g.n):
-        return Fraction(subgraph_value(full), q ** g.n)
+    with _recursion_depth(2 * search.bit_count() + 1):  # 2 frames a branch node, each removes a search vertex
+        return Fraction(subgraph_value((1 << g.n) - 1), q ** g.n)
 
 
 def isp_coeffs(g: Graph) -> Polynomial:
@@ -242,13 +244,8 @@ def count_transversal_is(g: Graph, parts) -> int:
     found = _clique_partition(g, parts)
     if found is None:
         raise DomainError("parts are not a partition of the vertices into cliques")
+    part_of, around = found
     masks = g.neighbor_masks()
-    part_of = [0] * g.n  # each vertex's whole part, as a bitmask
-    around = [0] * g.n  # the neighbours of each vertex's part outside it
-    for part, (part_mask, near) in zip(parts, found):
-        for v in part:
-            part_of[v] = part_mask
-            around[v] = near
     memo = {}
 
     def component_count(comp):
@@ -324,7 +321,7 @@ def count_transversal_is(g: Graph, parts) -> int:
             rest &= ~comp
         return result
 
-    with _recursion_depth(len(parts)):
+    with _recursion_depth(2 * len(parts) + 1):  # 2 frames a branch node, each removes a part
         return subgraph_count((1 << g.n) - 1)
 
 

@@ -62,3 +62,18 @@ def branch_nodes():
     of its inner ``component_value``, which only a memo miss reaches."""
     with _first_arguments({_inner(indpoly.isp.isp_eval, "component_value")}) as calls:
         yield calls
+
+
+@pytest.fixture
+def limit_writes(monkeypatch):
+    """The limits passed to ``sys.setrecursionlimit`` during the test, one
+    per call; each is still applied."""
+    writes = []
+    set_limit = sys.setrecursionlimit
+
+    def recorded(limit):
+        writes.append(limit)
+        set_limit(limit)
+
+    monkeypatch.setattr(sys, "setrecursionlimit", recorded)
+    return writes

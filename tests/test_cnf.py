@@ -584,6 +584,21 @@ class TestReductionCountsTransversals:
                 assert count_sat_via_independent_sets(f) == 0
         assert seen >= 5
 
+    def test_counts_leave_the_recursion_limit_alone(self, limit_writes):
+        # Balanced 6-variable, 5-clause formulas (each variable fills two or
+        # three of the 15 literal slots): 25 cliques, a bound of 51 frames.
+        rng = random.Random(30)
+        formulas = []
+        while len(formulas) < 50:
+            slots = [v for v in range(1, 7) for _ in range(2)] + rng.sample(range(1, 7), 3)
+            rng.shuffle(slots)
+            clauses = [slots[i:i + 3] for i in range(0, 15, 3)]
+            if all(len(set(c)) == 3 for c in clauses):
+                formulas.append(CnfFormula(6, [[v if rng.random() < 0.5 else -v for v in c] for c in clauses]))
+        for f in formulas:
+            assert reduce_to_graph(f).count() == count_sat(f)
+        assert limit_writes == []
+
     def test_pinned_fifty_clauses(self):
         rng = random.Random(50)
         f = CnfFormula(20, [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 21), 3)] for _ in range(50)])

@@ -39,6 +39,11 @@ a relative import gives it, bare or as an attribute), and no
 the graph alone; a hidden kernel call could stand in for the oracle's
 answers and leave the check on them vacuous.
 
+An eighth guard keeps the one write of process-wide state in one place:
+``sys.setrecursionlimit`` is called, or imported, only inside
+``isp._recursion_depth``, which writes the limit only when a kernel's
+depth bound does not fit under it and restores it on exit.
+
 A last check keeps the public surface honest: every name in
 ``indpoly.__all__`` is an attribute of the package, so deleting a function
 cannot leave a stale export behind.
@@ -405,3 +410,50 @@ def test_interpolate_family_evaluates_only_through_the_oracle():
     assert {"isp_eval", "isp_coeffs"} <= kernel
     path = PACKAGE / "interpolate.py"
     assert kernel_calls(ast.parse(path.read_text(), filename=str(path)), kernel) == []
+
+
+def recursion_limit_writes(tree):
+    """(line, function) of every call or import of ``setrecursionlimit``,
+    with the module function whose body holds it (None outside one)."""
+    found = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                hit = (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "setrecursionlimit"
+            else:
+                hit = isinstance(node, ast.ImportFrom) and any(a.name == "setrecursionlimit" for a in node.names)
+            if hit:
+                found.append((node.lineno, owner))
+    return sorted(found)
+
+
+def test_recursion_limit_guard_catches_writes_outside_the_helper():
+    source = (
+        "import sys\n"
+        "from sys import setrecursionlimit as limit\n"
+        "def _recursion_depth(frames):\n"
+        "    sys.setrecursionlimit(frames)\n"
+        "def kernel(g):\n"
+        "    def inner():\n"
+        "        sys.setrecursionlimit(10 ** 6)\n"
+        "    sys.getrecursionlimit()\n"
+        "sys.setrecursionlimit(5000)\n"
+    )
+    assert recursion_limit_writes(ast.parse(source)) == [(2, None), (4, "_recursion_depth"), (7, "kernel"), (9, None)]
+
+
+def test_only_the_depth_helper_sets_the_recursion_limit():
+    found = {
+        path.name: recursion_limit_writes(ast.parse(path.read_text(), filename=str(path)))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    offenders = [
+        f"{name}:{line}"
+        for name, writes in found.items()
+        for line, owner in writes
+        if (name, owner) != ("isp.py", "_recursion_depth")
+    ]
+    assert offenders == []
+    assert found["isp.py"]

@@ -570,8 +570,8 @@ class TestMemberWork:
     """Clone members are built as neighbour masks and no member derives its
     edge tuple.  The kernel's work on seeded G(9, 0.3) graphs is pinned as
     branch nodes and component splits per graph.  A component with one
-    non-leaf vertex (a star on its host leaves) is finished without a
-    branch node, so every branch node has two non-leaf vertices.  When
+    search vertex (a star on its host leaves) is finished without a
+    branch node, so every branch node has two search vertices.  When
     stars were branched on (and the family had d + 1 members), the branch
     nodes were x2 [68, 74, 63, 60, 60, 71] and hard [368, 379, 358, 450,
     450, 473], and the splits x2 [141, 153, 131, 126, 126, 148] and hard
@@ -591,21 +591,21 @@ class TestMemberWork:
 
     def test_same_recursion_no_edge_derivation(self, monkeypatch, branch_nodes, component_splits):
         derivations = [0]
-        hosts = []  # (index of the host's first branch node, its leaf mask)
+        hosts = []  # (index of the host's first branch node, its search set)
         edges_of = indpoly.graphs._edges_of
-        host_leaves = indpoly.isp._host_leaves
+        search_set = indpoly.isp._search_set
 
         def counted_edges(masks):
             derivations[0] += 1
             return edges_of(masks)
 
-        def recorded_leaves(masks):
-            leaves = host_leaves(masks)
-            hosts.append((len(branch_nodes), leaves))
-            return leaves
+        def recorded_search(masks):
+            search = search_set(masks)
+            hosts.append((len(branch_nodes), search))
+            return search
 
         monkeypatch.setattr(indpoly.graphs, "_edges_of", counted_edges)
-        monkeypatch.setattr(indpoly.isp, "_host_leaves", recorded_leaves)
+        monkeypatch.setattr(indpoly.isp, "_search_set", recorded_search)
         plan = normalize_point(Fraction(-1, 2))
         runs = {
             "x2": lambda g: interpolate_coeffs(g, 2),
@@ -625,13 +625,29 @@ class TestMemberWork:
                 work["split"].append(len(component_splits))
                 assert hosts[0][0] == 0  # every branch node belongs to a host
                 ends = [start for start, _ in hosts[1:]] + [len(branch_nodes)]
-                for (start, leaves), end in zip(hosts, ends):
-                    star_branches += [c for c in branch_nodes[start:end] if (c & ~leaves).bit_count() < 2]
+                for (start, search), end in zip(hosts, ends):
+                    star_branches += [c for c in branch_nodes[start:end] if (c & search).bit_count() < 2]
             assert work["branch"] == self.BRANCH_NODES[name]
             assert work["split"] == self.COMPONENT_SPLITS[name]
         assert star_branches == []
         assert derivations[0] == 0
         assert comb(graphs[0], 1).edges and derivations[0] == 1  # the counter sees derivations
+
+    def test_members_leave_the_recursion_limit_alone(self, limit_writes):
+        # The depth bound of every member fits under the default limit, on
+        # graphs shaped like the benchmark's: x = 2 on G(n, 0.3), n = 10..14,
+        # and x = -1/2 through its normaliser plan on n = 3..7.
+        plan = normalize_point(Fraction(-1, 2))
+        rng = random.Random(31)
+        for n in range(10, 15):
+            for _ in range(4):
+                g = random_graph(rng, n, 0.3)
+                assert interpolate_coeffs(g, 2) == isp_coeffs(g)
+        for n in range(3, 8):
+            for _ in range(4):
+                g = random_graph(rng, n, 0.3)
+                assert interpolate_coeffs(g, plan.target_point, oracle=PlanOracle(plan)) == isp_coeffs(g)
+        assert limit_writes == []
 
 
 def _write_oracle_script(tmp_path, body: str) -> str:

@@ -132,13 +132,25 @@ class TestIspEval:
             prev, cur = cur, cur + x * prev
         assert isp_eval(path_graph(120), x) == cur
 
-    def test_restores_recursion_limit(self):
+    def test_restores_recursion_limit(self, limit_writes):
+        # 598 search vertices: a bound of 1197 frames, above the default limit
         before = sys.getrecursionlimit()
-        isp_eval(path_graph(400), 2)
+        isp_eval(path_graph(600), 2)
         assert sys.getrecursionlimit() == before
+        assert len(limit_writes) == 2 and limit_writes[0] > before == limit_writes[1]
 
-    def test_restores_recursion_limit_on_error(self, monkeypatch):
-        _check_limit_restored_on_error(monkeypatch, lambda g, parts: isp_eval(g, 2))
+    def test_restores_recursion_limit_on_error(self, monkeypatch, limit_writes):
+        _check_limit_restored_on_error(monkeypatch, limit_writes, lambda g, parts: isp_eval(g, 2))
+
+    def test_room_above_a_deep_caller(self):
+        # K_390 branches 389 levels deep, a bound of 781 frames: under the
+        # default limit, but not on top of a caller 300 frames deep.
+        def at_depth(d):
+            return isp_eval(complete_graph(390), 2) if d == 0 else at_depth(d - 1)
+
+        before = sys.getrecursionlimit()
+        assert at_depth(300) == 781
+        assert sys.getrecursionlimit() == before
 
     def test_grids_match_oeis(self, branch_nodes):
         # OEIS A006506: the independent sets of the k x k grid graph, an
@@ -342,11 +354,15 @@ def star_unions(draw):
     return Graph(n, edges)
 
 
-def _host_leaf_mask(g):
-    return sum(1 << v for v in range(g.n) if g.degree(v) == 1 and g.degree(g.neighbors(v)[0]) >= 2)
+def _search_mask(g):
+    """The vertices that are neither isolated nor host leaves: degree at
+    least 2, or degree 1 next to a vertex of degree 1 (a K2 component)."""
+    return sum(
+        1 << v for v in range(g.n) if g.degree(v) >= 2 or g.degree(v) == 1 and g.degree(g.neighbors(v)[0]) == 1
+    )
 
 
-def _reference_split(mask, masks, leaves):
+def _reference_split(mask, masks):
     """Plain split: a full search from every vertex, leaves included."""
     comps = []
     isolated = 0
@@ -371,15 +387,15 @@ def _reference_eval(g, x):
     """The recursion of ``isp_eval`` from plain parts: a full search split
     (``_reference_split``) and a full-scan branch vertex, branching on every
     component, stars included.  Returns the value and the branch nodes on
-    components with two or more non-leaf vertices (the ones ``isp_eval``
+    components with two or more search vertices (the ones ``isp_eval``
     branches on) and on stars."""
     masks = g.neighbor_masks()
-    leaves = _host_leaf_mask(g)
+    search = _search_mask(g)
     memo = {}
     nodes = {"branched": 0, "star": 0}
 
     def value(mask):
-        comps, isolated = _reference_split(mask, masks, leaves)
+        comps, isolated = _reference_split(mask, masks)
         result = (1 + x) ** isolated
         for comp in comps:
             result *= component(comp)
@@ -387,7 +403,7 @@ def _reference_eval(g, x):
 
     def component(comp):
         if comp not in memo:
-            nodes["branched" if (comp & ~leaves).bit_count() >= 2 else "star"] += 1
+            nodes["branched" if (comp & search).bit_count() >= 2 else "star"] += 1
             v = _full_scan_branch_vertex(comp, masks)
             without = comp & ~(1 << v)
             memo[comp] = value(without) + x * value(without & ~masks[v])
@@ -407,7 +423,7 @@ class TestKernelHelpers:
         g, sub = case
         g = Graph(g.n, [(u, v) for u, v in g.edges if sub >> u & 1 and sub >> v & 1])
         masks = g.neighbor_masks()
-        leaves = indpoly.isp._host_leaves(masks)
+        search = indpoly.isp._search_set(masks)
         inner = [c for c in isp_eval.__code__.co_consts if getattr(c, "co_name", None) == "component_value"]
         chosen = []
 
@@ -422,43 +438,33 @@ class TestKernelHelpers:
         finally:
             sys.setprofile(previous)
         for comp, v, nbrs, degree in chosen:
-            assert (comp & ~leaves).bit_count() >= 2
+            assert (comp & search).bit_count() >= 2
             assert v == _full_scan_branch_vertex(comp, masks)
             assert nbrs == masks[v] & comp and degree == nbrs.bit_count()
         assert len(chosen) == len(set(comp for comp, *_ in chosen))
 
-    def test_host_leaves(self):
+    def test_search_set(self):
         # star K_{1,3} plus a K2 (4-5) plus an isolated vertex 6
         masks = Graph(7, [(0, 1), (0, 2), (0, 3), (4, 5)]).neighbor_masks()
-        assert indpoly.isp._host_leaves(masks) == 0b1110
+        assert indpoly.isp._search_set(masks) == 0b0110001
 
     @pytest.mark.parametrize(
-        "g, classes, leaves",
+        "g, search",
         [
-            (Graph(0), [], 0),
-            (edgeless_graph(3), [(0, 0b111)], 0),
-            (Graph(4, [(0, 1), (2, 3)]), [(1, 0b1111)], 0),  # two K2 components
-            (path_graph(3), [(2, 0b010)], 0b101),
-            (Graph(3, [(0, 2), (1, 2)]), [(2, 0b100)], 0b011),  # leaves below their centre's id
+            (Graph(0), 0),
+            (edgeless_graph(3), 0),
+            (Graph(4, [(0, 1), (2, 3)]), 0b1111),  # two K2 components
+            (path_graph(3), 0b010),
+            (Graph(3, [(0, 2), (1, 2)]), 0b100),  # leaves below their centre's id
         ],
     )
-    def test_host_structure_small_cases(self, g, classes, leaves):
-        # The host structure the kernel sets up: the leaf mask, and the
-        # vertices it may search from and branch on (the rest), here grouped
-        # by host degree, highest first.
-        masks = g.neighbor_masks()
-        found = indpoly.isp._host_leaves(masks)
-        by_degree = {}
-        for v in _vertices(((1 << g.n) - 1) ^ found):
-            by_degree[masks[v].bit_count()] = by_degree.get(masks[v].bit_count(), 0) | 1 << v
-        assert found == leaves
-        assert sorted(by_degree.items(), reverse=True) == classes
+    def test_search_set_small_cases(self, g, search):
+        assert indpoly.isp._search_set(g.neighbor_masks()) == search
 
     @settings(max_examples=200, deadline=None)
-    @given(graphs_with_leaves_and_submasks())
-    def test_host_leaves_matches_definition(self, case):
-        g = case[0]
-        assert indpoly.isp._host_leaves(g.neighbor_masks()) == _host_leaf_mask(g)
+    @given(st.one_of(graphs_with_leaves_and_submasks().map(lambda case: case[0]), graphs_with_isolated_vertices()))
+    def test_search_set_matches_definition(self, g):
+        assert indpoly.isp._search_set(g.neighbor_masks()) == _search_mask(g)
 
     @settings(max_examples=100, deadline=None)
     @given(graphs_with_isolated_vertices(), st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(3, 7)]))
@@ -564,9 +570,10 @@ class FailingMasks(tuple):
         return tuple.__getitem__(self, v)
 
 
-def _check_limit_restored_on_error(monkeypatch, count):
+def _check_limit_restored_on_error(monkeypatch, limit_writes, count):
     """``count(g, parts)`` on the 600-part ladder, interrupted by
-    ``FailingMasks``, leaves the recursion limit as it found it."""
+    ``FailingMasks``, raised the recursion limit and leaves it as it found
+    it."""
     g, parts = _ladder(600)
     masks = FailingMasks(g.neighbor_masks())
     monkeypatch.setattr(Graph, "neighbor_masks", lambda self: masks)
@@ -575,6 +582,7 @@ def _check_limit_restored_on_error(monkeypatch, count):
         count(g, parts)
     assert masks.reads > 3000
     assert sys.getrecursionlimit() == before
+    assert len(limit_writes) == 2 and limit_writes[0] > before == limit_writes[1]
 
 
 def _reference_branch_part(comp, g, parts):
@@ -695,10 +703,11 @@ class TestTransversalCount:
         with pytest.raises(DomainError, match="partition"):
             count_transversal_is(path_graph(4), parts)
 
-    def test_deep_recursion_restores_limit(self):
+    def test_deep_recursion_restores_limit(self, limit_writes):
         before = sys.getrecursionlimit()
         assert count_transversal_is(*_ladder(600)) == 601
         assert sys.getrecursionlimit() == before
+        assert len(limit_writes) == 2 and limit_writes[0] > before == limit_writes[1]
 
-    def test_restores_recursion_limit_on_error(self, monkeypatch):
-        _check_limit_restored_on_error(monkeypatch, count_transversal_is)
+    def test_restores_recursion_limit_on_error(self, monkeypatch, limit_writes):
+        _check_limit_restored_on_error(monkeypatch, limit_writes, count_transversal_is)
