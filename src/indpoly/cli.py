@@ -5,7 +5,8 @@ Every subcommand reads files in the formats owned by the library modules
 JSON record per result to stdout.  Each handler returns its record;
 ``main`` times the handler, adds the command name and ``timing_ms``,
 emits the record and maps errors to exit codes.  No arithmetic or graph
-logic lives here.
+logic lives here.  ``indpoly.verify`` is imported only when a ``verify``
+command is parsed, so no other command pays for compiling it.
 
 Exit codes: 0 success, 1 domain errors (degenerate point, invalid
 formula or graph), 2 capacity errors, 3 I/O or oracle protocol errors,
@@ -20,6 +21,7 @@ import json
 import re
 import sys
 import time
+from decimal import Decimal
 
 from .clonecalc import normalize_point
 from .cnf import (
@@ -31,12 +33,11 @@ from .cnf import (
     reduce_to_x3sat,
     x3sat_to_graph,
 )
-from .errors import CapacityError, DomainError, OracleError
+from .errors import CapacityError, DomainError, FormulaError, GraphFormatError, OracleError
 from .graphs import _clone_multiset, clique_cover, graph_to_json_dict, graph_to_text, parse_graph, s_clone
 from .interpolate import ExternalOracle, InternalOracle, interpolate_family
 from .isp import isp_coeffs, isp_eval
-from .rationals import format_rational, parse_int, parse_rational
-from .verify import DEFAULT_SEED, SUITES, run_suites
+from .rationals import _is_int, format_rational, parse_int, parse_rational
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -57,13 +58,36 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _read_file(path: str) -> str:
-    with open(path, "r") as handle:
-        return handle.read()
+def _read_file(path: str, error) -> str:
+    """The text of ``path``, read as UTF-8; ``error``, the format's own
+    error, when it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _json_any_length(value) -> str:
+    """``json.dumps(value, sort_keys=True)`` for values that hold ints past
+    the int/str digit limit, which ``json`` cannot write: each int goes
+    through ``decimal``, as in ``rationals.format_rational``."""
+    if _is_int(value):
+        return str(Decimal(value))
+    if isinstance(value, dict):
+        items = sorted(value.items())
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_any_length(v)}" for k, v in items) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_json_any_length, value)) + "]"
+    return json.dumps(value)
 
 
 def _emit(record: dict):
-    print(json.dumps(record, sort_keys=True))
+    try:
+        line = json.dumps(record, sort_keys=True)
+    except ValueError:  # an int past the int/str digit limit
+        line = _json_any_length(record)
+    print(line)
 
 
 def _write_out(path, text: str):
@@ -74,11 +98,11 @@ def _write_out(path, text: str):
 
 
 def _load_formula(path: str):
-    return parse_dimacs(_read_file(path))
+    return parse_dimacs(_read_file(path, FormulaError))
 
 
 def _load_graph(path: str):
-    return parse_graph(_read_file(path))
+    return parse_graph(_read_file(path, GraphFormatError))
 
 
 def _cmd_count(args) -> dict:
@@ -184,13 +208,29 @@ def _cmd_interpolate(args) -> dict:
     }
 
 
+def _suite_names(name: str) -> list:
+    """The suites ``verify --suite name`` runs, every suite for "all".  The
+    parser calls this only for a ``verify`` command, so that building it
+    never loads ``indpoly.verify``."""
+    from .verify import SUITES
+
+    choices = sorted(SUITES) + ["all"]
+    if name not in choices:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(map(repr, choices))})"
+        )
+    return list(SUITES) if name == "all" else [name]
+
+
 def _cmd_verify(args) -> dict:
     """Stream one record per case; the summary is the returned record."""
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    passed, failed = run_suites(names, args.seed, _emit, dump_dir=args.dump_dir)
+    from .verify import DEFAULT_SEED, run_suites
+
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    passed, failed = run_suites(args.suites, seed, _emit, dump_dir=args.dump_dir)
     return {
-        "suites": names,
-        "seed": args.seed,
+        "suites": args.suites,
+        "seed": seed,
         "passed": passed,
         "failed": failed,
         "status": "fail" if failed else "pass",
@@ -254,8 +294,9 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_interpolate)
 
     p = sub.add_parser("verify", help="run the exact property suites")
-    p.add_argument("--suite", choices=sorted(SUITES) + ["all"], default="all")
-    p.add_argument("--seed", type=parse_int, default=DEFAULT_SEED)
+    p.add_argument("--suite", dest="suites", type=_suite_names, default="all", metavar="NAME",
+                   help="one suite, or all of them (the default)")
+    p.add_argument("--seed", type=parse_int)
     p.add_argument("--dump-dir", default="counterexamples")
     p.set_defaults(handler=_cmd_verify)
 

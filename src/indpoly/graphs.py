@@ -387,7 +387,7 @@ def parse_graph(text: str) -> Graph:
     if stripped.startswith("{"):
         try:
             obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past the int/str digit limit
             raise GraphFormatError(f"invalid JSON graph: {exc}") from exc
         return graph_from_json_dict(obj)
     return parse_graph_text(text)

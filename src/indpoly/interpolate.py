@@ -78,8 +78,6 @@ from __future__ import annotations
 
 import json
 import math
-import shlex
-import subprocess
 from fractions import Fraction
 
 from .errors import CapacityError, DegeneratePointError, DomainError, OracleError
@@ -114,18 +112,26 @@ class ExternalOracle:
 
     Anything that is not a conforming response is an error, never coerced.
     A query that has not exited after ``ORACLE_TIMEOUT_S`` seconds is killed
-    and raises ``OracleError``.
+    and raises ``OracleError``.  ``shlex`` and ``subprocess`` are imported
+    here, not with the package, since only this oracle uses them.
     """
 
     kind = "external_command"
 
     def __init__(self, command: str):
+        import shlex
+
         self.command = command
-        self.argv = shlex.split(command)
+        try:
+            self.argv = shlex.split(command)
+        except ValueError as exc:  # e.g. an unterminated quote
+            raise DomainError(f"malformed oracle command {command!r}: {exc}") from None
         if not self.argv:
             raise DomainError("empty oracle command")
 
     def evaluate(self, g: Graph, x) -> Fraction:
+        import subprocess
+
         request = json.dumps(
             {"graph": graph_to_json_dict(g), "point": format_rational(as_rational(x))}
         )
@@ -155,7 +161,7 @@ class ExternalOracle:
         line = lines[0]
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past the int/str digit limit
             raise OracleError(f"non-JSON oracle response: {line!r}") from exc
         if not isinstance(obj, dict) or "value" not in obj or not isinstance(obj["value"], str):
             raise OracleError(f"oracle response missing string \"value\": {line!r}")

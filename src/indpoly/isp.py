@@ -37,7 +37,8 @@ and tested against each other:
   ``isp_coeffs`` and ``count_is_of_size`` read all coefficients off one
   evaluation at X = 2^(n+1) (Kronecker substitution: every coefficient
   is a non-negative integer below 2^(n+1), so the value's base-2^(n+1)
-  digits are the coefficients), and
+  digits are the coefficients; ``MAX_COEFF_BITS`` bounds that value's
+  size), and
 * plain enumeration of subsets, bounded by ``DEFAULT_ENUMERATION_BOUND``.
 
 A third route, ``count_transversal_is``, counts only the independent sets
@@ -54,10 +55,11 @@ multiplied in as the search closes it, and the first component that
 counts 0 ends the split.
 
 The branching routes have no hard vertex bound (cost is exponential only
-in the 2-core, so pendant-heavy graphs stay cheap); the enumeration
-route fails loudly with ``CapacityError`` beyond its bound.  No route
-ever uses the clone/path shift identities, so those identities can be
-tested against these evaluators without circularity.
+in the 2-core, so pendant-heavy graphs stay cheap), except that
+``isp_coeffs`` refuses a value of more than ``MAX_COEFF_BITS`` bits; that
+and the enumeration route fail loudly with ``CapacityError`` beyond their
+bounds.  No route ever uses the clone/path shift identities, so those
+identities can be tested against these evaluators without circularity.
 """
 
 from __future__ import annotations
@@ -72,6 +74,11 @@ from .graphs import Graph, _clique_partition
 from .rationals import _require_int, as_rational, format_rational
 
 DEFAULT_ENUMERATION_BOUND = 20
+# The most bits isp_coeffs packs into its one value, (n + 1)^2 for n
+# vertices, so n <= 4095.  Its cost grows as n^3 even with no edges: an
+# edgeless graph took 0.04, 0.32, 1.1 and 3.0 s at n = 1000 .. 4000
+# (Python 3.11.7, 2-vCPU Xeon).
+MAX_COEFF_BITS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -218,8 +225,15 @@ def isp_coeffs(g: Graph) -> Polynomial:
     sets of size k.  Each is a non-negative integer below 2^(n+1), so they
     are the base-2^(n+1) digits of the integer I(G; 2^(n+1)).  The digits
     are sliced from one binary string, lowest first: shifting the
-    n(n+1)-bit value once per digit would cost O(n^3) bit operations."""
+    n(n+1)-bit value once per digit would cost O(n^3) bit operations.
+    Raises ``CapacityError``, before evaluating, when the value would have
+    more than ``MAX_COEFF_BITS`` bits."""
     width = g.n + 1
+    if width * width > MAX_COEFF_BITS:
+        raise CapacityError(
+            f"the coefficients of a {g.n}-vertex graph pack into {width * width} bits, "
+            f"more than the bound MAX_COEFF_BITS = {MAX_COEFF_BITS}"
+        )
     bits = format(isp_eval(g, 1 << width).numerator, "b").zfill(width * width)
     return Polynomial([int(bits[end - width:end], 2) for end in range(width * width, 0, -width)])
 

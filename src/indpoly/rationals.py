@@ -10,6 +10,16 @@ An integer argument is any int but a bool (``_is_int``); every count,
 size and index the package takes is refused by ``_require_int`` with one
 message when it is not an integer at or above its lower bound.
 
+Exact values cross text through ``parse_rational`` and
+``format_rational``, at any length.  Python limits int <-> decimal-string
+conversion to 4300 digits by default, and the limit is process-wide
+state, so past it both convert through ``decimal.Decimal``, which the
+limit does not cover (and which ``fractions`` already loads), instead of
+raising the limit.  That route costs O(digits^2) and is taken only when
+the plain conversion raises.  ``parse_int`` keeps the limit: the counts,
+ids, literals and options it reads are far shorter, and one past it is
+refused as malformed, before any size check or message can meet it.
+
 The DIMACS-style text formats (``p cnf n m`` formulas, ``p is n m``
 graphs) share one line protocol, written by ``_write_dimacs`` and read by
 ``_read_dimacs``: blank lines and lines starting with "c" are skipped, and
@@ -19,6 +29,7 @@ any data line.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainError
@@ -37,14 +48,28 @@ def _require_int(value, what: str, low: int = 0, error=DomainError):
         raise error(f"{what} must be an integer >= {low}, got {value!r}")
 
 
-def parse_int(text: str) -> int:
-    """The integer written as an optional sign and ASCII digits
-    ([+-]?[0-9]+); ValueError for anything else.  ``int()`` alone also
-    takes "1_0", surrounding spaces and non-ASCII digits such as "３"."""
+def _integer_text(text: str) -> str:
+    """``text`` when it is an optional sign and ASCII digits ([+-]?[0-9]+);
+    ValueError for anything else.  ``int()`` alone also takes "1_0",
+    surrounding spaces and non-ASCII digits such as "３"."""
     digits = text[1:] if text[:1] in ("+", "-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an integer: {text!r}")
-    return int(text)
+    return text
+
+
+def parse_int(text: str) -> int:
+    """The integer written as ``_integer_text`` takes it, within the int/str
+    digit limit (module docstring); ValueError for anything else."""
+    return int(_integer_text(text))
+
+
+def _parse_exact_int(text: str) -> int:
+    """``parse_int`` at any length, for the parts of an exact rational."""
+    try:
+        return parse_int(text)
+    except ValueError:  # malformed, or past the int/str digit limit
+        return int(Decimal(_integer_text(text)))
 
 
 def _write_dimacs(kind: str, n: int, lines: list) -> str:
@@ -97,12 +122,13 @@ def as_rational(value) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (q > 0) or the integer shorthand "p"."""
+    """Parse "p/q" (q > 0) or the integer shorthand "p", of any length
+    (module docstring)."""
     num, slash, den = text.strip().partition("/")
     try:
         if slash and not den[:1].isdigit():  # the denominator has no sign
             raise ValueError(den)
-        p, q = parse_int(num), parse_int(den) if slash else 1
+        p, q = _parse_exact_int(num), _parse_exact_int(den) if slash else 1
     except ValueError:
         raise DomainError(f"malformed rational {text!r}: expected \"p/q\" or \"p\"") from None
     if q == 0:
@@ -111,6 +137,10 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value) -> str:
-    """Serialize a rational as "p/q" in lowest terms, q > 0."""
+    """Serialize a rational as "p/q" in lowest terms, q > 0, at any length
+    (module docstring)."""
     q = as_rational(value)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # past the int/str digit limit
+        return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"

@@ -8,6 +8,8 @@ import pytest
 
 from indpoly import (
     DomainError,
+    FormulaError,
+    GraphFormatError,
     clique_cover,
     clone_shift,
     format_rational,
@@ -19,7 +21,8 @@ from indpoly import (
     s_clone,
     s_clone_origin,
 )
-from indpoly.cli import _build_parser, main
+from indpoly.cli import _build_parser, _json_any_length, main
+from indpoly.rationals import parse_rational
 from indpoly.verify import SUITES, random_graph
 
 from test_interpolate import family_members
@@ -397,6 +400,48 @@ class TestExitCodes:
         assert "inconsistent" in proc.stderr
         assert "a_1 = 5/2" in proc.stderr  # a_0 = 1 is stated
 
+    def test_domain_error_malformed_oracle_command(self, k2_graph):
+        proc = run_cli("interpolate", k2_graph, "--at", "2", "--oracle", "'unterminated")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "indpoly: error: malformed oracle command \"'unterminated\": No closing quotation\n"
+
+    @pytest.mark.parametrize(
+        "argv,text,error",
+        [
+            (["isp-eval", "--at", "1"], b"p is 2 0\n\xff\n", GraphFormatError),
+            (["count-via-is"], b"p cnf 3 1\n1 2 3 0\nc \xff\n", FormulaError),
+        ],
+        ids=["graph", "formula"],
+    )
+    def test_domain_error_input_not_utf8(self, tmp_path, argv, text, error):
+        path = tmp_path / "input.txt"
+        path.write_bytes(text)
+        argv = [argv[0], str(path), *argv[1:]]
+        args = _build_parser().parse_args(argv)
+        with pytest.raises(error, match="is not UTF-8 text"):
+            args.handler(args)
+        proc = run_cli(*argv)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"indpoly: error: {path} is not UTF-8 text: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_capacity_error_on_packed_coefficients(self, tmp_path):
+        huge = tmp_path / "huge.txt"
+        huge.write_text("p is 1048576 0\n")  # 16 bytes that pass MAX_VERTICES
+        proc = run_cli("isp-coeffs", str(huge), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "capacity" in proc.stderr and "MAX_COEFF_BITS" in proc.stderr
+
+    def test_oracle_error_on_a_long_json_int(self, k2_graph):
+        # json reads a bare int with int(), which refuses 5001 digits.
+        answer = shlex.quote("print('{\"value\": 1' + '0' * 5000 + '}')")
+        proc = run_cli("interpolate", k2_graph, "--at", "2", "--oracle", f"{shlex.quote(sys.executable)} -c {answer}")
+        assert proc.returncode == 3
+        assert "non-JSON oracle response" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_oracle_protocol_error(self, k2_graph):
         proc = run_cli("interpolate", k2_graph, "--at", "2/1", "--oracle", "echo garbage")
         assert proc.returncode == 3
@@ -414,7 +459,17 @@ class TestVerifyCommand:
         assert all(r["status"] == "pass" for r in records[:-1])
 
     def test_unknown_suite_is_usage(self):
-        assert run_cli("verify", "--suite", "bogus").returncode == 64
+        proc = run_cli("verify", "--suite", "bogus")
+        assert proc.returncode == 64
+        choices = ", ".join(repr(name) for name in sorted(SUITES) + ["all"])
+        assert proc.stderr.splitlines()[-1] == (
+            f"indpoly verify: error: argument --suite: invalid choice: 'bogus' (choose from {choices})"
+        )
+
+    def test_usage_names_no_suite(self):
+        proc = run_cli("verify", "--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: indpoly verify [-h] [--suite NAME] ")
 
     def test_all_suites_deterministic_modulo_timing(self):
         first = run_cli("verify", "--suite", "all", "--seed", "7")
@@ -437,12 +492,9 @@ class TestVerifyCommand:
             yield {"case": "fabricated failure", "status": "fail"}
 
         monkeypatch.setitem(SUITES, "_fabricated", failing_suite)
-        # --suite choices are read from SUITES when the cached parser is built.
-        _build_parser.cache_clear()
-        try:
-            code = main(["verify", "--suite", "_fabricated", "--dump-dir", str(tmp_path)])
-        finally:
-            _build_parser.cache_clear()
+        # --suite is checked against SUITES each time a verify command is
+        # parsed, so the cached parser sees the fabricated suite.
+        code = main(["verify", "--suite", "_fabricated", "--dump-dir", str(tmp_path)])
         assert code == 1
         *cases, summary = records_of(capsys.readouterr().out)
         assert [r["status"] for r in cases] == ["pass", "fail"]
@@ -455,6 +507,63 @@ class TestVerifyCommand:
         assert a.returncode == b.returncode == 0
         # different seeds still pass; reports exist for both
         assert records_of(a.stdout) and records_of(b.stdout)
+
+
+class TestValuesPastTheDigitLimit:
+    """Exact values longer than the interpreter's int/str limit (4300
+    digits by default) are written whole, and no command changes the limit."""
+
+    def test_count_via_is_writes_a_long_multiplier(self, tmp_path):
+        path = tmp_path / "wide.cnf"
+        path.write_text("p cnf 20000 1\n1 2 3 0\n")
+        proc = run_cli("count-via-is", str(path))
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout, parse_int=lambda text: parse_rational(text).numerator)
+        assert record["multiplier"] == 2**19997  # 6020 digits
+        assert record["count"] == 7 * 2**19997
+
+    def test_isp_eval_writes_a_long_value(self, tmp_path):
+        path = tmp_path / "edgeless.txt"
+        path.write_text("p is 100 0\n")
+        proc = run_cli("isp-eval", str(path), "--at", str(10**50))
+        assert proc.returncode == 0, proc.stderr
+        (record,) = records_of(proc.stdout)
+        assert parse_rational(record["value"]) == (1 + 10**50) ** 100  # 5001 digits
+
+    def test_commands_leave_the_limit_alone(self, tmp_path):
+        wide = tmp_path / "wide.cnf"
+        wide.write_text("p cnf 20000 1\n1 2 3 0\n")
+        edgeless = tmp_path / "edgeless.txt"
+        edgeless.write_text("p is 100 0\n")
+        limit = sys.get_int_max_str_digits()
+        for argv in (
+            ["count-via-is", str(wide)],
+            ["reduce-graph", str(wide)],
+            ["isp-eval", str(edgeless), "--at", str(10**50)],
+            ["isp-coeffs", str(edgeless)],
+        ):
+            assert main(argv) == 0
+            assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize(
+        "argv,text,code,message",
+        [
+            (["isp-coeffs"], "p is 1%s 0\n", 1, "non-integer header fields"),
+            (["isp-coeffs"], '{"n": 1%s, "edges": []}', 1, "invalid JSON graph"),
+            (["count-sat", "--max-vars", "1" + "0" * 5000], "p cnf 3 1\n1 2 3 0\n", 64, "--max-vars"),
+        ],
+        ids=["graph-header", "json-graph", "max-vars"],
+    )
+    def test_long_integer_fields_are_refused(self, tmp_path, argv, text, code, message):
+        path = tmp_path / "input.txt"
+        path.write_text(text.replace("%s", "0" * 5000))
+        proc = run_cli(argv[0], str(path), *argv[1:])
+        assert proc.returncode == code
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_fallback_writes_what_json_writes(self):
+        record = {"b": [1, -2, (3, "x")], "a": {"z": None, "y": True, "\u00e9": 1.5}, "c": 'q"'}
+        assert _json_any_length(record) == json.dumps(record, sort_keys=True)
 
 
 class TestInProcessMain:

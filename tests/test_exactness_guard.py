@@ -136,6 +136,17 @@ def test_cli_import_loads_no_numeric_library():
     assert subprocess.run([sys.executable, "-c", probe]).returncode == 0
 
 
+def test_cli_import_loads_only_what_every_command_needs():
+    # The verify suites and the external oracle's process modules load
+    # with the commands that use them, not with the CLI.
+    probe = (
+        "import sys, indpoly.cli; "
+        "print(sorted({'indpoly.verify', 'subprocess', 'shlex'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
 # module -> the names it may give, or None for any name
 DEFINITIONAL_IMPORTS = {"errors": None, "rationals": None, "graphs": {"Graph", "_clique_partition"}}
 

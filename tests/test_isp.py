@@ -101,6 +101,21 @@ class TestIspCoeffs:
         with pytest.raises(CapacityError):
             isp_coeffs_by_enumeration(edgeless_graph(25))
 
+    def test_packed_value_is_bounded_before_evaluating(self, monkeypatch):
+        class Evaluated(Exception):
+            pass
+
+        def evaluate(g, x):
+            raise Evaluated
+
+        monkeypatch.setattr(indpoly.isp, "isp_eval", evaluate)
+        n = math.isqrt(indpoly.isp.MAX_COEFF_BITS) - 1  # (n + 1)^2 bits: at the bound
+        with pytest.raises(Evaluated):
+            isp_coeffs(edgeless_graph(n))
+        for call in (isp_coeffs, lambda g: count_is_of_size(g, 1)):
+            with pytest.raises(CapacityError, match="MAX_COEFF_BITS"):
+                call(edgeless_graph(n + 1))
+
 
 class TestIspEval:
     def test_p4_at_2(self):

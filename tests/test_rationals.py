@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,31 @@ class TestRationalFormat:
         assert as_rational(Fraction(1, 2)) == Fraction(1, 2)
         with pytest.raises(DomainError):
             as_rational(0.5)
+
+
+class TestPastTheDigitLimit:
+    """Python refuses int <-> str conversions past 4300 digits by default;
+    the wire format has no such limit, and never changes it."""
+
+    def test_long_rational_round_trips(self):
+        limit = sys.get_int_max_str_digits()
+        x = Fraction(-(10**99999 + 1), 1024)  # a numerator of 10^5 digits
+        text = format_rational(x)
+        num, _, den = text.partition("/")
+        assert (num[:3], len(num), num[-2:], den) == ("-10", 1 + 10**5, "01", "1024")
+        assert parse_rational(text) == x
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_only_rationals_take_any_length(self):
+        # Counts, ids and options stay within the limit, so a longer one is
+        # refused as malformed before any size check meets it.
+        text = "+1" + "0" * 5000
+        assert parse_rational(text) == 10**5000
+        assert parse_rational("-1/" + text[1:]) == Fraction(-1, 10**5000)
+        with pytest.raises(ValueError):
+            parse_int(text)
+        with pytest.raises(DomainError, match="malformed rational"):
+            parse_rational(text + "x")
 
 
 class TestParseInt:
