@@ -12,8 +12,8 @@ bitsliced over Python integers: bit a of a variable's truth table is its
 value under assignment a, so one bitwise operation evaluates a literal
 connective on a whole block of 2^``_BLOCK_BITS`` assignments at once.
 
-``GraphReduction.count`` counts through the composed reduction's graph,
-with ``count_transversal_is`` on the per-clause cliques.
+Each stage checks its input once: ``parse_dimacs`` checks each literal as it reads it, and
+``GraphReduction.count`` gives the transversal counter its clause cliques, a partition, unchecked.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, FormulaError
 from .graphs import Graph
-from .isp import count_transversal_is
-from .rationals import _is_int, _read_dimacs, _require_int, _write_dimacs, parse_int
+from .isp import _count_transversals
+from .rationals import _is_int, _read_dimacs, _require_int, _shown, _token_reader, _write_dimacs
 
 DEFAULT_ASSIGNMENT_BOUND = 24
 _BLOCK_BITS = 20  # assignments are checked in blocks of 2^_BLOCK_BITS
@@ -56,7 +56,7 @@ class CnfFormula:
                     raise FormulaError(f"clause {idx}: invalid literal {lit!r}")
                 if abs(lit) > variable_count:
                     raise FormulaError(
-                        f"clause {idx}: literal {lit} out of range 1..{variable_count}"
+                        f"clause {idx}: literal {_shown(lit)} out of range 1..{_shown(variable_count)}"
                     )
                 if lit not in seen:
                     seen.append(lit)
@@ -69,7 +69,7 @@ class CnfFormula:
     def _from_clauses(cls, variable_count: int, clauses) -> CnfFormula:
         """Formula with the given clause tuples, unchecked: the caller
         guarantees every literal is a nonzero int within the variable count
-        and no clause repeats a literal.  ``reduce_to_x3sat`` calls it."""
+        and no clause is empty or repeats a literal; ``parse_dimacs`` and ``reduce_to_x3sat`` call it."""
         f = object.__new__(cls)
         object.__setattr__(f, "variable_count", variable_count)
         object.__setattr__(f, "clauses", tuple(clauses))
@@ -98,15 +98,17 @@ class CnfFormula:
 
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF: comments "c ...", header "p cnf n m", clauses as
-    0-terminated literal sequences (clauses may span lines)."""
+    0-terminated literal sequences (clauses may span lines).  Literals are
+    checked as they are read, and a clause's repeats dropped in order."""
     n, declared_m, body = _read_dimacs(text, "cnf", FormulaError)
+    read = _token_reader(text)
     clauses = []
     current = []
     current_line = None
     for lineno, tokens in body:
         for token in tokens:
             try:
-                lit = parse_int(token)
+                lit = read(token)
             except ValueError:
                 raise FormulaError(f"line {lineno}: non-integer token {token!r}")
             if abs(lit) > n:
@@ -115,7 +117,7 @@ def parse_dimacs(text: str) -> CnfFormula:
                 current.append(lit)
                 current_line = lineno
             elif current:
-                clauses.append(tuple(current))
+                clauses.append(tuple(dict.fromkeys(current)))
                 current = []
             else:
                 raise FormulaError(f"line {lineno}: empty clause")
@@ -123,7 +125,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise FormulaError(f"line {current_line}: clause missing terminating 0")
     if len(clauses) != declared_m:
         raise FormulaError(f"header declares {declared_m} clauses but {len(clauses)} found")
-    return CnfFormula(n, clauses)
+    return CnfFormula._from_clauses(n, clauses)
 
 
 def _truth_table(var: int, size: int) -> int:
@@ -250,36 +252,42 @@ def x3sat_to_graph(f: CnfFormula):
     true and each partner m false (its negation true), so its neighbours
     are the vertices that make -l or some partner m true.
     """
-    # Keyed by the literals that occur: the declared variable count can
-    # far exceed the variables the clauses use.
+    # Keyed by the literals that occur, each with its negation: the declared
+    # variable count can far exceed the variables the clauses use.
     true_by = defaultdict(int)
     start = 0  # the clause's first vertex
     for idx, clause in enumerate(f.clauses, start=1):
-        width = len(clause)
-        if width not in (2, 3):
-            raise FormulaError(
-                f"clause {idx} has width {width}; X3SAT needs width 2 or 3"
-            )
-        if len({abs(lit) for lit in clause}) != width:
-            raise FormulaError(
-                f"clause {idx} uses a variable twice (complementary pair)"
-            )
-        whole = ((1 << width) - 1) << start
-        for lit in clause:
-            bit = 1 << start
-            true_by[lit] |= bit
-            true_by[-lit] |= whole ^ bit  # the partners make lit false
-            start += 1
+        if len(clause) == 3:
+            a, b, c = clause
+            if not abs(a) != abs(b) != abs(c) != abs(a):
+                raise FormulaError(f"clause {idx} uses a variable twice (complementary pair)")
+            x, y, z = 1 << start, 2 << start, 4 << start
+            # each literal's own vertex makes it true, its partners false
+            true_by[a], true_by[-a] = true_by[a] | x, true_by[-a] | y | z
+            true_by[b], true_by[-b] = true_by[b] | y, true_by[-b] | x | z
+            true_by[c], true_by[-c] = true_by[c] | z, true_by[-c] | x | y
+            start += 3
+        elif len(clause) == 2:
+            a, b = clause
+            if abs(a) == abs(b):
+                raise FormulaError(f"clause {idx} uses a variable twice (complementary pair)")
+            x, y = 1 << start, 2 << start
+            true_by[a], true_by[-a] = true_by[a] | x, true_by[-a] | y
+            true_by[b], true_by[-b] = true_by[b] | y, true_by[-b] | x
+            start += 2
+        else:
+            raise FormulaError(f"clause {idx} has width {len(clause)}; X3SAT needs width 2 or 3")
 
     masks = []
     for clause in f.clauses:
-        for chosen in clause:
-            nbrs = true_by[-chosen]
-            for lit in clause:
-                if lit != chosen:
-                    nbrs |= true_by[lit]
-            masks.append(nbrs)
-    multiplier = 2 ** f.unused_variable_count()
+        if len(clause) == 3:
+            a, b, c = clause
+            ta, tb, tc = true_by[a], true_by[b], true_by[c]
+            masks += (true_by[-a] | tb | tc, true_by[-b] | ta | tc, true_by[-c] | ta | tb)
+        else:
+            a, b = clause
+            masks += (true_by[-a] | true_by[b], true_by[-b] | true_by[a])
+    multiplier = 2 ** (f.variable_count - len(true_by) // 2)
     return Graph._from_masks(masks), len(f.clauses), multiplier
 
 
@@ -299,8 +307,9 @@ class GraphReduction:
     cliques: tuple
 
     def count(self) -> int:
-        """Satisfying assignments of the formula, counted on the graph."""
-        return self.multiplier * count_transversal_is(self.graph, self.cliques)
+        """Satisfying assignments of the formula, counted on the graph; the
+        cliques are a partition by construction, so they go unchecked."""
+        return self.multiplier * _count_transversals(self.graph.neighbor_masks(), self.cliques)
 
     def report(self) -> dict:
         """Sizes of every stage, as the fields of a CLI record."""

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import CapacityError, DomainError, GraphFormatError
-from .rationals import _is_int, _read_dimacs, _require_int, _write_dimacs, parse_int
+from .rationals import _is_int, _read_dimacs, _require_int, _shown, _token_reader, _write_dimacs
 
 MAX_VERTICES = 1 << 20  # the most vertices Graph() and the text reader take
 
@@ -49,9 +49,9 @@ class Graph:
             if not (type(u) is type(v) is int or _is_int(u) and _is_int(v)):
                 raise DomainError(f"non-integer endpoints in edge ({u!r}, {v!r})")
             if u == v:
-                raise DomainError(f"self-loop at vertex {u}")
+                raise DomainError(f"self-loop at vertex {_shown(u)}")
             if not (0 <= u < n and 0 <= v < n):
-                raise DomainError(f"edge ({u}, {v}) out of range for n={n}")
+                raise DomainError(f"edge ({_shown(u)}, {_shown(v)}) out of range for n={n}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         self._set(masks)
@@ -105,7 +105,7 @@ class Graph:
 
     def _check_vertex(self, v: int):
         if not _is_int(v) or not 0 <= v < self.n:
-            raise DomainError(f"invalid vertex id {v} for n={self.n}")
+            raise DomainError(f"invalid vertex id {_shown(v, str)} for n={self.n}")
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -113,7 +113,7 @@ class Graph:
 
 def _check_capacity(n: int):
     if n > MAX_VERTICES:
-        raise CapacityError(f"{n} vertices exceed the bound MAX_VERTICES = {MAX_VERTICES}")
+        raise CapacityError(f"{_shown(n)} vertices exceed the bound MAX_VERTICES = {MAX_VERTICES}")
 
 
 def _edges_of(masks) -> tuple:
@@ -281,38 +281,31 @@ def clique_cover(g: Graph) -> tuple:
     return tuple(parts)
 
 
-def _clique_partition(g: Graph, parts):
-    """Per vertex, the masks of its part and of the part's outside neighbours
-    (two lists); None unless ``parts`` partition V(G) into nonempty cliques:
-    disjoint parts that cover V, each member's closed neighbourhood holding
-    its whole part.  One pass over the parts checks and builds."""
+def _clique_partition(g: Graph, parts) -> bool:
+    """Whether ``parts`` partition V(G) into nonempty cliques: disjoint
+    parts of vertex ids that cover V, each member's closed neighbourhood
+    holding its whole part."""
     masks = g.neighbor_masks()
     seen = 0
-    part_of, around = [0] * g.n, [0] * g.n
     for part in parts:
-        whole = near = 0
+        whole = 0
         closed = -1  # the members' common closed neighbourhood
         for v in part:
             if not (_is_int(v) and 0 <= v < g.n) or seen >> v & 1:
-                return None
+                return False
             seen |= 1 << v
             whole |= 1 << v
-            near |= masks[v]
             closed &= masks[v] | 1 << v
         if not whole or whole & ~closed:
-            return None
-        near &= ~whole
-        for v in part:
-            part_of[v] = whole
-            around[v] = near
-    return (part_of, around) if seen == (1 << g.n) - 1 else None
+            return False
+    return seen == (1 << g.n) - 1
 
 
 def is_clique_cover(g: Graph, parts) -> bool:
     """Exact O(n^2) check that ``parts`` partitions V(G) into nonempty
     cliques: the parts are disjoint, they cover V, and every two members of
     a part are adjacent."""
-    return _clique_partition(g, parts) is not None
+    return _clique_partition(g, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +321,7 @@ def parse_graph_text(text: str) -> Graph:
     """Parse the canonical text format; rejects duplicate edges and self-loops."""
     n, declared_m, body = _read_dimacs(text, "is", GraphFormatError)
     _check_capacity(n)
+    read = _token_reader(text)
     masks = [0] * n
     for lineno, tokens in body:
         if tokens[0] != "e":
@@ -335,7 +329,7 @@ def parse_graph_text(text: str) -> Graph:
         if len(tokens) != 3:
             raise GraphFormatError(f"line {lineno}: malformed edge {' '.join(tokens)!r}")
         try:
-            u, v = parse_int(tokens[1]), parse_int(tokens[2])
+            u, v = read(tokens[1]), read(tokens[2])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer endpoints")
         if not (1 <= u <= n and 1 <= v <= n):

@@ -254,12 +254,25 @@ def count_transversal_is(g: Graph, parts) -> int:
     once nothing more is forced.  A component of the live
     vertices is a union of whole live parts and is counted on its own,
     memoised on its vertex mask and looked up as the split closes it; an
-    isolated live vertex is a whole part and contributes the factor 1."""
-    found = _clique_partition(g, parts)
-    if found is None:
+    isolated live vertex is a whole part and contributes the factor 1.
+    ``DomainError`` unless ``parts`` pass ``_clique_partition``'s check."""
+    if not _clique_partition(g, parts):
         raise DomainError("parts are not a partition of the vertices into cliques")
-    part_of, around = found
-    masks = g.neighbor_masks()
+    return _count_transversals(g.neighbor_masks(), parts)
+
+
+def _count_transversals(masks, parts) -> int:
+    """The counter of ``count_transversal_is``, unchecked: ``parts`` partition the graph with
+    neighbour ``masks`` into cliques.  It builds each vertex's part and outside-neighbour masks."""
+    part_of, around = [0] * len(masks), [0] * len(masks)
+    for part in parts:
+        whole = near = 0
+        for v in part:
+            whole |= 1 << v
+            near |= masks[v]
+        for v in part:
+            part_of[v] = whole
+            around[v] = near & ~whole
     memo = {}
 
     def component_count(comp):
@@ -336,7 +349,7 @@ def count_transversal_is(g: Graph, parts) -> int:
         return result
 
     with _recursion_depth(2 * len(parts) + 1):  # 2 frames a branch node, each removes a part
-        return subgraph_count((1 << g.n) - 1)
+        return subgraph_count((1 << len(masks)) - 1)
 
 
 def _check_enumeration_bound(g: Graph):

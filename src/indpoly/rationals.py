@@ -8,7 +8,7 @@ string "p/q"; a bare integer "p" is accepted on input.
 
 An integer argument is any int but a bool (``_is_int``); every count,
 size and index the package takes is refused by ``_require_int`` with one
-message when it is not an integer at or above its lower bound.
+message (the value written by ``_shown``) when it is not an integer at or above its lower bound.
 
 Exact values cross text through ``parse_rational`` and
 ``format_rational``, at any length.  Python limits int <-> decimal-string
@@ -45,7 +45,15 @@ def _is_int(value) -> bool:
 def _require_int(value, what: str, low: int = 0, error=DomainError):
     """Raise ``error`` unless ``value`` is an integer (``_is_int``) >= ``low``."""
     if not _is_int(value) or value < low:
-        raise error(f"{what} must be an integer >= {low}, got {value!r}")
+        raise error(f"{what} must be an integer >= {low}, got {_shown(value)}")
+
+
+def _shown(value, form=repr) -> str:
+    """``form(value)``, or an int past the int/str digit limit as its sign and bit length."""
+    try:
+        return form(value)
+    except ValueError:
+        return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
 
 
 def _integer_text(text: str) -> str:
@@ -62,6 +70,12 @@ def parse_int(text: str) -> int:
     """The integer written as ``_integer_text`` takes it, within the int/str
     digit limit (module docstring); ValueError for anything else."""
     return int(_integer_text(text))
+
+
+def _token_reader(text: str):
+    """The reader of ``text``'s integer tokens: ``int`` when ``text`` is ASCII without "_",
+    where it takes exactly what ``parse_int`` takes, else ``parse_int``."""
+    return int if text.isascii() and "_" not in text else parse_int
 
 
 def _parse_exact_int(text: str) -> int:

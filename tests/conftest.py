@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import indpoly
+import indpoly.graphs
 import indpoly.isp
 
 
@@ -49,10 +50,18 @@ def _first_arguments(codes):
 @pytest.fixture
 def component_splits():
     """The masks of the component splits in ``isp``, one per split: a call
-    of an inner split function, ``count_transversal_is``'s
+    of an inner split function, the transversal counter's
     ``subgraph_count`` or ``isp_eval``'s ``subgraph_value``."""
-    splits = {_inner(indpoly.isp.count_transversal_is, "subgraph_count"), _inner(indpoly.isp.isp_eval, "subgraph_value")}
+    splits = {_inner(indpoly.isp._count_transversals, "subgraph_count"), _inner(indpoly.isp.isp_eval, "subgraph_value")}
     with _first_arguments(splits) as calls:
+        yield calls
+
+
+@pytest.fixture
+def partition_checks():
+    """The graphs whose clique partition ``graphs._clique_partition``
+    checks, one per call, under whatever name the caller reaches it by."""
+    with _first_arguments({indpoly.graphs._clique_partition.__code__}) as calls:
         yield calls
 
 

@@ -10,11 +10,13 @@ import indpoly.cnf
 from indpoly import (
     CapacityError,
     CnfFormula,
+    DomainError,
     FormulaError,
     Graph,
     count_is_of_size,
     count_sat,
     count_sat_via_independent_sets,
+    count_transversal_is,
     count_x3sat,
     graph_to_text,
     parse_dimacs,
@@ -68,15 +70,18 @@ def reference_x3sat_to_graph(f: CnfFormula):
 
 
 @st.composite
-def x3sat_instances(draw):
+def x3sat_instances(draw, faulty=False):
     """Formulas x3sat_to_graph accepts: n = 0..10 declared variables (some
-    possibly unused) and up to 10 clauses of 2 or 3 distinct variables."""
+    possibly unused) and up to 10 clauses of 2 or 3 distinct variables.
+    With ``faulty``, a clause has 1 to 4 variables, not always distinct, so
+    it may have the wrong width or hold a complementary pair."""
     n = draw(st.integers(min_value=0, max_value=10))
     if n < 2:
         return CnfFormula(n, [])
     clauses = []
     for _ in range(draw(st.integers(min_value=0, max_value=10))):
-        variables = draw(st.lists(st.integers(1, n), min_size=2, max_size=3, unique=True))
+        width = (1, 4) if faulty else (2, 3)
+        variables = draw(st.lists(st.integers(1, n), min_size=width[0], max_size=width[1], unique=not faulty))
         signs = draw(st.lists(st.booleans(), min_size=len(variables), max_size=len(variables)))
         clauses.append([v if positive else -v for v, positive in zip(variables, signs)])
     return CnfFormula(n, clauses)
@@ -397,6 +402,19 @@ class TestX3SatToGraph:
         assert graph_to_text(g) == graph_to_text(want)
         assert (target, multiplier) == (want_target, want_multiplier)
 
+    @settings(max_examples=200, deadline=None)
+    @given(x3sat_instances(faulty=True))
+    def test_errors_match_pairwise_construction(self, f):
+        # The reference checks each clause's width, then its variables, in
+        # clause order: the same message for the same first faulty clause.
+        def outcome(build):
+            try:
+                return build(f)
+            except FormulaError as exc:
+                return str(exc)
+
+        assert outcome(x3sat_to_graph) == outcome(reference_x3sat_to_graph)
+
     @pytest.mark.parametrize(
         "build,vertices",
         [(lambda f: x3sat_to_graph(f)[0], 2), (lambda f: reduce_to_graph(f).graph, 14)],
@@ -583,6 +601,19 @@ class TestReductionCountsTransversals:
                 seen += 1
                 assert count_sat_via_independent_sets(f) == 0
         assert seen >= 5
+
+    def test_partition_is_checked_for_outside_parts_only(self, partition_checks):
+        # The reduction's cliques are its own runs, so its count skips the
+        # check; count_transversal_is checks every call's parts.
+        reduction = reduce_to_graph(CnfFormula(4, [[1, -2, 3], [2, 4]]))
+        assert reduction.count() == count_sat(reduction.formula) == 10
+        assert partition_checks == []
+        transversals = count_transversal_is(reduction.graph, reduction.cliques)
+        assert transversals * reduction.multiplier == 10
+        assert partition_checks == [reduction.graph]
+        with pytest.raises(DomainError, match=r"^parts are not a partition of the vertices into cliques$"):
+            count_transversal_is(reduction.graph, reduction.cliques[1:])
+        assert len(partition_checks) == 2
 
     def test_counts_leave_the_recursion_limit_alone(self, limit_writes):
         # Balanced 6-variable, 5-clause formulas (each variable fills two or

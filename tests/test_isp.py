@@ -30,6 +30,7 @@ from indpoly import (
     s_clone,
     x3sat_to_graph,
 )
+from indpoly.isp import _count_transversals
 from indpoly.verify import all_graphs, random_graph, random_x3sat
 
 
@@ -650,7 +651,7 @@ class TestTransversalCount:
         # The part each branched component chose, read off the frame as
         # component_count returns.
         g, parts = case
-        inner = [c for c in count_transversal_is.__code__.co_consts if getattr(c, "co_name", None) == "component_count"]
+        inner = [c for c in _count_transversals.__code__.co_consts if getattr(c, "co_name", None) == "component_count"]
         chosen = []
 
         def profile(frame, event, arg):

@@ -1,13 +1,29 @@
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indpoly import DomainError, as_rational, format_rational, parse_rational
-from indpoly.rationals import parse_int
+import indpoly.cnf
+import indpoly.graphs
+from indpoly import (
+    CapacityError,
+    CnfFormula,
+    DomainError,
+    FormulaError,
+    Graph,
+    GraphFormatError,
+    as_rational,
+    format_rational,
+    parse_dimacs,
+    parse_graph_text,
+    parse_rational,
+    path_graph,
+)
+from indpoly.rationals import _token_reader, parse_int
 
 
 class TestRationalFormat:
@@ -78,6 +94,21 @@ class TestPastTheDigitLimit:
         assert parse_rational(text) == x
         assert sys.get_int_max_str_digits() == limit
 
+    def test_argument_errors_stay_typed(self):
+        # A message shows such an int by its sign and bit length.
+        with pytest.raises(DomainError, match=r"^vertex count must be an integer >= 0, got -<int of 16610 bits>$"):
+            Graph(-10**5000)
+        with pytest.raises(CapacityError, match=r"^<int of 16610 bits> vertices exceed the bound"):
+            Graph(10**5000)
+        with pytest.raises(DomainError, match=r"^edge \(0, <int of 16610 bits>\) out of range for n=3$"):
+            Graph(3, [(0, 10**5000)])
+        with pytest.raises(DomainError, match=r"^invalid vertex id -<int of 16610 bits> for n=3$"):
+            path_graph(3).degree(-10**5000)
+        with pytest.raises(FormulaError, match=r"^clause 1: literal <int of 16610 bits> out of range 1..3$"):
+            CnfFormula(3, [[10**5000]])
+        with pytest.raises(DomainError, match=r"^invalid vertex id a for n=3$"):
+            path_graph(3).degree("a")
+
     def test_only_rationals_take_any_length(self):
         # Counts, ids and options stay within the limit, so a longer one is
         # refused as malformed before any size check meets it.
@@ -104,3 +135,44 @@ class TestParseInt:
     def test_rejects_what_int_alone_would_take(self, bad):
         with pytest.raises(ValueError):
             parse_int(bad)
+
+
+# Signs, ASCII digits, "_", full-width digits; and 4301-digit numbers,
+# one past the int/str digit limit.
+TOKENS = st.one_of(
+    st.text(alphabet="+-_0123456789\uff10\uff11\uff13", min_size=1, max_size=4),
+    st.sampled_from(["1", "-2", "+3", "05", "1" + "0" * 4300, "-" + "9" * 4301]),
+)
+
+
+def _outcome(read, text, error):
+    try:
+        return read(text)
+    except error as exc:
+        return str(exc)
+
+
+class TestTokenReader:
+    """Both text readers read each integer token by ``parse_int``'s rule:
+    ``int`` itself in ASCII text without "_", ``parse_int`` otherwise."""
+
+    def test_int_only_where_it_takes_what_parse_int_takes(self):
+        assert _token_reader("p cnf 3 1\n1 -2 +3 0\n") is int
+        for text in ("1_0 0", "\uff13 0", "c \u00e9\n1 0"):
+            assert _token_reader(text) is parse_int
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(TOKENS, min_size=1, max_size=3), max_size=4))
+    def test_formulas_read_as_by_parse_int(self, lines):
+        text = f"p cnf 9 {len(lines)}\n" + "".join(" ".join(line) + " 0\n" for line in lines)
+        got = _outcome(parse_dimacs, text, FormulaError)
+        with mock.patch.object(indpoly.cnf, "_token_reader", lambda text: parse_int):
+            assert got == _outcome(parse_dimacs, text, FormulaError)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(TOKENS, TOKENS), max_size=4))
+    def test_graphs_read_as_by_parse_int(self, edges):
+        text = f"p is 9 {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+        got = _outcome(parse_graph_text, text, GraphFormatError)
+        with mock.patch.object(indpoly.graphs, "_token_reader", lambda text: parse_int):
+            assert got == _outcome(parse_graph_text, text, GraphFormatError)
